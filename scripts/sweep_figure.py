@@ -24,7 +24,7 @@ print(f"weak-resonance ratios: {params.regime_ratio_damping:.4f}, "
       f"{params.regime_ratio_cutoff:.4f}")
 
 rows = sweep(params, config.sweep_start, config.sweep_stop,
-             config.sweep_points, models=models, max_workers=4)
+             config.sweep_points, models=models)
 
 with open(out, "w", encoding="utf-8", newline="\n") as fh:
     fh.write(rows_to_csv(rows, models))

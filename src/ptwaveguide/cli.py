@@ -12,6 +12,8 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .medium import MediumParams, from_config, width_mismatch
 from .models import (STATUS_OK, ModelKind, SweepRow, pt_defect, sweep)
@@ -115,6 +117,8 @@ def run_checks(rows: list[SweepRow], models: tuple[ModelKind, ...],
                params: MediumParams, config: Config) -> list[str]:
     """Property assertions on the swept rows; returns failure messages."""
     failures: list[str] = []
+    if not any(row.results[m].status == STATUS_OK for row in rows for m in models):
+        failures.append("no row has status ok")
     for row in rows:
         for model in models:
             res = row.results[model]
@@ -143,7 +147,11 @@ def run_checks(rows: list[SweepRow], models: tuple[ModelKind, ...],
     n_control = min(41, config.sweep_points)
     for row in sweep(control, config.sweep_start, config.sweep_stop, n_control):
         for model, res in row.results.items():
-            if abs(res.s_left - 1.0) > 1e-10 or abs(res.s_right - 1.0) > 1e-10:
+            if res.status != STATUS_OK:
+                failures.append(
+                    f"{res.status} row with the medium off at "
+                    f"x={row.omega_over_omegac} ({model.value})")
+            elif abs(res.s_left - 1.0) > 1e-10 or abs(res.s_right - 1.0) > 1e-10:
                 failures.append(
                     f"unit flux sums violated with the medium off at "
                     f"x={row.omega_over_omegac} ({model.value})")
@@ -169,16 +177,15 @@ def cmd_sweep(args) -> int:
     params = from_config(config)
     models = _MODEL_CHOICES[args.models]
     rows = sweep(params, config.sweep_start, config.sweep_stop,
-                 config.sweep_points, models=models, max_workers=args.jobs)
+                 config.sweep_points, models=models)
     csv_text = rows_to_csv(rows, models)
     with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(csv_text)
     write_manifest(config.output_path + ".manifest.json", config, params, models, rows)
     singular = sum(1 for row in rows for m in models
                    if row.results[m].status != STATUS_OK)
-    max_defect = max(pt_defect(ModelKind.EXACT, params,
-                               row.omega_over_omegac * params.omega_c)
-                     for row in rows)
+    omega = np.array([row.omega_over_omegac for row in rows]) * params.omega_c
+    max_defect = float(np.max(pt_defect(ModelKind.EXACT, params, omega)))
     print(f"wrote {config.output_path}: {len(rows)} frequencies x "
           f"{len(models)} model(s), {singular} singular row(s)")
     print(f"max mirror-conjugation defect of the exact profile: {max_defect:.6g}")
@@ -280,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--check", action="store_true",
                          help="run property assertions on the sweep")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel row evaluation (result is identical)")
+                         help="accepted for compatibility; has no effect "
+                              "(the sweep is one array evaluation per model)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_plot = sub.add_parser("plot", help="emit a gnuplot script for a sweep CSV")

@@ -1,36 +1,24 @@
 """Piecewise-constant 1D Helmholtz scattering engine.
 
 Solves phi'' + k^2(z) phi = 0 for a stack of uniform layers between two
-identical semi-infinite propagating regions, by 2x2 transfer matrices over
-plane-wave coefficient pairs, and independently by adaptive Runge-Kutta
-integration of the same ODE (the cross-validation oracle).
+identical semi-infinite propagating regions.  One array kernel multiplies
+the layers' (phi, phi') characteristic matrices over arrays of frequencies
+and converts the product to plane-wave coefficient pairs; scalar callers
+use it with length-1 inputs.  Adaptive Runge-Kutta integration of the same
+ODE is the independent cross-validation oracle.
 
-Phase conventions: each region's coefficients multiply e^{+-ik(z - z_edge)}
-with z_edge the region's left edge (the left exterior is referenced at the
-first interface, the right exterior at the last).  This keeps every
-exponential bounded by |k|*thickness and fixes the amplitude phases; all
-|.|^2 observables and the PT bilinears are reference-independent.
+Phase conventions: each exterior's coefficients multiply e^{+-ik(z - z_edge)}
+with z_edge the stack edge it touches (the left exterior is referenced at
+the first interface, the right exterior at the last).  All |.|^2
+observables and the PT bilinears are reference-independent.
 """
 
 from __future__ import annotations
 
-import cmath
-import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-
-logger = logging.getLogger(__name__)
-
-# Below |k|*d the +-k exponential basis is ill-conditioned (interface ratios
-# ~ 1/(k d) amplify roundoff); cross such layers in the (phi, phi') basis,
-# which degenerates smoothly to the {1, z} fundamental pair at k = 0.
-DEGENERATE_KD = 1e-3
-
-
-class SingularInterfaceError(ValueError):
-    """Interface into a zero-wavenumber medium has no plane-wave basis."""
 
 
 class SpectralSingularityError(ArithmeticError):
@@ -76,6 +64,8 @@ class LayerStack:
 
 @dataclass(frozen=True)
 class TransferMatrix:
+    """Plane-wave coefficient map (A+, A-) of the left exterior to the right."""
+
     m11: complex
     m12: complex
     m21: complex
@@ -83,17 +73,6 @@ class TransferMatrix:
 
     def det(self) -> complex:
         return self.m11 * self.m22 - self.m12 * self.m21
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-
-IDENTITY = TransferMatrix(1.0, 0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -106,115 +85,101 @@ class ScatteringAmplitudes:
     r_right: complex
 
 
-def wavenumber_from_k2(k2: complex) -> complex:
+def wavenumber_from_k2(k2):
     """Principal square root; real-axis inputs resolve to the upper branch cut.
 
-    Amplitudes are branch-independent (the coefficient basis is symmetric in
-    +-k); a fixed choice just makes intermediates reproducible.
+    Accepts scalars and arrays.  Amplitudes are branch-independent (the layer
+    matrix is even in k); a fixed choice just makes intermediates
+    reproducible.
     """
-    z = complex(k2)
-    if z.imag == 0.0:
-        z = complex(z.real, 0.0)
-    return cmath.sqrt(z)
+    z = np.asarray(k2, dtype=complex)
+    return np.sqrt(np.where(z.imag == 0.0, z.real + 0j, z))
 
 
-def interface_matrix(k_from: complex, k_to: complex) -> TransferMatrix:
-    """Map coefficient pairs across an interface, enforcing continuity of
-    phi and phi'.  Determinant is k_from / k_to."""
-    if k_to == 0:
-        raise SingularInterfaceError("cannot enter a k = 0 medium in the plane-wave basis")
-    r = k_from / k_to
-    return TransferMatrix(0.5 * (1 + r), 0.5 * (1 - r),
-                          0.5 * (1 - r), 0.5 * (1 + r))
+def layer_matrix(k2, d: float):
+    """Entries (c11, c12, c21, c22) of the characteristic matrix of a uniform
+    layer, [[cos kd, sin(kd)/k], [-k sin kd, cos kd]] (Born & Wolf,
+    *Principles of Optics* sec. 1.6), mapping (phi, phi') across it.
 
-
-def propagation_matrix(k: complex, d: float) -> TransferMatrix:
-    """Advance the coefficient reference point by d inside a uniform medium."""
+    Even in k, determinant 1, and regular at k = 0, where it becomes the
+    {1, z} pair [[1, d], [0, 1]].  ``k2`` may be an array.
+    """
     if d < 0:
         raise ValueError(f"thickness must be non-negative, got {d}")
-    e = cmath.exp(1j * k * d)
-    return TransferMatrix(e, 0.0, 0.0, 1.0 / e)
+    k2 = np.asarray(k2, dtype=complex)
+    kd = wavenumber_from_k2(k2) * d
+    # sin(x)/x by its series where the quotient would lose accuracy or
+    # overflow (subnormal x)
+    small = np.abs(kd) < 1e-4
+    kd2 = kd * kd
+    sinc = np.where(small, 1.0 - kd2 / 6.0 * (1.0 - kd2 / 20.0),
+                    np.sin(kd) / np.where(small, 1.0, kd))
+    cos = np.cos(kd)
+    return cos, d * sinc, -k2 * d * sinc, cos
 
 
-def _phi_basis_from_pm(k: complex) -> TransferMatrix:
-    # (A+, A-) -> (phi, phi')
-    return TransferMatrix(1.0, 1.0, 1j * k, -1j * k)
+def transfer_arrays(k_outer, layers: Sequence[tuple]):
+    """Scattering kernel: transfer-matrix entries (m11, m12, m21, m22) of a
+    stack given as (k2, thickness) pairs between exteriors of wavenumber
+    ``k_outer``.
+
+    ``k_outer`` and each k2 may be arrays over frequencies (they broadcast);
+    thicknesses are numbers.  The layers' characteristic matrices multiply
+    left to right in the continuous (phi, phi') basis, entered from and left
+    to plane-wave coefficients at the exterior wavenumber.
+    """
+    # (A+, A-) of the left exterior -> (phi, phi') at the first interface:
+    # P = [[1, 1], [ik, -ik]]; after the last layer, P^-1 maps back.
+    ik = 1j * np.asarray(k_outer, dtype=float)
+    x11, x12, x21, x22 = 1.0, 1.0, ik, -ik
+    for k2, d in layers:
+        c11, c12, c21, c22 = layer_matrix(k2, d)
+        x11, x12, x21, x22 = (c11 * x11 + c12 * x21, c11 * x12 + c12 * x22,
+                              c21 * x11 + c22 * x21, c21 * x12 + c22 * x22)
+    half_inv = 0.5 / ik
+    return (0.5 * x11 + half_inv * x21, 0.5 * x12 + half_inv * x22,
+            0.5 * x11 - half_inv * x21, 0.5 * x12 - half_inv * x22)
 
 
-def _pm_basis_from_phi(k: complex) -> TransferMatrix:
-    # (phi, phi') -> (A+, A-)
-    inv = 1.0 / (1j * k)
-    return TransferMatrix(0.5, 0.5 * inv, 0.5, -0.5 * inv)
+def _ratios(m12, m21, m22):
+    # With equal exterior wavenumbers the determinant is exactly 1, so
+    # t_left = det/m22 = 1/m22 = t_right; using the analytic value avoids
+    # the catastrophic cancellation of the numeric 2x2 determinant when the
+    # matrix entries reach e^{2 Im(k) d} ~ e^{40}.
+    m22 = np.asarray(m22, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = 1.0 / m22
+        r_left = -m21 / m22
+        r_right = m12 / m22
+    ok = (m22 != 0) & np.isfinite(t)
+    return t, r_left, r_right, ok
 
 
-def _degenerate_crossing(k: complex, d: float) -> TransferMatrix:
-    # (phi, phi') transfer across a uniform layer:
-    # [[cos(kd), sin(kd)/k], [-k sin(kd), cos(kd)]], regular at k = 0 where
-    # it becomes the {1, z} pair [[1, d], [0, 1]].
-    kd = k * d
-    if abs(kd) < 1e-4:
-        kd2 = kd * kd
-        sinc = 1.0 - kd2 / 6.0 * (1.0 - kd2 / 20.0)
-        cos = 1.0 - kd2 / 2.0 * (1.0 - kd2 / 12.0)
-    else:
-        sinc = cmath.sin(kd) / kd
-        cos = cmath.cos(kd)
-    return TransferMatrix(cos, d * sinc, -k * k * d * sinc, cos)
+def amplitude_arrays(k_outer, layers: Sequence[tuple]):
+    """(t, r_left, r_right, ok) of the kernel :func:`transfer_arrays`.
+
+    ``ok`` is false where m22 = 0 or t is not finite (a spectral
+    singularity); the amplitudes there are meaningless.
+    """
+    _, m12, m21, m22 = transfer_arrays(k_outer, layers)
+    return _ratios(m12, m21, m22)
 
 
 def total_transfer(stack: LayerStack) -> TransferMatrix:
-    """Ordered product of interface and propagation matrices, left exterior
-    to right exterior.
-
-    Layers with |k|*thickness below ``DEGENERATE_KD`` are crossed in the
-    (phi, phi') basis where the k -> 0 limit is regular; the affected layer
-    indices are logged.
-    """
-    M = IDENTITY
-    k_cur = complex(stack.k_outer)
-    in_phi_basis = False
-    for index, layer in enumerate(stack.layers):
-        k = wavenumber_from_k2(layer.k2)
-        if abs(k) * layer.thickness < DEGENERATE_KD:
-            logger.info("layer %d: |k|*d = %.3e below threshold, using {1, z} limit basis",
-                        index, abs(k) * layer.thickness)
-            if not in_phi_basis:
-                M = _phi_basis_from_pm(k_cur) @ M
-                in_phi_basis = True
-            M = _degenerate_crossing(k, layer.thickness) @ M
-        else:
-            if in_phi_basis:
-                M = _pm_basis_from_phi(k) @ M
-                in_phi_basis = False
-            else:
-                M = interface_matrix(k_cur, k) @ M
-            M = propagation_matrix(k, layer.thickness) @ M
-            k_cur = k
-    if in_phi_basis:
-        M = _pm_basis_from_phi(complex(stack.k_outer)) @ M
-    else:
-        M = interface_matrix(k_cur, complex(stack.k_outer)) @ M
-    return M
+    """Transfer matrix of the stack, left exterior to right exterior."""
+    pairs = [(layer.k2, layer.thickness) for layer in stack.layers]
+    return TransferMatrix(*(complex(m) for m in transfer_arrays(stack.k_outer, pairs)))
 
 
 def _amplitudes_from_transfer(m: TransferMatrix) -> ScatteringAmplitudes:
-    # With equal exterior wavenumbers the determinant telescopes to exactly 1,
-    # so t_left = det/m22 = 1/m22 = t_right; using the analytic value avoids
-    # the catastrophic cancellation of the numeric 2x2 determinant when the
-    # matrix entries reach e^{2 Im(k) d} ~ e^{40}.
-    if m.m22 == 0:
+    t, r_left, r_right, ok = _ratios(m.m12, m.m21, m.m22)
+    if not ok:
         raise SpectralSingularityError(
-            "m22 = 0: spectral singularity, no bounded scattering solution "
-            "at this real frequency")
-    t = 1.0 / m.m22
-    if not (cmath.isfinite(t)):
-        raise SpectralSingularityError(f"non-finite transmission from m22 = {m.m22!r}")
-    return ScatteringAmplitudes(
-        t_left=t,
-        r_left=-m.m21 / m.m22,
-        t_right=t,
-        r_right=m.m12 / m.m22,
-    )
+            f"m22 = {m.m22!r}: spectral singularity, no bounded scattering "
+            "solution at this real frequency")
+    t = complex(t)
+    return ScatteringAmplitudes(t_left=t, r_left=complex(r_left),
+                                t_right=t, r_right=complex(r_right))
 
 
 def amplitudes(stack: LayerStack) -> ScatteringAmplitudes:
@@ -270,6 +235,8 @@ def ode_amplitudes(k2_of_z, z_span: tuple[float, float], k_outer: float, *,
     controls the error properly.  Conventions match :func:`amplitudes`
     (references at z_min and z_max).
     """
+    from scipy.integrate import solve_ivp
+
     z_min, z_max = z_span
     if not z_max > z_min:
         raise ValueError("z_span must be increasing")
@@ -348,8 +315,5 @@ def growth_exponent(stack: LayerStack) -> float:
     numeric 2x2 determinant is destroyed by cancellation (amplitudes remain
     accurate, as they only use entry ratios and the analytic determinant).
     """
-    worst = 0.0
-    for layer in stack.layers:
-        k = wavenumber_from_k2(layer.k2)
-        worst = max(worst, abs(k.imag) * layer.thickness)
-    return worst
+    return max((float(abs(wavenumber_from_k2(layer.k2).imag)) * layer.thickness
+                for layer in stack.layers), default=0.0)

@@ -14,6 +14,8 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .quantities import C, HBAR, PI
 
 logger = logging.getLogger(__name__)
@@ -135,36 +137,38 @@ def region_at(z: float, params: MediumParams) -> RegionKind:
     return RegionKind(region_sign(z, params))
 
 
-def permittivity(kind: RegionKind, omega: float, params: MediumParams) -> complex:
+def permittivity(kind: RegionKind, omega, params: MediumParams):
     """Single-resonance Lorentz relative permittivity.
 
     1 - sign * omega_p^2 / (omega^2 - omega0^2 + 2i*delta*omega); the pumped
     region enters with the opposite sign, flipping absorption into gain.
+    ``omega`` may be an array.
     """
-    if omega <= 0:
-        raise ValueError(f"frequency must be positive, got {omega}")
+    if np.any(omega <= 0):
+        raise ValueError(f"frequency must be positive, got {np.min(omega)}")
     if kind.sign == 0:
         return 1.0 + 0.0j
     denom = omega * omega - params.omega0 ** 2 + 2j * params.delta * omega
     return 1.0 - kind.sign * params.omega_p ** 2 / denom
 
 
-def k_squared_exact(kind: RegionKind, omega: float, params: MediumParams) -> complex:
-    """Squared longitudinal wavenumber of the guided mode, dispersive model."""
+def k_squared_exact(kind: RegionKind, omega, params: MediumParams):
+    """Squared longitudinal wavenumber of the guided mode, dispersive model;
+    ``omega`` may be an array."""
     eps = permittivity(kind, omega, params)
     return (omega * omega * eps - params.omega_c ** 2) / C ** 2
 
 
-def k_squared_approx(kind: RegionKind, detuning: float, params: MediumParams) -> complex:
+def k_squared_approx(kind: RegionKind, detuning, params: MediumParams):
     """First-order near-cutoff truncation of the squared wavenumber.
 
     2*omega_c*detuning/c^2 + i*sign*omega_c*omega_p^2/(2 c^2 delta); exact at
     zero detuning when the cutoff is tuned to the resonance.  Negative
-    detunings are allowed for diagnostics.
+    detunings are allowed for diagnostics; ``detuning`` may be an array.
     """
     re = 2.0 * params.omega_c * detuning / C ** 2
     im = kind.sign * params.omega_c * params.omega_p ** 2 / (2.0 * C ** 2 * params.delta)
-    return complex(re, im)
+    return re + complex(0.0, im)
 
 
 def effective_potential(kind: RegionKind, params: MediumParams) -> complex:
@@ -181,7 +185,7 @@ def effective_mass(params: MediumParams) -> float:
     return HBAR * params.omega_c / C ** 2
 
 
-def raw_pt_defect(omega: float, params: MediumParams) -> float:
+def raw_pt_defect(omega, params: MediumParams):
     """|k2(gain) - conj(k2(absorbing))| for the dispersive model, 1/m^2.
 
     Vanishes at omega = omega_c = omega0 (the resonance makes the two

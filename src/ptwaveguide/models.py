@@ -11,14 +11,16 @@ absorber over (0, l), vacuum outside.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from math import log10, sqrt
+from math import log10
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .helmholtz import (Layer, LayerStack, ScatteringAmplitudes,
-                        SpectralSingularityError, amplitudes, flux_sums)
+                        SpectralSingularityError, amplitude_arrays, amplitudes,
+                        flux_sums)
 from .medium import (MediumParams, RegionKind, k_squared_approx,
                      k_squared_exact, raw_pt_defect)
 from .quantities import C
@@ -36,54 +38,76 @@ class ModelKind(Enum):
     APPROXIMATE = "approx"
 
 
-def build_exact_stack(params: MediumParams, omega: float) -> LayerStack:
-    """Gain/absorber bilayer with the dispersive-model wavenumbers at omega."""
-    if omega <= params.omega_c:
+def exact_bilayer(params: MediumParams, omega):
+    """Exterior wavenumber and the (k^2, thickness) pairs of the gain and
+    absorber layers, dispersive model; ``omega`` may be an array."""
+    # scalars become 0-d arrays, so a single frequency goes through the same
+    # arithmetic as a whole grid
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega <= params.omega_c):
         raise BelowCutoffError(
-            f"omega = {omega:.6e} is not above the cutoff {params.omega_c:.6e}")
-    k_outer = sqrt(omega * omega - params.omega_c ** 2) / C
-    l = params.region_length
-    return LayerStack(k_outer, (
-        Layer(k_squared_exact(RegionKind.GAIN, omega, params), l),
-        Layer(k_squared_exact(RegionKind.ABSORBING, omega, params), l),
-    ))
+            f"omega = {np.min(omega):.6e} is not above the cutoff {params.omega_c:.6e}")
+    k_outer = np.sqrt(omega * omega - params.omega_c ** 2) / C
+    return k_outer, _bilayer(params, k_squared_exact, omega)
 
 
-def build_approx_stack(params: MediumParams, detuning: float) -> LayerStack:
-    """Bilayer with the truncated wavenumbers at the given detuning above cutoff.
+def approx_bilayer(params: MediumParams, detuning):
+    """As :func:`exact_bilayer` with the truncated wavenumbers at the given
+    detuning above cutoff.
 
     Identical to the stationary Schrodinger problem at energy E = hbar*detuning
     with mass hbar*omega_c/c^2 and the piecewise-imaginary potential:
     2m(E - V)/hbar^2 reproduces the truncated k^2 exactly.
     """
-    if detuning <= 0:
-        raise BelowCutoffError(f"detuning = {detuning:.6e} must be positive")
-    k_outer = sqrt(2.0 * params.omega_c * detuning) / C
+    detuning = np.asarray(detuning, dtype=float)
+    if np.any(detuning <= 0):
+        raise BelowCutoffError(f"detuning = {np.min(detuning):.6e} must be positive")
+    k_outer = np.sqrt(2.0 * params.omega_c * detuning) / C
+    return k_outer, _bilayer(params, k_squared_approx, detuning)
+
+
+def _bilayer(params: MediumParams, k_squared, x):
     l = params.region_length
-    return LayerStack(k_outer, (
-        Layer(k_squared_approx(RegionKind.GAIN, detuning, params), l),
-        Layer(k_squared_approx(RegionKind.ABSORBING, detuning, params), l),
-    ))
+    return ((k_squared(RegionKind.GAIN, x, params), l),
+            (k_squared(RegionKind.ABSORBING, x, params), l))
+
+
+def bilayer(model: ModelKind, params: MediumParams, omega):
+    if model is ModelKind.EXACT:
+        return exact_bilayer(params, omega)
+    return approx_bilayer(params, omega - params.omega_c)
+
+
+def _stack(k_outer, layers) -> LayerStack:
+    return LayerStack(float(k_outer), tuple(Layer(complex(k2), d) for k2, d in layers))
+
+
+def build_exact_stack(params: MediumParams, omega: float) -> LayerStack:
+    """Gain/absorber bilayer with the dispersive-model wavenumbers at omega."""
+    return _stack(*exact_bilayer(params, omega))
+
+
+def build_approx_stack(params: MediumParams, detuning: float) -> LayerStack:
+    """Bilayer with the truncated wavenumbers at the given detuning above cutoff."""
+    return _stack(*approx_bilayer(params, detuning))
 
 
 def build_stack(model: ModelKind, params: MediumParams, omega: float) -> LayerStack:
-    if model is ModelKind.EXACT:
-        return build_exact_stack(params, omega)
-    return build_approx_stack(params, omega - params.omega_c)
+    return _stack(*bilayer(model, params, omega))
 
 
-def pt_defect(model: ModelKind, params: MediumParams, omega: float) -> float:
+def pt_defect(model: ModelKind, params: MediumParams, omega):
     """Deviation of the profile from k^2(-z) = conj(k^2(z)), dimensionless.
 
     Maximum over mirrored position pairs of |k^2(-z) - conj(k^2(z))|, scaled
     by the gain/loss wavenumber magnitude at cutoff (the strength of the
     non-Hermitian term, a frequency-independent yardstick).  Exactly zero
     for the approximate model; zero at cutoff and growing with detuning for
-    the exact one.
+    the exact one.  ``omega`` may be an array.
     """
-    if omega < params.omega_c:
+    if np.any(omega < params.omega_c):
         raise BelowCutoffError(
-            f"omega = {omega:.6e} is below the cutoff {params.omega_c:.6e}")
+            f"omega = {np.min(omega):.6e} is below the cutoff {params.omega_c:.6e}")
     scale = abs(k_squared_approx(RegionKind.ABSORBING, 0.0, params))
     if scale == 0.0:
         return 0.0
@@ -152,14 +176,25 @@ def evaluate_row(params: MediumParams, omega_over_omegac: float,
     return SweepRow(omega_over_omegac, results)
 
 
+def _model_results(model: ModelKind, params: MediumParams,
+                   omega: np.ndarray) -> list[ModelResult]:
+    t, r_left, r_right, ok = amplitude_arrays(*bilayer(model, params, omega))
+    singular = ModelResult.singular()
+    return [ModelResult.from_amplitudes(ScatteringAmplitudes(t_i, rl, t_i, rr))
+            if ok_i else singular
+            for t_i, rl, rr, ok_i in zip(t.tolist(), r_left.tolist(),
+                                         r_right.tolist(), ok.tolist())]
+
+
 def sweep(params: MediumParams, start: float, stop: float, n: int,
           models: Sequence[ModelKind] = (ModelKind.EXACT, ModelKind.APPROXIMATE),
           max_workers: int = 1) -> list[SweepRow]:
-    """Evaluate the grid; rows come back in ascending frequency order
-    regardless of the degree of parallelism."""
+    """Evaluate the grid in one kernel call per model; rows come back in
+    ascending frequency order.  ``max_workers`` is accepted for
+    compatibility and has no effect."""
     grid = sweep_grid(start, stop, n)
     models = tuple(models)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda x: evaluate_row(params, x, models), grid))
-    return [evaluate_row(params, x, models) for x in grid]
+    omega = np.array(grid) * params.omega_c
+    columns = [_model_results(model, params, omega) for model in models]
+    return [SweepRow(x, dict(zip(models, results)))
+            for x, *results in zip(grid, *columns)]

@@ -6,6 +6,7 @@ and micrometers appear only here, at the configuration boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -86,6 +87,9 @@ class Config:
     output_path: str = "results.csv"
 
     def __post_init__(self):
+        for key in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigValidationError(key, "must be finite")
         for key in ("slab_width_um", "hbar_omega0_ev", "hbar_omegap_ev",
                     "hbar_delta_ev", "region_length_um"):
             if getattr(self, key) <= 0:

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .helmholtz import amplitudes
-from .medium import MediumParams, effective_mass, effective_potential, region_at
-from .models import build_approx_stack
+from .helmholtz import SpectralSingularityError, amplitude_arrays
+from .medium import MediumParams, RegionKind, effective_mass, effective_potential
+from .models import approx_bilayer
 from .quantities import HBAR
 
 logger = logging.getLogger(__name__)
@@ -119,9 +118,17 @@ def norm(state: WavepacketState) -> float:
 
 
 def potential_on_grid(params: MediumParams, grid: SpatialGrid) -> np.ndarray:
-    """Effective potential sampled on the grid (complex, joules)."""
-    return np.array([effective_potential(region_at(z, params), params)
-                     for z in grid.z], dtype=complex)
+    """Effective potential sampled on the grid (complex, joules).
+
+    Boundary points take the region to their right, as in
+    :func:`medium.region_sign`.
+    """
+    z = grid.z
+    l = params.region_length
+    vacuum, gain, absorbing = (effective_potential(kind, params) for kind in
+                               (RegionKind.VACUUM, RegionKind.GAIN, RegionKind.ABSORBING))
+    return np.where(z < -l, vacuum,
+                    np.where(z < 0, gain, np.where(z < l, absorbing, vacuum)))
 
 
 def initial_gaussian(spec: WavepacketSpec, grid: SpatialGrid,
@@ -165,7 +172,7 @@ def _cn_operators(potential: np.ndarray, mass: float, dz: float, dt: float):
 
 
 def _cn_apply(psi: np.ndarray, lhs: np.ndarray, rhs_main: np.ndarray,
-              gamma: complex) -> np.ndarray:
+              gamma: complex, solve_banded) -> np.ndarray:
     rhs = rhs_main * psi
     rhs[1:] += gamma * psi[:-1]
     rhs[:-1] += gamma * psi[1:]
@@ -189,9 +196,12 @@ def _check_guard(potential: np.ndarray, dt: float):
 def step_crank_nicolson(state: WavepacketState, potential: np.ndarray,
                         mass: float, dt: float) -> WavepacketState:
     """One implicit midpoint step with hard-wall boundaries."""
+    from scipy.linalg import solve_banded
+
     _check_guard(potential, dt)
     lhs, rhs_main, gamma = _cn_operators(potential, mass, state.grid.dz, dt)
-    psi = _cn_apply(np.asarray(state.psi, dtype=complex), lhs, rhs_main, gamma)
+    psi = _cn_apply(np.asarray(state.psi, dtype=complex), lhs, rhs_main, gamma,
+                    solve_banded)
     return WavepacketState(psi=psi, t=state.t + dt, grid=state.grid)
 
 
@@ -202,6 +212,8 @@ def propagate(state: WavepacketState, potential: np.ndarray, mass: float,
     record_every = 0 records only the final state; k > 0 records every k-th
     step starting from the initial state.
     """
+    from scipy.linalg import solve_banded
+
     _check_guard(potential, dt)
     lhs, rhs_main, gamma = _cn_operators(potential, mass, state.grid.dz, dt)
     psi = np.asarray(state.psi, dtype=complex)
@@ -209,7 +221,7 @@ def propagate(state: WavepacketState, potential: np.ndarray, mass: float,
     if record_every:
         out.append(state)
     for step in range(1, n_steps + 1):
-        psi = _cn_apply(psi, lhs, rhs_main, gamma)
+        psi = _cn_apply(psi, lhs, rhs_main, gamma, solve_banded)
         if record_every and step % record_every == 0:
             out.append(WavepacketState(psi=psi.copy(), t=state.t + step * dt,
                                        grid=state.grid))
@@ -274,13 +286,13 @@ def transmission_prediction(params: MediumParams, spec: WavepacketSpec,
     if ks[0] <= 0:
         raise ValueError("packet spectrum reaches k <= 0; increase sigma or carrier")
     weights = np.exp(-2.0 * spec.sigma ** 2 * (ks - k0) ** 2)
-    t2 = np.empty_like(ks)
-    r2 = np.empty_like(ks)
-    for i, k in enumerate(ks):
-        detuning = HBAR * k * k / (2.0 * mass)
-        amp = amplitudes(build_approx_stack(params, detuning))
-        t2[i] = abs(amp.t_left) ** 2
-        r2[i] = abs(amp.r_left if from_left else amp.r_right) ** 2
+    t, r_left, r_right, ok = amplitude_arrays(
+        *approx_bilayer(params, HBAR * ks * ks / (2.0 * mass)))
+    if not ok.all():
+        raise SpectralSingularityError(
+            f"spectral singularity at k = {ks[~ok][0]:.6e} inside the packet spectrum")
+    t2 = np.abs(t) ** 2
+    r2 = np.abs(r_left if from_left else r_right) ** 2
     w = np.trapezoid(weights, ks)
     return PacketPrediction(
         transmitted=float(np.trapezoid(weights * t2, ks) / w),
@@ -322,6 +334,8 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     note that above the amplification threshold the medium never clears).
     ``record_times`` requests intermediate snapshots (nearest step).
     """
+    from scipy.linalg import solve_banded
+
     state = initial_gaussian(spec, grid, params)
     ratio = spec.bandwidth_ratio(params)
     if ratio > 0.1:
@@ -339,7 +353,7 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     boundary_peak = 0.0
     recorded: list[WavepacketState] = []
     for step in range(1, n_steps + 1):
-        psi = _cn_apply(psi, lhs, rhs_main, gamma)
+        psi = _cn_apply(psi, lhs, rhs_main, gamma, solve_banded)
         if step % check_every == 0 or step == n_steps:
             peak = float(np.abs(psi).max())
             edge = max(float(np.abs(psi[:5]).max()), float(np.abs(psi[-5:]).max()))

@@ -1,9 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import ptwaveguide.cli as cli
 from ptwaveguide.cli import CSV_HEADER, main, render_plot_script
+from ptwaveguide.models import ModelKind, ModelResult, SweepRow
+from ptwaveguide.quantities import Config
 
 
 def run_cli(*argv):
@@ -97,6 +103,28 @@ class TestSweepCommand:
                        "--output", str(out)) == 0
         assert "all sweep checks passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line", ["hbar_omegap_ev = nan", "sweep_stop = inf"])
+    def test_non_finite_config_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "bad.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--check",
+                       "--output", str(out)) == 2
+        captured = capsys.readouterr()
+        assert line.split()[0] in captured.err
+        assert "checks passed" not in captured.out
+        assert not out.exists()
+
+    def test_checks_fail_without_ok_rows(self, params, monkeypatch):
+        models = (ModelKind.EXACT,)
+        singular = [SweepRow(x, {ModelKind.EXACT: ModelResult.singular()})
+                    for x in (1.001, 1.01)]
+        # the medium-off control sweep comes back singular too
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: singular)
+        failures = cli.run_checks(singular, models, params, Config())
+        assert "no row has status ok" in failures
+        assert sum("medium off" in message for message in failures) == 2
+
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "m.csv"
         run_cli("sweep", "--sweep", "1.003:1.01:2", "--output", str(out))
@@ -189,3 +217,15 @@ class TestPacketCommand:
     def test_bad_packet_parameters_exit_2(self, capsys):
         assert run_cli("packet", "--energy-ev", "-0.1") == 2
         capsys.readouterr()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only the ODE oracle and the time stepper; a sweep
+    # should not pay for importing it
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, ptwaveguide.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +176,21 @@ class TestSweep:
             for res in row.results.values():
                 assert res.s_left == pytest.approx(1.0, abs=1e-10)
                 assert res.s_right == pytest.approx(1.0, abs=1e-10)
+
+    def test_rows_match_pointwise_evaluation(self, params):
+        # the array kernel over the grid against one scalar solve per row
+        for row in sweep(params, 1.0005, 1.10, 60):
+            single = evaluate_row(params, row.omega_over_omegac, tuple(ModelKind))
+            for model in ModelKind:
+                a, b = row.results[model], single.results[model]
+                assert a.status == b.status == STATUS_OK
+                scale = math.sqrt(a.s_left + a.s_right)
+                for field in ("t_left", "r_left", "t_right", "r_right"):
+                    x = getattr(a.amplitudes, field)
+                    y = getattr(b.amplitudes, field)
+                    assert abs(x - y) <= 1e-13 * scale
+                assert a.s_left == pytest.approx(b.s_left, rel=1e-13)
+                assert a.s_right == pytest.approx(b.s_right, rel=1e-13)
 
     def test_parallel_sweep_identical(self, params):
         serial = sweep(params, 1.001, 1.05, 24, max_workers=1)

@@ -120,6 +120,16 @@ class TestConfig:
         with pytest.raises(ConfigValidationError):
             parse_config("sweep_start = 1.05\nsweep_stop = 1.01")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["slab_width_um", "hbar_omega0_ev",
+                                     "hbar_omegap_ev", "hbar_delta_ev",
+                                     "region_length_um", "sweep_start",
+                                     "sweep_stop"])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(f"{key} = {value}")
+        assert err.value.key == key
+
     def test_single_point_rejected(self):
         with pytest.raises(ConfigValidationError):
             parse_config("sweep_points = 1")

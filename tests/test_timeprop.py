@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ptwaveguide.medium import effective_mass
+from ptwaveguide.helmholtz import amplitudes
+from ptwaveguide.medium import (MediumParams, effective_mass,
+                                effective_potential, region_at)
+from ptwaveguide.models import build_approx_stack
 from ptwaveguide.quantities import E_CHARGE, HBAR
 from ptwaveguide.timeprop import (BoundaryContaminationError,
                                   IncompleteScatterError, PlacementError,
@@ -96,6 +99,16 @@ class TestCrankNicolson:
             grid_dt[dt] = abs(norm(final) - expected) / expected
         assert grid_dt[1e-16] < 5e-4
         assert grid_dt[5e-17] < 0.3 * grid_dt[1e-16]
+
+    def test_potential_matches_pointwise_regions(self, params):
+        # a power-of-two region length puts -l, 0 and l exactly on grid points
+        l = 2.0 ** -15
+        params = MediumParams.tuned(params.omega0, params.omega_p, params.delta, l)
+        grid = SpatialGrid(-2 * l, 2 * l, 257, 1e-16)
+        expected = [effective_potential(region_at(z, params), params) for z in grid.z]
+        potential = potential_on_grid(params, grid)
+        assert np.any(grid.z == -l) and np.any(grid.z == 0) and np.any(grid.z == l)
+        assert np.array_equal(potential, np.array(expected, dtype=complex))
 
     def test_guard_rejects_large_dt(self, params):
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-12)
@@ -255,3 +268,23 @@ class TestPrediction:
         assert left.transmitted == pytest.approx(right.transmitted, rel=1e-12)
         assert left.reflected > 1.0          # gain-side reflection amplifies
         assert right.reflected < 1e-2        # absorber-side reflection is tiny
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_array_prediction_matches_pointwise_solves(self, params, sign):
+        # the same spectral average with one scalar stack solve per wavenumber
+        spec = WavepacketSpec(-40e-6 * sign, 3e-6, sign * carrier_for_energy(params, 0.2))
+        n, half_width = 201, 8.0
+        got = transmission_prediction(params, spec, n_points=n, half_width=half_width)
+        k0 = abs(spec.carrier_k)
+        dk = half_width / (2.0 * spec.sigma)
+        ks = np.linspace(k0 - dk, k0 + dk, n)
+        weights = np.exp(-2.0 * spec.sigma ** 2 * (ks - k0) ** 2)
+        t2, r2 = [], []
+        for k in ks:
+            amp = amplitudes(build_approx_stack(
+                params, HBAR * k * k / (2.0 * effective_mass(params))))
+            t2.append(abs(amp.t_left) ** 2)
+            r2.append(abs(amp.r_left if sign > 0 else amp.r_right) ** 2)
+        w = np.trapezoid(weights, ks)
+        assert got.transmitted == pytest.approx(np.trapezoid(weights * t2, ks) / w, rel=1e-12)
+        assert got.reflected == pytest.approx(np.trapezoid(weights * r2, ks) / w, rel=1e-12)
