@@ -2,10 +2,10 @@
 
 Solves phi'' + k^2(z) phi = 0 for a stack of uniform layers between two
 identical semi-infinite propagating regions.  One array kernel multiplies
-the layers' (phi, phi') characteristic matrices over arrays of frequencies
-and converts the product to plane-wave coefficient pairs; scalar callers
-use it with length-1 inputs.  Adaptive Runge-Kutta integration of the same
-ODE is the independent cross-validation oracle.
+the layers' characteristic matrices, each written in the exterior's
+plane-wave basis, over arrays of frequencies; scalar callers use it with
+length-1 inputs.  Adaptive Runge-Kutta integration of the same ODE is the
+independent cross-validation oracle.
 
 Phase conventions: each exterior's coefficients multiply e^{+-ik(z - z_edge)}
 with z_edge the stack edge it touches (the left exterior is referenced at
@@ -15,6 +15,8 @@ observables and the PT bilinears are reference-independent.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,18 +106,24 @@ def layer_matrix(k2, d: float):
     Even in k, determinant 1, and regular at k = 0, where it becomes the
     {1, z} pair [[1, d], [0, 1]].  ``k2`` may be an array.
     """
+    _, kd, sin_over_k = _layer_phase(k2, d)
+    cos = np.cos(kd)
+    return cos, sin_over_k, -np.asarray(k2, dtype=complex) * sin_over_k, cos
+
+
+def _layer_phase(k2, d: float):
+    """(k, kd, sin(kd)/k) of a uniform layer; the last is regular at k = 0."""
     if d < 0:
         raise ValueError(f"thickness must be non-negative, got {d}")
-    k2 = np.asarray(k2, dtype=complex)
-    kd = wavenumber_from_k2(k2) * d
+    k = wavenumber_from_k2(k2)
+    kd = k * d
     # sin(x)/x by its series where the quotient would lose accuracy or
     # overflow (subnormal x)
     small = np.abs(kd) < 1e-4
     kd2 = kd * kd
     sinc = np.where(small, 1.0 - kd2 / 6.0 * (1.0 - kd2 / 20.0),
                     np.sin(kd) / np.where(small, 1.0, kd))
-    cos = np.cos(kd)
-    return cos, d * sinc, -k2 * d * sinc, cos
+    return k, kd, d * sinc
 
 
 def transfer_arrays(k_outer, layers: Sequence[tuple]):
@@ -124,21 +132,36 @@ def transfer_arrays(k_outer, layers: Sequence[tuple]):
     ``k_outer``.
 
     ``k_outer`` and each k2 may be arrays over frequencies (they broadcast);
-    thicknesses are numbers.  The layers' characteristic matrices multiply
-    left to right in the continuous (phi, phi') basis, entered from and left
-    to plane-wave coefficients at the exterior wavenumber.
+    thicknesses are numbers.  Each layer's characteristic matrix C (see
+    :func:`layer_matrix`) enters in the exterior's plane-wave basis,
+    P^-1 C P with P = [[1, 1], [ik, -ik]] mapping (A+, A-) to (phi, phi'):
+
+        [[e^{i k_l d} + q,  s (k2 - k^2)],
+         [s (k^2 - k2),     e^{-i k_l d} - q]],
+
+    with s = i sin(k_l d) / (2 k k_l) and q = s (k_l - k)^2, and the layers
+    multiply left to right.  Every term is regular at k_l = 0, and no entry
+    is formed as a difference of near-equal terms: the contrast k2 - k^2 is
+    a factor of the off-diagonal entries, so a weak or thin layer's
+    reflection keeps full relative accuracy, and the diagonal keeps the
+    decaying plane wave instead of recovering it as cos - i sin of two
+    growing ones.
     """
-    # (A+, A-) of the left exterior -> (phi, phi') at the first interface:
-    # P = [[1, 1], [ik, -ik]]; after the last layer, P^-1 maps back.
-    ik = 1j * np.asarray(k_outer, dtype=float)
-    x11, x12, x21, x22 = 1.0, 1.0, ik, -ik
+    k = np.asarray(k_outer, dtype=float)
+    k_sq = k * k
+    i_over_2k = 0.5j / k
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     for k2, d in layers:
-        c11, c12, c21, c22 = layer_matrix(k2, d)
-        x11, x12, x21, x22 = (c11 * x11 + c12 * x21, c11 * x12 + c12 * x22,
-                              c21 * x11 + c22 * x21, c21 * x12 + c22 * x22)
-    half_inv = 0.5 / ik
-    return (0.5 * x11 + half_inv * x21, 0.5 * x12 + half_inv * x22,
-            0.5 * x11 - half_inv * x21, 0.5 * x12 - half_inv * x22)
+        k_layer, kd, sin_over_k = _layer_phase(k2, d)
+        contrast = np.asarray(k2, dtype=complex) - k_sq
+        mismatch = contrast / (k_layer + k)  # k_l - k without cancellation
+        # the thickness enters by one product, so subnormal layers round once
+        off = sin_over_k * (i_over_2k * contrast)
+        q = sin_over_k * (i_over_2k * mismatch * mismatch)
+        a, e = np.exp(1j * kd) + q, np.exp(-1j * kd) - q
+        m11, m12, m21, m22 = (a * m11 + off * m21, a * m12 + off * m22,
+                              e * m21 - off * m11, e * m22 - off * m12)
+    return m11, m12, m21, m22
 
 
 def _ratios(m12, m21, m22):
@@ -209,7 +232,7 @@ def stack_k2_profile(stack: LayerStack):
     edges = [0.0]
     for layer in stack.layers:
         edges.append(edges[-1] + layer.thickness)
-    k2_outer = complex(stack.k_outer) ** 2
+    k2_outer = complex(stack.k_outer * stack.k_outer)
     spans = [(edges[i], edges[i + 1], complex(stack.layers[i].k2))
              for i in range(len(stack.layers))]
 
@@ -228,12 +251,21 @@ def ode_amplitudes(k2_of_z, z_span: tuple[float, float], k_outer: float, *,
     """Scattering amplitudes by direct adaptive integration of the wave ODE.
 
     Independent cross-check of :func:`amplitudes`: integrates
-    phi'' = -k^2(z) phi from the far boundary seeded with the outgoing wave,
-    then decomposes the solution at the near boundary into incoming and
-    outgoing plane waves.  ``knots`` (interior discontinuities of k^2) split
-    the integration into smooth segments; the embedded 5(4) pair then
-    controls the error properly.  Conventions match :func:`amplitudes`
-    (references at z_min and z_max).
+    phi'' = -k^2(z) phi from the far boundary seeded with the outgoing wave
+    to the near boundary, where the solution splits into incoming and
+    outgoing plane waves.  The unknowns are the local plane-wave amplitudes
+    (variation of parameters): phi = A e^{ik(z - z_ref)} + B e^{-ik(z - z_ref)}
+    with phi' = ik (A e^{ik(z - z_ref)} - B e^{-ik(z - z_ref)}), so
+
+        A' = i D phi e^{-ik(z - z_ref)} / (2k),
+        B' = -i D phi e^{ik(z - z_ref)} / (2k),    D = k^2(z) - k_outer^2.
+
+    The reflected amplitude starts at zero and grows only where D is
+    nonzero, so a weak reflection is integrated directly rather than
+    recovered from near-cancelling (phi, phi') combinations.  ``knots``
+    (interior discontinuities of k^2) split the integration into smooth
+    segments; the embedded 5(4) pair then controls the error properly.
+    Conventions match :func:`amplitudes` (references at z_min and z_max).
     """
     from scipy.integrate import solve_ivp
 
@@ -241,49 +273,76 @@ def ode_amplitudes(k2_of_z, z_span: tuple[float, float], k_outer: float, *,
     if not z_max > z_min:
         raise ValueError("z_span must be increasing")
     ik = 1j * k_outer
+    k_sq = k_outer * k_outer
+    i_over_2k = 0.5j / k_outer
 
-    def run(points: list[float], y0) -> np.ndarray:
+    def run(points: list[float], y0, z_ref: float, atol):
+        """(A, B) at the last point and each component's peak |.| en route."""
         y = np.asarray(y0, dtype=complex)
+        peak = np.abs(y)
         for z0, z1 in zip(points[:-1], points[1:]):
             if z1 == z0:
                 continue
-            # Evaluations landing exactly on a segment endpoint are nudged
-            # inward so a k^2 discontinuity at a knot never leaks the
-            # neighbouring segment's value into this one.
-            nudge = (z1 - z0) * 1e-12
+            # k^2 is looked up at z clamped just inside the segment so a
+            # discontinuity at a knot never leaks the neighbouring segment's
+            # value into this one.  Guarding only exact endpoint hits is not
+            # enough: the integrator's t + h can round past a knot much
+            # smaller than the step (t + h == 0.0 for a knot at 1e-95), and
+            # a pad below the knot's ulp rounds away.  A segment with no
+            # float inside (one ulp wide) takes the value at its upper end,
+            # the half-open (z0, z1] convention of stack_k2_profile.
+            lo, hi = min(z0, z1), max(z0, z1)
+            pad = (hi - lo) * 1e-12
+            inner_lo = max(lo + pad, math.nextafter(lo, hi))
+            inner_hi = max(min(hi - pad, math.nextafter(hi, lo)), inner_lo)
 
-            def rhs(z, state, z0=z0, z1=z1, nudge=nudge):
-                if z == z0:
-                    z = z0 + nudge
-                elif z == z1:
-                    z = z1 - nudge
-                return [state[1], -k2_of_z(z) * state[0]]
+            def rhs(z, state, lo=inner_lo, hi=inner_hi):
+                a, b = state
+                wave = cmath.exp(ik * (z - z_ref))
+                drive = i_over_2k * (k2_of_z(min(max(z, lo), hi)) - k_sq) \
+                    * (a * wave + b / wave)
+                return [drive / wave, -drive * wave]
 
             sol = solve_ivp(rhs, (z0, z1), y, method=method, rtol=rtol, atol=atol,
-                            first_step=abs(z1 - z0) / 1000.0)
+                            first_step=abs(z1 - z0) / 1000.0 or abs(z1 - z0))
             if not sol.success:
                 raise StiffnessError(float(sol.t[-1]), sol.message)
+            peak = np.maximum(peak, np.abs(sol.y).max(axis=1))
             y = sol.y[:, -1]
+        return y, peak
+
+    def solve(points: list[float], y0, z_ref: float) -> np.ndarray:
+        y, peak = run(points, y0, z_ref, atol)
+        # A weak reflection stays orders of magnitude below the transmitted
+        # amplitude, and an absolute tolerance sized for the larger one
+        # leaves it unresolved (the step then skips over its e^{2ikz}
+        # oscillation).  Rerun with each component's tolerance scaled to
+        # its own peak.
+        ratio = peak / peak.max()
+        if ratio.min() < 1e-3:
+            scaled = np.maximum(atol * ratio, np.finfo(float).tiny)
+            y, _ = run(points, y0, z_ref, scaled)
         return y
 
     interior = sorted(k for k in knots if z_min < k < z_max)
     forward = [z_min, *interior, z_max]
     backward = list(reversed(forward))
 
-    # Left incidence: outgoing wave e^{ik(z - z_max)} seeded at z_max,
-    # integrated to z_min, decomposed against e^{+-ik(z - z_min)}.
-    phi, dphi = run(backward, [1.0, ik])
-    a_in = 0.5 * (phi + dphi / ik)
-    a_out = 0.5 * (phi - dphi / ik)
-    t_left = 1.0 / a_in
-    r_left = a_out / a_in
+    # e^{ikL}: moves an amplitude referenced at one edge to the other
+    span_phase = cmath.exp(ik * (z_max - z_min))
 
-    # Right incidence: outgoing wave e^{-ik(z - z_min)} seeded at z_min.
-    phi, dphi = run(forward, [1.0, -ik])
-    b_out = 0.5 * (phi + dphi / ik)
-    b_in = 0.5 * (phi - dphi / ik)
-    t_right = 1.0 / b_in
-    r_right = b_out / b_in
+    # Left incidence: outgoing wave e^{ik(z - z_max)} seeded at z_max and
+    # integrated to z_min, where phi = A e^{-ikL} e^{ik(z - z_min)}
+    # + B e^{ikL} e^{-ik(z - z_min)}.
+    a, b = solve(backward, [1.0, 0.0], z_max)
+    t_left = span_phase / a
+    r_left = b / a * span_phase * span_phase
+
+    # Right incidence: outgoing wave e^{-ik(z - z_min)} seeded at z_min,
+    # the mirror image.
+    a, b = solve(forward, [0.0, 1.0], z_min)
+    t_right = span_phase / b
+    r_right = a / b * span_phase * span_phase
 
     return ScatteringAmplitudes(t_left=t_left, r_left=r_left,
                                 t_right=t_right, r_right=r_right)

@@ -252,6 +252,15 @@ class TestOdeOracle:
         o = ode_amplitudes_for_stack(stack)
         assert max_relative_difference(a, o) < 1e-6
 
+    def test_knot_far_below_step_size(self):
+        # the integrator's last step from 8.89e-6 lands on 8.89e-6 - 8.89e-6
+        # = 0.0, past the 1.3e-95 knot; k^2 there must still be the layer's
+        stack = LayerStack(1.0, (Layer(0j, 1.3303519330515215e-95),
+                                 Layer(0j, 1e-5)))
+        a = amplitudes(stack)
+        o = ode_amplitudes_for_stack(stack)
+        assert max_relative_difference(a, o) < 1e-6
+
     @given(st.lists(moderate_layer, min_size=1, max_size=5),
            st.floats(min_value=0.5, max_value=2.0))
     @settings(max_examples=25, deadline=None)
