@@ -8,6 +8,8 @@ Then:  gnuplot -p output.csv.gp
 
 import sys
 
+import numpy as np
+
 from ptwaveguide.cli import render_plot_script, rows_to_csv, write_manifest
 from ptwaveguide.medium import from_config
 from ptwaveguide.models import ModelKind, pt_defect, sweep
@@ -23,33 +25,29 @@ print(f"medium: hbar*omega_c = {5.0:.2f} eV tuned to the resonance, "
 print(f"weak-resonance ratios: {params.regime_ratio_damping:.4f}, "
       f"{params.regime_ratio_cutoff:.4f}")
 
-rows = sweep(params, config.sweep_start, config.sweep_stop,
-             config.sweep_points, models=models)
+table = sweep(params, config.sweep_start, config.sweep_stop,
+              config.sweep_points, models=models)
 
 with open(out, "w", encoding="utf-8", newline="\n") as fh:
-    fh.write(rows_to_csv(rows, models))
-write_manifest(out + ".manifest.json", config, params, models, rows)
+    fh.write(rows_to_csv(table))
+write_manifest(out + ".manifest.json", config, params, table)
 with open(out + ".gp", "w", encoding="utf-8", newline="\n") as fh:
     fh.write(render_plot_script(out))
 
 # where does the left/right asymmetry hold, and how close are the models?
-asym_prefix = None
+x = table.omega_over_omegac
+asymmetric = np.logical_and.reduce([(col.s_left > 1) & (col.s_right < 1)
+                                    for col in table.models.values()])
+broken = np.flatnonzero(~asymmetric)
+asym_prefix = x[(broken[0] if broken.size else x.size) - 1]
+exact = table.models[ModelKind.EXACT]
+approx = table.models[ModelKind.APPROXIMATE]
+low = x < 1.0158
 worst_low = 0.0
-broken = False
-for row in rows:
-    results = row.results.values()
-    if not broken and all(r.s_left > 1 > r.s_right for r in results):
-        asym_prefix = row.omega_over_omegac
-    else:
-        broken = True
-    if row.omega_over_omegac < 1.0158:
-        exact = row.results[ModelKind.EXACT]
-        approx = row.results[ModelKind.APPROXIMATE]
-        for le, la in ((exact.log10_s_left, approx.log10_s_left),
-                       (exact.log10_s_right, approx.log10_s_right)):
-            worst_low = max(worst_low, abs(le - la) / max(1.0, abs(le)))
-defect = max(pt_defect(ModelKind.EXACT, params,
-                       row.omega_over_omegac * params.omega_c) for row in rows)
+for se, sa in ((exact.s_left, approx.s_left), (exact.s_right, approx.s_right)):
+    le, la = np.log10(se[low]), np.log10(sa[low])
+    worst_low = max(worst_low, float(np.max(np.abs(le - la) / np.maximum(1.0, np.abs(le)))))
+defect = float(np.max(pt_defect(ModelKind.EXACT, params, x * params.omega_c)))
 print(f"s_left > 1 > s_right holds on every grid point up to omega/omega_c "
       f"= {asym_prefix:.4f} (both models)")
 print(f"worst log10 model-agreement metric below 1.0158: {worst_low:.4f}")

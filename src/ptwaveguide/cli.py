@@ -11,12 +11,16 @@ import json
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import chain, repeat
+from math import log10
 
 import numpy as np
 
 from . import __version__
 from .medium import MediumParams, from_config, width_mismatch
-from .models import (STATUS_OK, ModelKind, SweepRow, pt_defect, sweep)
+from .helmholtz import amplitude_arrays
+from .models import (STATUS_NONFINITE, STATUS_OK, ModelColumns, ModelKind,
+                     SweepTable, bilayer, pt_defect, sweep)
 from .quantities import (E_CHARGE, Config, ConfigError, angular_to_ev,
                          config_as_dict, ev_to_angular, load_config,
                          with_overrides)
@@ -27,6 +31,9 @@ CSV_HEADER = ("omega_over_omegac,model,t_left_re,t_left_im,r_left_re,r_left_im,"
               "t_right_re,t_right_im,r_right_re,r_right_im,sum_left,sum_right,"
               "log10_sum_left,log10_sum_right,status")
 
+_SNAPSHOT_ROW = "%.15g,%.15g,%.15g,%.15g,%.15g\n"
+_SNAPSHOT_BLOCK = 2048  # points per write; a whole state at once adds ~8 MB of peak RSS
+
 _MODEL_CHOICES = {
     "exact": (ModelKind.EXACT,),
     "approx": (ModelKind.APPROXIMATE,),
@@ -34,34 +41,28 @@ _MODEL_CHOICES = {
 }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
+def _model_lines(x: list[float], model: ModelKind, col: ModelColumns) -> list[str]:
+    # one %-template render per row over .tolist() columns: Python floats
+    # print exactly as f"{x:.15g}" does
+    s_left, s_right = col.s_left.tolist(), col.s_right.tolist()
+    t_re, t_im = col.t.real.tolist(), col.t.imag.tolist()
+    template = "%.15g," + model.value + ",%.15g" * 12 + "," + STATUS_OK
+    lines = [template % row for row in zip(
+        x, t_re, t_im, col.r_left.real.tolist(), col.r_left.imag.tolist(),
+        t_re, t_im, col.r_right.real.tolist(), col.r_right.imag.tolist(),
+        s_left, s_right, map(log10, s_left), map(log10, s_right))]
+    blank = "%.15g," + model.value + "," * 13 + "%s"
+    for i in np.flatnonzero(col.status != STATUS_OK).tolist():
+        lines[i] = blank % (x[i], col.status[i])
+    return lines
 
 
-def rows_to_csv(rows: list[SweepRow], models: tuple[ModelKind, ...]) -> str:
-    """Render sweep rows in the fixed schema; singular rows keep empty
-    numeric fields with status=singular."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        for model in models:
-            res = row.results[model]
-            if res.status == STATUS_OK:
-                amp = res.amplitudes
-                fields = [
-                    _fmt(row.omega_over_omegac), model.value,
-                    _fmt(amp.t_left.real), _fmt(amp.t_left.imag),
-                    _fmt(amp.r_left.real), _fmt(amp.r_left.imag),
-                    _fmt(amp.t_right.real), _fmt(amp.t_right.imag),
-                    _fmt(amp.r_right.real), _fmt(amp.r_right.imag),
-                    _fmt(res.s_left), _fmt(res.s_right),
-                    _fmt(res.log10_s_left), _fmt(res.log10_s_right),
-                    res.status,
-                ]
-            else:
-                fields = [_fmt(row.omega_over_omegac), model.value] + [""] * 12 \
-                    + [res.status]
-            lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+def rows_to_csv(table: SweepTable) -> str:
+    """Render the sweep table in the fixed schema, one line per frequency and
+    model; rows that are not ok keep empty numeric fields and their status."""
+    x = table.omega_over_omegac.tolist()
+    per_model = [_model_lines(x, model, col) for model, col in table.models.items()]
+    return "\n".join([CSV_HEADER, *chain.from_iterable(zip(*per_model))]) + "\n"
 
 
 def render_plot_script(csv_path: str) -> str:
@@ -88,9 +89,8 @@ def render_plot_script(csv_path: str) -> str:
 
 
 def write_manifest(path: str, config: Config, params: MediumParams,
-                   models: tuple[ModelKind, ...], rows: list[SweepRow]) -> None:
-    singular = sum(1 for row in rows for m in models
-                   if row.results[m].status != STATUS_OK)
+                   table: SweepTable) -> None:
+    by_status = table.status_counts()
     manifest = {
         "tool": "ptwaveguide",
         "version": __version__,
@@ -104,57 +104,57 @@ def write_manifest(path: str, config: Config, params: MediumParams,
             "regime_ratio_damping": params.regime_ratio_damping,
             "regime_ratio_cutoff": params.regime_ratio_cutoff,
         },
-        "models": [m.value for m in models],
-        "rows": len(rows),
-        "singular_rows": singular,
+        "models": [m.value for m in table.models],
+        "rows": len(table.omega_over_omegac),
+        "singular_rows": sum(by_status.values()) - by_status[STATUS_OK],
+        "rows_by_status": by_status,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def run_checks(rows: list[SweepRow], models: tuple[ModelKind, ...],
-               params: MediumParams, config: Config) -> list[str]:
-    """Property assertions on the swept rows; returns failure messages."""
-    failures: list[str] = []
-    if not any(row.results[m].status == STATUS_OK for row in rows for m in models):
-        failures.append("no row has status ok")
-    for row in rows:
-        for model in models:
-            res = row.results[model]
-            if res.status != STATUS_OK:
-                continue
-            amp = res.amplitudes
-            if abs(amp.t_left - amp.t_right) > 1e-10 * max(abs(amp.t_left), 1e-300):
-                failures.append(
-                    f"reciprocity violated at x={row.omega_over_omegac} ({model.value})")
-            if model is ModelKind.APPROXIMATE:
-                resid = abs(abs(amp.t_left) ** 2
-                            + amp.r_left.conjugate() * amp.r_right - 1.0)
-                if resid > 1e-8:
-                    failures.append(
-                        f"generalized unitarity residual {resid:.2e} at "
-                        f"x={row.omega_over_omegac}")
-            if row.omega_over_omegac <= 1.019:
-                if not (res.s_left > 1.0 and res.s_right < 1.0):
-                    failures.append(
-                        f"low-energy asymmetry violated at x={row.omega_over_omegac} "
-                        f"({model.value}): s_left={res.s_left}, s_right={res.s_right}")
+def run_checks(table: SweepTable, params: MediumParams, config: Config) -> list[str]:
+    """Property assertions on the sweep table; returns failure messages,
+    ordered by frequency, then model, then check."""
+    found: list[tuple[tuple[int, int, int, int], str]] = []
+
+    def flag(part, j, check, mask, message):
+        found.extend(((part, i, j, check), message(i)) for i in np.flatnonzero(mask).tolist())
+
+    x = table.omega_over_omegac.tolist()
+    for j, (model, col) in enumerate(table.models.items()):
+        ok, name = col.status == STATUS_OK, model.value
+        flag(0, j, 0, col.status == STATUS_NONFINITE,
+             lambda i: f"non-finite amplitudes at x={x[i]} ({name})")
+        # t of the mirrored stack is t_right of this one
+        k_outer, layers = bilayer(model, params, table.omega_over_omegac * params.omega_c)
+        t, t_right = col.t, amplitude_arrays(k_outer, layers[::-1])[0]
+        with np.errstate(invalid="ignore"):
+            reciprocity = np.abs(t - t_right) > 1e-10 * np.maximum(np.abs(t), 1e-300)
+        flag(0, j, 1, ok & reciprocity, lambda i: f"reciprocity violated at x={x[i]} ({name})")
+        if model is ModelKind.APPROXIMATE:
+            resid = np.abs(np.abs(t) ** 2 + col.r_left.conjugate() * col.r_right - 1.0)
+            flag(0, j, 2, ok & (resid > 1e-8),
+                 lambda i: f"generalized unitarity residual {resid[i]:.2e} at x={x[i]}")
+        asymmetric = (col.s_left > 1.0) & (col.s_right < 1.0)
+        flag(0, j, 3, ok & (table.omega_over_omegac <= 1.019) & ~asymmetric,
+             lambda i: f"low-energy asymmetry violated at x={x[i]} ({name}): "
+                       f"s_left={float(col.s_left[i])}, s_right={float(col.s_right[i])}")
     # Hermitian control: switching the resonant term off must give unit sums.
-    control = MediumParams.tuned(
-        omega0=params.omega0, omega_p=0.0, delta=params.delta,
-        region_length=params.region_length)
-    n_control = min(41, config.sweep_points)
-    for row in sweep(control, config.sweep_start, config.sweep_stop, n_control):
-        for model, res in row.results.items():
-            if res.status != STATUS_OK:
-                failures.append(
-                    f"{res.status} row with the medium off at "
-                    f"x={row.omega_over_omegac} ({model.value})")
-            elif abs(res.s_left - 1.0) > 1e-10 or abs(res.s_right - 1.0) > 1e-10:
-                failures.append(
-                    f"unit flux sums violated with the medium off at "
-                    f"x={row.omega_over_omegac} ({model.value})")
+    control = sweep(replace(params, omega_p=0.0), config.sweep_start, config.sweep_stop,
+                    min(41, config.sweep_points))
+    x_off = control.omega_over_omegac.tolist()
+    for j, (model, col) in enumerate(control.models.items()):
+        ok, name, status = col.status == STATUS_OK, model.value, col.status.tolist()
+        flag(1, j, 0, ~ok,
+             lambda i: f"{status[i]} row with the medium off at x={x_off[i]} ({name})")
+        not_unit = (np.abs(col.s_left - 1.0) > 1e-10) | (np.abs(col.s_right - 1.0) > 1e-10)
+        flag(1, j, 1, ok & not_unit, lambda i: "unit flux sums violated with the medium "
+                                               f"off at x={x_off[i]} ({name})")
+    failures = [message for _, message in sorted(found)]
+    if not any((col.status == STATUS_OK).any() for col in table.models.values()):
+        failures.insert(0, "no row has status ok")
     return failures
 
 
@@ -176,17 +176,16 @@ def cmd_sweep(args) -> int:
     config = _load(args)
     params = from_config(config)
     models = _MODEL_CHOICES[args.models]
-    rows = sweep(params, config.sweep_start, config.sweep_stop,
-                 config.sweep_points, models=models)
-    csv_text = rows_to_csv(rows, models)
+    table = sweep(params, config.sweep_start, config.sweep_stop,
+                  config.sweep_points, models=models)
+    csv_text = rows_to_csv(table)
     with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(csv_text)
-    write_manifest(config.output_path + ".manifest.json", config, params, models, rows)
-    singular = sum(1 for row in rows for m in models
-                   if row.results[m].status != STATUS_OK)
-    omega = np.array([row.omega_over_omegac for row in rows]) * params.omega_c
-    max_defect = float(np.max(pt_defect(ModelKind.EXACT, params, omega)))
-    print(f"wrote {config.output_path}: {len(rows)} frequencies x "
+    write_manifest(config.output_path + ".manifest.json", config, params, table)
+    x, by_status = table.omega_over_omegac, table.status_counts()
+    singular = sum(by_status.values()) - by_status[STATUS_OK]
+    max_defect = float(np.max(pt_defect(ModelKind.EXACT, params, x * params.omega_c)))
+    print(f"wrote {config.output_path}: {len(x)} frequencies x "
           f"{len(models)} model(s), {singular} singular row(s)")
     print(f"max mirror-conjugation defect of the exact profile: {max_defect:.6g}")
     if args.plot:
@@ -195,7 +194,7 @@ def cmd_sweep(args) -> int:
             fh.write(render_plot_script(config.output_path))
         print(f"wrote {plot_path}")
     if args.check:
-        failures = run_checks(rows, models, params, config)
+        failures = run_checks(table, params, config)
         if failures:
             for message in failures:
                 print(f"CHECK FAILED: {message}", file=sys.stderr)
@@ -259,11 +258,14 @@ def cmd_packet(args) -> int:
         with open(args.snapshots, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,z,re_psi,im_psi,abs2_psi\n")
             for state in result.states:
-                z = state.grid.z
-                for i in range(state.psi.size):
-                    p = state.psi[i]
-                    fh.write(f"{_fmt(state.t)},{_fmt(z[i])},{_fmt(p.real)},"
-                             f"{_fmt(p.imag)},{_fmt(abs(p) ** 2)}\n")
+                for lo in range(0, state.psi.size, _SNAPSHOT_BLOCK):
+                    psi = state.psi[lo:lo + _SNAPSHOT_BLOCK]
+                    # |psi|^2 as hypot, then Python's float ** (libm pow): the
+                    # digits of abs(p) ** 2 on a numpy complex scalar
+                    abs2 = [a ** 2 for a in np.hypot(psi.real, psi.imag).tolist()]
+                    fh.write("".join([_SNAPSHOT_ROW % row for row in zip(
+                        repeat(state.t), state.grid.z[lo:lo + _SNAPSHOT_BLOCK].tolist(),
+                        psi.real.tolist(), psi.imag.tolist(), abs2)]))
         print(f"wrote {args.snapshots}")
     return 0
 

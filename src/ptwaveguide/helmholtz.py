@@ -174,15 +174,15 @@ def _ratios(m12, m21, m22):
         t = 1.0 / m22
         r_left = -m21 / m22
         r_right = m12 / m22
-    ok = (m22 != 0) & np.isfinite(t)
-    return t, r_left, r_right, ok
+    return t, r_left, r_right, m22 == 0
 
 
 def amplitude_arrays(k_outer, layers: Sequence[tuple]):
-    """(t, r_left, r_right, ok) of the kernel :func:`transfer_arrays`.
+    """(t, r_left, r_right, singular) of the kernel :func:`transfer_arrays`.
 
-    ``ok`` is false where m22 = 0 or t is not finite (a spectral
-    singularity); the amplitudes there are meaningless.
+    ``singular`` is true where m22 = 0 (a spectral singularity); the
+    amplitudes there are meaningless.  Elsewhere they can still be
+    non-finite where the matrix entries overflowed.
     """
     _, m12, m21, m22 = transfer_arrays(k_outer, layers)
     return _ratios(m12, m21, m22)
@@ -195,8 +195,8 @@ def total_transfer(stack: LayerStack) -> TransferMatrix:
 
 
 def _amplitudes_from_transfer(m: TransferMatrix) -> ScatteringAmplitudes:
-    t, r_left, r_right, ok = _ratios(m.m12, m.m21, m.m22)
-    if not ok:
+    t, r_left, r_right, singular = _ratios(m.m12, m.m21, m.m22)
+    if singular or not np.isfinite(t):
         raise SpectralSingularityError(
             f"m22 = {m.m22!r}: spectral singularity, no bounded scattering "
             "solution at this real frequency")

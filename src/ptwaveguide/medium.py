@@ -62,6 +62,8 @@ class MediumParams:
     slab_width: float
     region_length: float
     omega_c: float = field(init=False)
+    # False only through detuned(); not part of the medium's identity
+    check_tuning: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         if self.omega0 <= 0 or self.delta <= 0 or self.slab_width <= 0 \
@@ -70,7 +72,7 @@ class MediumParams:
         if self.omega_p < 0:
             raise ParameterError("omega_p must be non-negative")
         object.__setattr__(self, "omega_c", C * PI / self.slab_width)
-        if not getattr(self, "_skip_tuning_check", False):
+        if self.check_tuning:
             rel = abs(self.omega_c - self.omega0) / self.omega0
             if rel > CUTOFF_TUNING_TOL:
                 raise ParameterError(
@@ -96,11 +98,9 @@ class MediumParams:
     def detuned(cls, omega0: float, omega_p: float, delta: float,
                 slab_width: float, region_length: float) -> "MediumParams":
         """Construct without the cutoff-equals-resonance check (exploratory)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_skip_tuning_check", True)
-        obj.__init__(omega0=omega0, omega_p=omega_p, delta=delta,
-                     slab_width=slab_width, region_length=region_length)
-        return obj
+        return cls(omega0=omega0, omega_p=omega_p, delta=delta,
+                   slab_width=slab_width, region_length=region_length,
+                   check_tuning=False)
 
     # Diagnostics for the small-parameter assumption omega_p^2/delta << delta, omega_c.
     @property

@@ -13,20 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import log10
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .helmholtz import (Layer, LayerStack, ScatteringAmplitudes,
-                        SpectralSingularityError, amplitude_arrays, amplitudes,
-                        flux_sums)
+from .helmholtz import Layer, LayerStack, amplitude_arrays
 from .medium import (MediumParams, RegionKind, k_squared_approx,
                      k_squared_exact, raw_pt_defect)
 from .quantities import C
 
 STATUS_OK = "ok"
 STATUS_SINGULAR = "singular"
+STATUS_NONFINITE = "nonfinite"
+STATUSES = (STATUS_OK, STATUS_SINGULAR, STATUS_NONFINITE)
 
 
 class BelowCutoffError(ValueError):
@@ -122,30 +121,51 @@ def pt_defect(model: ModelKind, params: MediumParams, omega):
 
 
 @dataclass(frozen=True)
-class ModelResult:
-    """Scattering outcome of one model at one frequency."""
+class ModelColumns:
+    """One model's scattering over a frequency grid, one entry per frequency.
 
-    status: str
-    amplitudes: ScatteringAmplitudes | None
-    s_left: float | None
-    s_right: float | None
-    log10_s_left: float | None
-    log10_s_right: float | None
+    ``t`` is t_left = t_right = 1/m22.  ``status`` is ``singular`` where
+    m22 = 0, ``nonfinite`` where any of t, r_left, r_right, s_left or s_right
+    is not finite, else ``ok``; the numbers of other rows are meaningless.
+    """
+
+    t: np.ndarray
+    r_left: np.ndarray
+    r_right: np.ndarray
+    s_left: np.ndarray
+    s_right: np.ndarray
+    status: np.ndarray
 
     @classmethod
-    def from_amplitudes(cls, amp: ScatteringAmplitudes) -> "ModelResult":
-        s_left, s_right = flux_sums(amp)
-        return cls(STATUS_OK, amp, s_left, s_right, log10(s_left), log10(s_right))
+    def from_amplitudes(cls, t, r_left, r_right, singular) -> "ModelColumns":
+        """Columns of :func:`helmholtz.amplitude_arrays`' output."""
+        s_left, s_right = _flux_sum(t, r_left), _flux_sum(t, r_right)
+        finite = (np.isfinite(t) & np.isfinite(r_left) & np.isfinite(r_right)
+                  & np.isfinite(s_left) & np.isfinite(s_right))
+        status = np.where(singular, STATUS_SINGULAR,
+                          np.where(finite, STATUS_OK, STATUS_NONFINITE))
+        return cls(t, r_left, r_right, s_left, s_right, status)
 
-    @classmethod
-    def singular(cls) -> "ModelResult":
-        return cls(STATUS_SINGULAR, None, None, None, None, None)
+
+def _flux_sum(t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # |t|^2 + |r|^2 as Python's abs(complex) ** 2 (hypot, then libm pow), so
+    # every digit matches helmholtz.flux_sums: numpy's complex abs and its
+    # square each differ from those in the last ulp
+    return np.array([a ** 2 + b ** 2 for a, b in zip(
+        np.hypot(t.real, t.imag).tolist(), np.hypot(r.real, r.imag).tolist())])
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    omega_over_omegac: float
-    results: Mapping[ModelKind, ModelResult]
+class SweepTable:
+    """Scattering of each requested model over the omega/omega_c grid."""
+
+    omega_over_omegac: np.ndarray
+    models: Mapping[ModelKind, ModelColumns]
+
+    def status_counts(self) -> dict[str, int]:
+        """Rows of each status, counted over frequencies and models."""
+        return {status: sum(int(np.count_nonzero(col.status == status))
+                            for col in self.models.values()) for status in STATUSES}
 
 
 def sweep_grid(start: float, stop: float, n: int) -> list[float]:
@@ -158,43 +178,19 @@ def sweep_grid(start: float, stop: float, n: int) -> list[float]:
     return [start + i * step for i in range(n)]
 
 
-def evaluate_row(params: MediumParams, omega_over_omegac: float,
-                 models: Sequence[ModelKind]) -> SweepRow:
-    """Amplitudes and flux sums of the requested models at one frequency.
-
-    A spectral singularity marks that model's result instead of aborting.
-    """
-    omega = omega_over_omegac * params.omega_c
-    results: dict[ModelKind, ModelResult] = {}
-    for model in models:
-        try:
-            amp = amplitudes(build_stack(model, params, omega))
-        except SpectralSingularityError:
-            results[model] = ModelResult.singular()
-        else:
-            results[model] = ModelResult.from_amplitudes(amp)
-    return SweepRow(omega_over_omegac, results)
-
-
-def _model_results(model: ModelKind, params: MediumParams,
-                   omega: np.ndarray) -> list[ModelResult]:
-    t, r_left, r_right, ok = amplitude_arrays(*bilayer(model, params, omega))
-    singular = ModelResult.singular()
-    return [ModelResult.from_amplitudes(ScatteringAmplitudes(t_i, rl, t_i, rr))
-            if ok_i else singular
-            for t_i, rl, rr, ok_i in zip(t.tolist(), r_left.tolist(),
-                                         r_right.tolist(), ok.tolist())]
+def evaluate_row(params: MediumParams, omega_over_omegac,
+                 models: Sequence[ModelKind]) -> SweepTable:
+    """Sweep table of the requested models at one omega/omega_c, or at each
+    of a sequence of them; one kernel call per model."""
+    x = np.array(omega_over_omegac, dtype=float, ndmin=1)
+    return SweepTable(x, {model: ModelColumns.from_amplitudes(
+        *amplitude_arrays(*bilayer(model, params, x * params.omega_c))) for model in models})
 
 
 def sweep(params: MediumParams, start: float, stop: float, n: int,
           models: Sequence[ModelKind] = (ModelKind.EXACT, ModelKind.APPROXIMATE),
-          max_workers: int = 1) -> list[SweepRow]:
-    """Evaluate the grid in one kernel call per model; rows come back in
-    ascending frequency order.  ``max_workers`` is accepted for
-    compatibility and has no effect."""
-    grid = sweep_grid(start, stop, n)
-    models = tuple(models)
-    omega = np.array(grid) * params.omega_c
-    columns = [_model_results(model, params, omega) for model in models]
-    return [SweepRow(x, dict(zip(models, results)))
-            for x, *results in zip(grid, *columns)]
+          max_workers: int = 1) -> SweepTable:
+    """:func:`evaluate_row` over :func:`sweep_grid`, rows in ascending
+    frequency order.  ``max_workers`` is accepted for compatibility and has
+    no effect."""
+    return evaluate_row(params, sweep_grid(start, stop, n), models)

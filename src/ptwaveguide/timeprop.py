@@ -286,11 +286,12 @@ def transmission_prediction(params: MediumParams, spec: WavepacketSpec,
     if ks[0] <= 0:
         raise ValueError("packet spectrum reaches k <= 0; increase sigma or carrier")
     weights = np.exp(-2.0 * spec.sigma ** 2 * (ks - k0) ** 2)
-    t, r_left, r_right, ok = amplitude_arrays(
+    t, r_left, r_right, singular = amplitude_arrays(
         *approx_bilayer(params, HBAR * ks * ks / (2.0 * mass)))
-    if not ok.all():
+    bad = singular | ~np.isfinite(t)
+    if bad.any():
         raise SpectralSingularityError(
-            f"spectral singularity at k = {ks[~ok][0]:.6e} inside the packet spectrum")
+            f"spectral singularity at k = {ks[bad][0]:.6e} inside the packet spectrum")
     t2 = np.abs(t) ** 2
     r2 = np.abs(r_left if from_left else r_right) ** 2
     w = np.trapezoid(weights, ks)

@@ -1,7 +1,8 @@
 import pytest
 
 from ptwaveguide.medium import MediumParams
-from ptwaveguide.quantities import ev_to_angular
+from ptwaveguide.quantities import E_CHARGE, ev_to_angular
+from ptwaveguide.timeprop import plan_packet_run, scatter_packet
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +39,14 @@ def subcritical_params():
         delta=ev_to_angular(1.25),
         region_length=19.7e-6,
     )
+
+
+@pytest.fixture(scope="session")
+def default_packet_run(params):
+    """(plan, result) of the default gain-first packet run on the reference
+    medium (sigma 3 um, 0.2 eV carrier) with a snapshot at 0.4 ps; one run
+    shared by the tests that read it."""
+    plan = plan_packet_run(params, sigma=3e-6, energy=0.2 * E_CHARGE)
+    result = scatter_packet(params, plan.spec, plan.grid, plan.t_final,
+                            record_times=(0.4e-12,))
+    return plan, result

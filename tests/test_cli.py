@@ -1,15 +1,21 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import ptwaveguide.cli as cli
 from ptwaveguide.cli import CSV_HEADER, main, render_plot_script
-from ptwaveguide.models import ModelKind, ModelResult, SweepRow
-from ptwaveguide.quantities import Config
+from ptwaveguide.helmholtz import ScatteringAmplitudes, flux_sums
+from ptwaveguide.medium import from_config
+from ptwaveguide.models import ModelColumns, ModelKind, SweepTable, sweep, sweep_grid
+from ptwaveguide.quantities import E_CHARGE, Config, load_config
+from ptwaveguide.timeprop import plan_packet_run, scatter_packet
 
 
 def run_cli(*argv):
@@ -18,6 +24,120 @@ def run_cli(*argv):
 
 def read(path):
     return path.read_bytes()
+
+
+def _singular_table(xs):
+    n = len(xs)
+    columns = ModelColumns.from_amplitudes(
+        np.full(n, np.nan + 0j), np.zeros(n, complex), np.zeros(n, complex),
+        np.ones(n, bool))
+    return SweepTable(np.array(xs, dtype=float), {ModelKind.EXACT: columns})
+
+
+def _inject(table, model, field, index, value):
+    """Copy of the table with one entry of one model's column replaced."""
+    column = getattr(table.models[model], field).copy()
+    column[index] = value
+    models = dict(table.models)
+    models[model] = replace(table.models[model], **{field: column})
+    return replace(table, models=models)
+
+
+class TestRowStatus:
+    # a table built from amplitude arrays: an ok row, a singular row (m22 = 0)
+    # and a row whose reflection overflowed
+    XS = (1.001, 1.002, 1.003)
+
+    @pytest.fixture
+    def table(self):
+        columns = ModelColumns.from_amplitudes(
+            np.array([0.5 + 0.5j, complex(np.inf, np.nan), 0.5 + 0j]),
+            np.array([0.1j, 0j, np.inf + 0j]),
+            np.array([0.2 + 0j, 0j, 0.1 + 0j]),
+            np.array([False, True, False]))
+        return SweepTable(np.array(self.XS), {ModelKind.EXACT: columns})
+
+    def test_statuses(self, table):
+        assert table.models[ModelKind.EXACT].status.tolist() == \
+            ["ok", "singular", "nonfinite"]
+        assert table.status_counts() == {"ok": 1, "singular": 1, "nonfinite": 1}
+
+    def test_csv_keeps_empty_fields(self, table):
+        lines = cli.rows_to_csv(table).splitlines()
+        assert lines[0] == CSV_HEADER
+        assert lines[1].startswith("1.001,exact,0.5,0.5,0,0.1,0.5,0.5,0.2,0,")
+        assert lines[1].endswith(",ok")
+        assert lines[2] == "1.002,exact" + "," * 13 + "singular"
+        assert lines[3] == "1.003,exact" + "," * 13 + "nonfinite"
+
+    def test_manifest_counts(self, table, params, tmp_path):
+        path = tmp_path / "m.json"
+        cli.write_manifest(str(path), Config(), params, table)
+        manifest = json.loads(path.read_text())
+        assert manifest["rows"] == 3
+        assert manifest["singular_rows"] == 2
+        assert manifest["rows_by_status"] == {"ok": 1, "singular": 1, "nonfinite": 1}
+
+    def test_check_fails_on_nonfinite(self, table, params):
+        failures = cli.run_checks(table, params, Config())
+        assert "non-finite amplitudes at x=1.003 (exact)" in failures
+        assert not any("x=1.002" in message for message in failures)
+
+
+class TestCheckMessages:
+    """One violation injected into a sweep table; run_checks reports exactly
+    that row, with the message text of the per-row checks it replaced."""
+
+    @pytest.fixture(scope="class")
+    def table(self, params):
+        return sweep(params, 1.001, 1.05, 9)
+
+    def test_clean_table_passes(self, table, params):
+        assert cli.run_checks(table, params, Config()) == []
+
+    def test_reciprocity(self, table, params):
+        t = complex(table.models[ModelKind.EXACT].t[2])
+        bad = _inject(table, ModelKind.EXACT, "t", 2, t * (1 + 1e-9))
+        x = float(table.omega_over_omegac[2])
+        assert cli.run_checks(bad, params, Config()) == [
+            f"reciprocity violated at x={x} (exact)"]
+
+    def test_generalized_unitarity(self, table, params):
+        col = table.models[ModelKind.APPROXIMATE]
+        r_right = complex(col.r_right[4]) * (1 + 1e-6)
+        bad = _inject(table, ModelKind.APPROXIMATE, "r_right", 4, r_right)
+        t, r_left = complex(col.t[4]), complex(col.r_left[4])
+        resid = abs(abs(t) ** 2 + r_left.conjugate() * r_right - 1.0)
+        assert resid > 1e-8
+        x = float(table.omega_over_omegac[4])
+        assert cli.run_checks(bad, params, Config()) == [
+            f"generalized unitarity residual {resid:.2e} at x={x}"]
+
+    def test_low_energy_asymmetry(self, table, params):
+        bad = _inject(table, ModelKind.EXACT, "s_left", 1, 0.5)
+        x = float(table.omega_over_omegac[1])
+        assert x <= 1.019
+        s_right = float(table.models[ModelKind.EXACT].s_right[1])
+        assert cli.run_checks(bad, params, Config()) == [
+            f"low-energy asymmetry violated at x={x} (exact): "
+            f"s_left=0.5, s_right={s_right}"]
+
+    def test_non_unit_medium_off_row(self, table, params, monkeypatch):
+        real_sweep = cli.sweep
+
+        def control_sweep(*args, **kwargs):
+            control = real_sweep(*args, **kwargs)
+            return _inject(control, ModelKind.APPROXIMATE, "s_right", 7, 1.0 + 1e-9)
+
+        monkeypatch.setattr(cli, "sweep", control_sweep)
+        config = Config()
+        x = sweep_grid(config.sweep_start, config.sweep_stop, 41)[7]
+        assert cli.run_checks(table, params, config) == [
+            f"unit flux sums violated with the medium off at x={x} (approx)"]
+
+    def test_all_singular_table(self, params):
+        table = _singular_table((1.001, 1.01))
+        assert cli.run_checks(table, params, Config()) == ["no row has status ok"]
 
 
 class TestSweepCommand:
@@ -43,6 +163,21 @@ class TestSweepCommand:
             for value in fields[2:14]:
                 mantissa = re.sub(r"[-+.e]", "", value.split("e")[0])
                 assert len(mantissa.lstrip("0")) >= 12 or float(value) == 0
+
+    def test_csv_digits_match_elementwise_format(self, params):
+        # the columnar render against the per-row formula it replaced: Python
+        # complex parts and helmholtz.flux_sums, each field as f"{x:.15g}"
+        table = sweep(params, 1.0005, 1.10, 400)
+        expected = [CSV_HEADER]
+        for i, x in enumerate(table.omega_over_omegac.tolist()):
+            for model, col in table.models.items():
+                t, rl, rr = complex(col.t[i]), complex(col.r_left[i]), complex(col.r_right[i])
+                s_left, s_right = flux_sums(ScatteringAmplitudes(t, rl, t, rr))
+                fields = (x, t.real, t.imag, rl.real, rl.imag, t.real, t.imag, rr.real,
+                          rr.imag, s_left, s_right, math.log10(s_left), math.log10(s_right))
+                expected.append(f"{x:.15g},{model.value},"
+                                + ",".join(f"{v:.15g}" for v in fields[1:]) + ",ok")
+        assert cli.rows_to_csv(table) == "\n".join(expected) + "\n"
 
     def test_models_filter(self, tmp_path):
         out = tmp_path / "approx.csv"
@@ -116,12 +251,10 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_checks_fail_without_ok_rows(self, params, monkeypatch):
-        models = (ModelKind.EXACT,)
-        singular = [SweepRow(x, {ModelKind.EXACT: ModelResult.singular()})
-                    for x in (1.001, 1.01)]
+        singular = _singular_table((1.001, 1.01))
         # the medium-off control sweep comes back singular too
         monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: singular)
-        failures = cli.run_checks(singular, models, params, Config())
+        failures = cli.run_checks(singular, params, Config())
         assert "no row has status ok" in failures
         assert sum("medium off" in message for message in failures) == 2
 
@@ -132,6 +265,7 @@ class TestSweepCommand:
         assert manifest["tool"] == "ptwaveguide"
         assert manifest["rows"] == 2
         assert manifest["singular_rows"] == 0
+        assert manifest["rows_by_status"] == {"ok": 4, "singular": 0, "nonfinite": 0}
         assert manifest["derived"]["hbar_omega_c_ev"] == pytest.approx(5.0)
         assert manifest["config"]["sweep_points"] == 2
 
@@ -213,6 +347,29 @@ class TestPacketCommand:
         assert lines[0] == "t,z,re_psi,im_psi,abs2_psi"
         times = {line.split(",")[0] for line in lines[1:]}
         assert len(times) == 2  # requested time plus the final state
+
+    def test_snapshot_digits_match_elementwise_format(self, tmp_path, capsys):
+        # the batched writer against f"{x:.15g}" per element on a short run
+        cfg = tmp_path / "off.cfg"
+        cfg.write_text("hbar_omegap_ev = 1e-12\n")
+        snap = tmp_path / "snap.csv"
+        assert run_cli("packet", "--config", str(cfg), "--sigma-um", "2.5",
+                       "--t-final-ps", "0.05", "--interior-tol", "1.0",
+                       "--snapshots", str(snap), "--snapshot-times-ps", "0.02") == 0
+        capsys.readouterr()
+        params = from_config(load_config(str(cfg)))
+        plan = plan_packet_run(params, sigma=2.5 * 1e-6, energy=0.2 * E_CHARGE)
+        result = scatter_packet(params, plan.spec, plan.grid, 0.05 * 1e-12,
+                                record_times=(0.02 * 1e-12,), interior_tol=1.0)
+        expected = ["t,z,re_psi,im_psi,abs2_psi\n"]
+        for state in result.states:
+            z = state.grid.z
+            for i in range(state.psi.size):
+                p = state.psi[i]
+                expected.append(f"{state.t:.15g},{z[i]:.15g},{p.real:.15g},"
+                                f"{p.imag:.15g},{abs(p) ** 2:.15g}\n")
+        assert len(result.states) == 2
+        assert snap.read_bytes() == "".join(expected).encode()
 
     def test_bad_packet_parameters_exit_2(self, capsys):
         assert run_cli("packet", "--energy-ev", "-0.1") == 2

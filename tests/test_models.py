@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,8 +101,8 @@ class TestPtDefect:
 
 class TestSweep:
     def test_grid_endpoints(self, params):
-        rows = sweep(params, 1.01, 1.02, 2)
-        assert [row.omega_over_omegac for row in rows] == [1.01, 1.02]
+        table = sweep(params, 1.01, 1.02, 2)
+        assert table.omega_over_omegac.tolist() == [1.01, 1.02]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -114,19 +115,19 @@ class TestSweep:
     def test_low_energy_asymmetry_row(self, params):
         row = evaluate_row(params, 1.005, tuple(ModelKind))
         for model in ModelKind:
-            res = row.results[model]
-            assert res.s_left > 1.0
-            assert res.s_right < 1.0
+            col = row.models[model]
+            assert col.s_left[0] > 1.0
+            assert col.s_right[0] < 1.0
 
     def test_regression_pins(self, params):
         for x, el, er, al, ar in LOG10_SUM_PINS:
             row = evaluate_row(params, x, tuple(ModelKind))
-            e = row.results[ModelKind.EXACT]
-            a = row.results[ModelKind.APPROXIMATE]
-            assert e.log10_s_left == pytest.approx(el, abs=1e-9)
-            assert e.log10_s_right == pytest.approx(er, abs=1e-9)
-            assert a.log10_s_left == pytest.approx(al, abs=1e-9)
-            assert a.log10_s_right == pytest.approx(ar, abs=1e-9)
+            e = row.models[ModelKind.EXACT]
+            a = row.models[ModelKind.APPROXIMATE]
+            assert math.log10(e.s_left[0]) == pytest.approx(el, abs=1e-9)
+            assert math.log10(e.s_right[0]) == pytest.approx(er, abs=1e-9)
+            assert math.log10(a.s_left[0]) == pytest.approx(al, abs=1e-9)
+            assert math.log10(a.s_right[0]) == pytest.approx(ar, abs=1e-9)
 
     def test_agreement_window(self, params):
         # pointwise log10 agreement of the two models on the default grid:
@@ -140,10 +141,10 @@ class TestSweep:
             if x >= 1.02:
                 break
             row = evaluate_row(params, x, tuple(ModelKind))
-            e = row.results[ModelKind.EXACT]
-            a = row.results[ModelKind.APPROXIMATE]
-            for le, la in ((e.log10_s_left, a.log10_s_left),
-                           (e.log10_s_right, a.log10_s_right)):
+            e = row.models[ModelKind.EXACT]
+            a = row.models[ModelKind.APPROXIMATE]
+            for se, sa in ((e.s_left[0], a.s_left[0]), (e.s_right[0], a.s_right[0])):
+                le, la = math.log10(se), math.log10(sa)
                 metric = abs(le - la) / max(1.0, abs(le))
                 worst_window = max(worst_window, metric)
                 if x < 1.0158:
@@ -157,8 +158,8 @@ class TestSweep:
             devs = []
             for frac in (1e-3, 1e-2):
                 row = evaluate_row(params, 1.0 + frac, tuple(ModelKind))
-                e = getattr(row.results[ModelKind.EXACT], side)
-                a = getattr(row.results[ModelKind.APPROXIMATE], side)
+                e = getattr(row.models[ModelKind.EXACT], side)[0]
+                a = getattr(row.models[ModelKind.APPROXIMATE], side)[0]
                 devs.append(abs(e - a) / e)
             assert devs[0] < devs[1]
 
@@ -172,36 +173,35 @@ class TestSweep:
             assert s[1] == pytest.approx(t[0], rel=1e-10)
 
     def test_hermitian_sweep_is_unitary(self, hermitian_params):
-        for row in sweep(hermitian_params, 1.0005, 1.10, 50):
-            for res in row.results.values():
-                assert res.s_left == pytest.approx(1.0, abs=1e-10)
-                assert res.s_right == pytest.approx(1.0, abs=1e-10)
+        for col in sweep(hermitian_params, 1.0005, 1.10, 50).models.values():
+            for s_left, s_right in zip(col.s_left, col.s_right):
+                assert s_left == pytest.approx(1.0, abs=1e-10)
+                assert s_right == pytest.approx(1.0, abs=1e-10)
 
     def test_rows_match_pointwise_evaluation(self, params):
         # the array kernel over the grid against one scalar solve per row
-        for row in sweep(params, 1.0005, 1.10, 60):
-            single = evaluate_row(params, row.omega_over_omegac, tuple(ModelKind))
-            for model in ModelKind:
-                a, b = row.results[model], single.results[model]
-                assert a.status == b.status == STATUS_OK
-                scale = math.sqrt(a.s_left + a.s_right)
-                for field in ("t_left", "r_left", "t_right", "r_right"):
-                    x = getattr(a.amplitudes, field)
-                    y = getattr(b.amplitudes, field)
-                    assert abs(x - y) <= 1e-13 * scale
-                assert a.s_left == pytest.approx(b.s_left, rel=1e-13)
-                assert a.s_right == pytest.approx(b.s_right, rel=1e-13)
+        table = sweep(params, 1.0005, 1.10, 60)
+        for model, col in table.models.items():
+            assert (col.status == STATUS_OK).all()
+            for i, x in enumerate(table.omega_over_omegac.tolist()):
+                single = amplitudes(build_stack(model, params, x * params.omega_c))
+                s_left, s_right = flux_sums(single)
+                scale = math.sqrt(col.s_left[i] + col.s_right[i])
+                for got, want in ((col.t[i], single.t_left), (col.r_left[i], single.r_left),
+                                  (col.t[i], single.t_right), (col.r_right[i], single.r_right)):
+                    assert abs(got - want) <= 1e-13 * scale
+                assert col.s_left[i] == pytest.approx(s_left, rel=1e-13)
+                assert col.s_right[i] == pytest.approx(s_right, rel=1e-13)
 
     def test_parallel_sweep_identical(self, params):
         serial = sweep(params, 1.001, 1.05, 24, max_workers=1)
         parallel = sweep(params, 1.001, 1.05, 24, max_workers=4)
-        for a, b in zip(serial, parallel):
-            assert a.omega_over_omegac == b.omega_over_omegac
-            for model in ModelKind:
-                ra, rb = a.results[model], b.results[model]
-                assert ra.status == rb.status == STATUS_OK
-                assert ra.amplitudes == rb.amplitudes
-                assert ra.s_left == rb.s_left
+        assert np.array_equal(serial.omega_over_omegac, parallel.omega_over_omegac)
+        for model in ModelKind:
+            ca, cb = serial.models[model], parallel.models[model]
+            assert (ca.status == STATUS_OK).all() and (cb.status == STATUS_OK).all()
+            for field in ("t", "r_left", "r_right", "s_left"):
+                assert np.array_equal(getattr(ca, field), getattr(cb, field))
 
     @given(st.floats(min_value=1.0002, max_value=1.1))
     @settings(max_examples=40, deadline=None)

@@ -172,10 +172,9 @@ class TestScatter:
         assert abs(result.norm_gain) <= 1e-6
         assert result.reflected <= 1e-8
 
-    def test_left_incidence_gains_norm(self, params):
+    def test_left_incidence_gains_norm(self, default_packet_run):
         # gain region is met first: the scattered packet carries extra norm
-        plan = plan_packet_run(params, sigma=3e-6, energy=0.2 * E_CHARGE)
-        result = scatter_packet(params, plan.spec, plan.grid, plan.t_final)
+        _, result = default_packet_run
         assert result.total > 1.0
         assert result.transmitted == pytest.approx(result.predicted_transmitted,
                                                    rel=2e-2)
@@ -249,10 +248,8 @@ class TestScatter:
         with pytest.raises(IncompleteScatterError):
             scatter_packet(params, plan.spec, plan.grid, 0.35e-12)
 
-    def test_record_times(self, params):
-        plan = plan_packet_run(params, sigma=3e-6, energy=0.2 * E_CHARGE)
-        result = scatter_packet(params, plan.spec, plan.grid, plan.t_final,
-                                record_times=(0.4e-12,))
+    def test_record_times(self, default_packet_run):
+        plan, result = default_packet_run
         assert len(result.states) == 2
         assert result.states[0].t == pytest.approx(0.4e-12, rel=1e-6)
         assert result.states[-1].t == pytest.approx(plan.t_final, rel=1e-3)
