@@ -15,7 +15,7 @@ import time
 
 from ptwaveguide.medium import from_config
 from ptwaveguide.quantities import Config, E_CHARGE
-from ptwaveguide.timeprop import plan_packet_run, scatter_packet
+from ptwaveguide.timeprop import deviation_percent, plan_packet_run, scatter_packet
 
 params = from_config(Config())
 energy_ev = 0.2
@@ -25,16 +25,12 @@ for sigma_um in (3.0, 6.0):
     plan = plan_packet_run(params, sigma=sigma_um * 1e-6,
                            energy=energy_ev * E_CHARGE)
     result = scatter_packet(params, plan.spec, plan.grid, plan.t_final)
-    dev_t = abs(result.transmitted - result.predicted_transmitted) \
-        / result.predicted_transmitted
-    dev_r = abs(result.reflected - result.predicted_reflected) \
-        / result.predicted_reflected
     print(f"sigma = {sigma_um:.0f} um  (Omega/delta = {result.bandwidth_ratio:.4f}, "
           f"{plan.grid.n_points} points, t_final = {plan.t_final * 1e12:.2f} ps, "
           f"{time.time() - start:.0f} s)")
     print(f"  transmitted {result.transmitted:.6f} vs {result.predicted_transmitted:.6f} "
-          f"({dev_t:.4%})")
+          f"({deviation_percent(result.transmitted, result.predicted_transmitted)})")
     print(f"  reflected   {result.reflected:.4f} vs {result.predicted_reflected:.4f} "
-          f"({dev_r:.4%})")
+          f"({deviation_percent(result.reflected, result.predicted_reflected)})")
     print(f"  norm gain   {result.norm_gain:+.4f} "
           f"(gain region first, so the packet returns amplified)")

@@ -25,7 +25,8 @@ from .quantities import (E_CHARGE, Config, ConfigError, angular_to_ev,
                          config_as_dict, ev_to_angular, load_config,
                          with_overrides)
 from .timeprop import (BoundaryContaminationError, IncompleteScatterError,
-                       PlacementError, plan_packet_run, scatter_packet)
+                       PlacementError, deviation_percent, plan_packet_run,
+                       scatter_packet)
 
 CSV_HEADER = ("omega_over_omegac,model,t_left_re,t_left_im,r_left_re,r_left_im,"
               "t_right_re,t_right_im,r_right_re,r_right_im,sum_left,sum_right,"
@@ -91,6 +92,7 @@ def render_plot_script(csv_path: str) -> str:
 def write_manifest(path: str, config: Config, params: MediumParams,
                    table: SweepTable) -> None:
     by_status = table.status_counts()
+    frequencies, csv_rows = len(table.omega_over_omegac), sum(by_status.values())
     manifest = {
         "tool": "ptwaveguide",
         "version": __version__,
@@ -105,8 +107,10 @@ def write_manifest(path: str, config: Config, params: MediumParams,
             "regime_ratio_cutoff": params.regime_ratio_cutoff,
         },
         "models": [m.value for m in table.models],
-        "rows": len(table.omega_over_omegac),
-        "singular_rows": sum(by_status.values()) - by_status[STATUS_OK],
+        "rows": frequencies,
+        "frequencies": frequencies,
+        "csv_rows": csv_rows,
+        "singular_rows": csv_rows - by_status[STATUS_OK],
         "rows_by_status": by_status,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -241,16 +245,12 @@ def cmd_packet(args) -> int:
     print(f"carrier: {args.energy_ev:g} eV (omega/omega_c = {x_carrier:.4f}), "
           f"sigma = {args.sigma_um:g} um, incidence {args.incidence}")
     print(f"bandwidth ratio Omega/delta = {result.bandwidth_ratio:.4f}")
-    dev_t = abs(result.transmitted - result.predicted_transmitted) \
-        / result.predicted_transmitted
-    dev_r = abs(result.reflected - result.predicted_reflected) \
-        / max(result.predicted_reflected, 1e-300)
     print(f"transmitted fraction: {result.transmitted:.6f} "
           f"(stationary prediction {result.predicted_transmitted:.6f}, "
-          f"deviation {100 * dev_t:.3f}%)")
+          f"deviation {deviation_percent(result.transmitted, result.predicted_transmitted)})")
     print(f"reflected fraction:   {result.reflected:.6f} "
           f"(stationary prediction {result.predicted_reflected:.6f}, "
-          f"deviation {100 * dev_r:.3f}%)")
+          f"deviation {deviation_percent(result.reflected, result.predicted_reflected)})")
     print(f"interior residual:    {result.interior_norm:.6f}")
     print(f"total norm:           {result.total:.6f} "
           f"(norm gain {result.norm_gain:+.6f})")
@@ -288,9 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write a gnuplot script next to the CSV")
     p_sweep.add_argument("--check", action="store_true",
                          help="run property assertions on the sweep")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="accepted for compatibility; has no effect "
-                              "(the sweep is one array evaluation per model)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_plot = sub.add_parser("plot", help="emit a gnuplot script for a sweep CSV")

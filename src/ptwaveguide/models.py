@@ -188,9 +188,8 @@ def evaluate_row(params: MediumParams, omega_over_omegac,
 
 
 def sweep(params: MediumParams, start: float, stop: float, n: int,
-          models: Sequence[ModelKind] = (ModelKind.EXACT, ModelKind.APPROXIMATE),
-          max_workers: int = 1) -> SweepTable:
+          models: Sequence[ModelKind] = (ModelKind.EXACT, ModelKind.APPROXIMATE)
+          ) -> SweepTable:
     """:func:`evaluate_row` over :func:`sweep_grid`, rows in ascending
-    frequency order.  ``max_workers`` is accepted for compatibility and has
-    no effect."""
+    frequency order."""
     return evaluate_row(params, sweep_grid(start, stop, n), models)

@@ -7,6 +7,10 @@ implicit midpoint rule handles the non-Hermitian potential stably and is
 exactly norm-preserving in the Hermitian limit.  Wavepacket scattering runs
 validate the correspondence with the stationary amplitudes.
 
+One step loop, :func:`_march`, checks dt, builds the operators once and
+yields the field after each step.  :func:`propagate` keeps every k-th state
+from it; :func:`scatter_packet` checks the walls and keeps its snapshots.
+
 Caution: for strong pumping the gain section can exceed its amplification
 threshold (the bilayer then hosts exponentially growing modes, seeded by
 roundoff within ~2 ps at the reference parameters).  Runs must finish
@@ -193,16 +197,16 @@ def _check_guard(potential: np.ndarray, dt: float):
             f"{POTENTIAL_PHASE_GUARD}")
 
 
-def step_crank_nicolson(state: WavepacketState, potential: np.ndarray,
-                        mass: float, dt: float) -> WavepacketState:
-    """One implicit midpoint step with hard-wall boundaries."""
+def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
+           dt: float, n_steps: int):
+    """Yield (step, psi) after each of n_steps implicit midpoint steps."""
     from scipy.linalg import solve_banded
 
     _check_guard(potential, dt)
-    lhs, rhs_main, gamma = _cn_operators(potential, mass, state.grid.dz, dt)
-    psi = _cn_apply(np.asarray(state.psi, dtype=complex), lhs, rhs_main, gamma,
-                    solve_banded)
-    return WavepacketState(psi=psi, t=state.t + dt, grid=state.grid)
+    lhs, rhs_main, gamma = _cn_operators(potential, mass, dz, dt)
+    for step in range(1, n_steps + 1):
+        psi = _cn_apply(psi, lhs, rhs_main, gamma, solve_banded)
+        yield step, psi
 
 
 def propagate(state: WavepacketState, potential: np.ndarray, mass: float,
@@ -212,16 +216,11 @@ def propagate(state: WavepacketState, potential: np.ndarray, mass: float,
     record_every = 0 records only the final state; k > 0 records every k-th
     step starting from the initial state.
     """
-    from scipy.linalg import solve_banded
-
-    _check_guard(potential, dt)
-    lhs, rhs_main, gamma = _cn_operators(potential, mass, state.grid.dz, dt)
     psi = np.asarray(state.psi, dtype=complex)
     out: list[WavepacketState] = []
     if record_every:
         out.append(state)
-    for step in range(1, n_steps + 1):
-        psi = _cn_apply(psi, lhs, rhs_main, gamma, solve_banded)
+    for step, psi in _march(psi, potential, mass, state.grid.dz, dt, n_steps):
         if record_every and step % record_every == 0:
             out.append(WavepacketState(psi=psi.copy(), t=state.t + step * dt,
                                        grid=state.grid))
@@ -301,6 +300,15 @@ def transmission_prediction(params: MediumParams, spec: WavepacketSpec,
     )
 
 
+def deviation_percent(measured: float, predicted: float) -> str:
+    """|measured - predicted| / predicted in percent to three decimals, or
+    "n/a" when the predicted fraction is below 1e-6: fractions print to six
+    decimals, and a relative deviation from a smaller one says nothing."""
+    if predicted < 1e-6:
+        return "n/a"
+    return f"{100 * (abs(measured - predicted) / predicted):.3f}%"
+
+
 @dataclass(frozen=True)
 class ScatterResult:
     """Outcome of a wavepacket scattering run."""
@@ -335,8 +343,6 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     note that above the amplification threshold the medium never clears).
     ``record_times`` requests intermediate snapshots (nearest step).
     """
-    from scipy.linalg import solve_banded
-
     state = initial_gaussian(spec, grid, params)
     ratio = spec.bandwidth_ratio(params)
     if ratio > 0.1:
@@ -344,17 +350,13 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     potential = potential_on_grid(params, grid)
     mass = effective_mass(params)
     dt = grid.dt
-    _check_guard(potential, dt)
-    lhs, rhs_main, gamma = _cn_operators(potential, mass, grid.dz, dt)
     n_steps = max(1, int(round(t_final / dt)))
     z = grid.z
     inside = (z >= -params.region_length) & (z <= params.region_length)
-    wanted = sorted(set(min(n_steps, max(1, int(round(t / dt)))) for t in record_times))
-    psi = state.psi
+    wanted = {min(n_steps, max(1, int(round(t / dt)))) for t in record_times}
     boundary_peak = 0.0
     recorded: list[WavepacketState] = []
-    for step in range(1, n_steps + 1):
-        psi = _cn_apply(psi, lhs, rhs_main, gamma, solve_banded)
+    for step, psi in _march(state.psi, potential, mass, grid.dz, dt, n_steps):
         if step % check_every == 0 or step == n_steps:
             peak = float(np.abs(psi).max())
             edge = max(float(np.abs(psi[:5]).max()), float(np.abs(psi[-5:]).max()))
@@ -363,8 +365,7 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
                 raise BoundaryContaminationError(
                     f"boundary amplitude {edge / peak:.2e} of peak at step {step} "
                     f"exceeds {boundary_tol:.1e}; enlarge the grid or stop earlier")
-        if wanted and step == wanted[0]:
-            wanted.pop(0)
+        if step in wanted:
             recorded.append(WavepacketState(psi=psi.copy(), t=step * dt, grid=grid))
     final = WavepacketState(psi=psi, t=n_steps * dt, grid=grid)
     absq = np.abs(psi) ** 2

@@ -193,16 +193,6 @@ class TestSweep:
                 assert col.s_left[i] == pytest.approx(s_left, rel=1e-13)
                 assert col.s_right[i] == pytest.approx(s_right, rel=1e-13)
 
-    def test_parallel_sweep_identical(self, params):
-        serial = sweep(params, 1.001, 1.05, 24, max_workers=1)
-        parallel = sweep(params, 1.001, 1.05, 24, max_workers=4)
-        assert np.array_equal(serial.omega_over_omegac, parallel.omega_over_omegac)
-        for model in ModelKind:
-            ca, cb = serial.models[model], parallel.models[model]
-            assert (ca.status == STATUS_OK).all() and (cb.status == STATUS_OK).all()
-            for field in ("t", "r_left", "r_right", "s_left"):
-                assert np.array_equal(getattr(ca, field), getattr(cb, field))
-
     @given(st.floats(min_value=1.0002, max_value=1.1))
     @settings(max_examples=40, deadline=None)
     def test_approx_generalized_unitarity_everywhere(self, x):

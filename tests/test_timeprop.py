@@ -13,7 +13,7 @@ from ptwaveguide.timeprop import (BoundaryContaminationError,
                                   SpatialGrid, WavepacketSpec, initial_gaussian,
                                   norm, norm_balance_residual, plan_packet_run,
                                   potential_on_grid, propagate, scatter_packet,
-                                  step_crank_nicolson, transmission_prediction)
+                                  transmission_prediction)
 
 
 def carrier_for_energy(params, energy_ev: float) -> float:
@@ -76,7 +76,7 @@ class TestCrankNicolson:
                               carrier_k=carrier_for_energy(params, 0.2))
         state = initial_gaussian(spec, grid, params)
         potential = np.zeros(grid.n_points, dtype=complex)
-        out = step_crank_nicolson(state, potential, effective_mass(params), grid.dt)
+        out = propagate(state, potential, effective_mass(params), grid.dt, 1)[-1]
         assert norm(out) == pytest.approx(1.0, abs=1e-12)
         assert out.t == grid.dt
 
@@ -117,7 +117,7 @@ class TestCrankNicolson:
         state = initial_gaussian(spec, grid, params)
         potential = potential_on_grid(params, grid)
         with pytest.raises(ValueError, match="dt too large"):
-            step_crank_nicolson(state, potential, effective_mass(params), grid.dt)
+            propagate(state, potential, effective_mass(params), grid.dt, 1)
 
 
 class TestNormBalance:
@@ -247,6 +247,29 @@ class TestScatter:
         plan = plan_packet_run(params, sigma=3e-6, energy=0.2 * E_CHARGE)
         with pytest.raises(IncompleteScatterError):
             scatter_packet(params, plan.spec, plan.grid, 0.35e-12)
+
+    def test_same_fields_as_propagate(self, params):
+        # scatter_packet and propagate consume the same step loop: on the same
+        # grid, potential and step count their fields agree bit for bit
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        spec = WavepacketSpec(center=-32e-6, sigma=2e-6,
+                              carrier_k=carrier_for_energy(params, 0.2))
+        result = scatter_packet(params, spec, grid, 2000 * grid.dt, interior_tol=1.0,
+                                record_times=(1000 * grid.dt,))
+        states = propagate(initial_gaussian(spec, grid, params),
+                           potential_on_grid(params, grid), effective_mass(params),
+                           grid.dt, 2000, record_every=1000)
+        assert [s.t for s in result.states] == [s.t for s in states[1:]]
+        assert np.array_equal(result.states[0].psi, states[1].psi)
+        assert np.array_equal(result.states[-1].psi, states[-1].psi)
+        assert norm(states[-1]) > 2.0  # the packet has entered the gain section
+
+    def test_guard_rejects_large_dt(self, params):
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-12)
+        spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
+                              carrier_k=carrier_for_energy(params, 0.2))
+        with pytest.raises(ValueError, match="dt too large"):
+            scatter_packet(params, spec, grid, 1e-12)
 
     def test_record_times(self, default_packet_run):
         plan, result = default_packet_run
