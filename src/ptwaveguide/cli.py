@@ -25,8 +25,8 @@ from .quantities import (E_CHARGE, Config, ConfigError, angular_to_ev,
                          config_as_dict, ev_to_angular, load_config,
                          with_overrides)
 from .timeprop import (BoundaryContaminationError, IncompleteScatterError,
-                       PlacementError, deviation_percent, plan_packet_run,
-                       scatter_packet)
+                       PlacementError, deviation_percent,
+                       fractions_below_residual, plan_packet_run, scatter_packet)
 
 CSV_HEADER = ("omega_over_omegac,model,t_left_re,t_left_im,r_left_re,r_left_im,"
               "t_right_re,t_right_im,r_right_re,r_right_im,sum_left,sum_right,"
@@ -254,6 +254,10 @@ def cmd_packet(args) -> int:
     print(f"interior residual:    {result.interior_norm:.6f}")
     print(f"total norm:           {result.total:.6f} "
           f"(norm gain {result.norm_gain:+.6f})")
+    for name in fractions_below_residual(result):
+        print(f"warning: {name} fraction {getattr(result, name):.3g} is below the "
+              f"interior residual {result.interior_norm:.3g}; it is not settled",
+              file=sys.stderr)
     if args.snapshots:
         with open(args.snapshots, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,z,re_psi,im_psi,abs2_psi\n")

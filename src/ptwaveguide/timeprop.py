@@ -7,9 +7,11 @@ implicit midpoint rule handles the non-Hermitian potential stably and is
 exactly norm-preserving in the Hermitian limit.  Wavepacket scattering runs
 validate the correspondence with the stationary amplitudes.
 
-One step loop, :func:`_march`, checks dt, builds the operators once and
-yields the field after each step.  :func:`propagate` keeps every k-th state
-from it; :func:`scatter_packet` checks the walls and keeps its snapshots.
+One step loop, :func:`_march`, checks dt, builds the operators and LU-factors
+the constant tridiagonal LHS once (LAPACK zgttrf), then yields the field
+after each step; a step is one zgttrs solve.  :func:`propagate` keeps every
+k-th state from it; :func:`scatter_packet` checks the walls and keeps its
+snapshots.
 
 Caution: for strong pumping the gain section can exceed its amplification
 threshold (the bilayer then hosts exponentially growing modes, seeded by
@@ -163,30 +165,13 @@ def initial_gaussian(spec: WavepacketSpec, grid: SpatialGrid,
 
 
 def _cn_operators(potential: np.ndarray, mass: float, dz: float, dt: float):
-    """Banded LHS and tridiagonal RHS coefficients of one implicit midpoint step."""
+    """Tridiagonal LHS as (sub-, main, super-diagonal), and the RHS main
+    diagonal and off-diagonal value, of one implicit midpoint step."""
     gamma = 1j * HBAR * dt / (4.0 * mass * dz * dz)
     vfac = 1j * dt / (2.0 * HBAR) * potential
-    n = potential.size
-    lhs = np.zeros((3, n), dtype=complex)
-    lhs[0, 1:] = -gamma
-    lhs[1, :] = 1.0 + 2.0 * gamma + vfac
-    lhs[2, :-1] = -gamma
-    rhs_main = 1.0 - 2.0 * gamma - vfac
-    return lhs, rhs_main, gamma
-
-
-def _cn_apply(psi: np.ndarray, lhs: np.ndarray, rhs_main: np.ndarray,
-              gamma: complex, solve_banded) -> np.ndarray:
-    rhs = rhs_main * psi
-    rhs[1:] += gamma * psi[:-1]
-    rhs[:-1] += gamma * psi[1:]
-    try:
-        out = solve_banded((1, 1), lhs, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cannot occur under the guard
-        raise RuntimeError(f"singular Crank-Nicolson system: {exc}") from exc
-    out[0] = 0.0
-    out[-1] = 0.0
-    return out
+    lower = np.full(potential.size - 1, -gamma, dtype=complex)
+    lhs = (lower, 1.0 + 2.0 * gamma + vfac, lower.copy())
+    return lhs, 1.0 - 2.0 * gamma - vfac, gamma
 
 
 def _check_guard(potential: np.ndarray, dt: float):
@@ -199,13 +184,29 @@ def _check_guard(potential: np.ndarray, dt: float):
 
 def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
            dt: float, n_steps: int):
-    """Yield (step, psi) after each of n_steps implicit midpoint steps."""
-    from scipy.linalg import solve_banded
+    """Yield (step, psi) after each of n_steps implicit midpoint steps.
+
+    The constant LHS is checked and LU-factored once (zgttrf); each step
+    builds the RHS, checks it and is one zgttrs solve.
+    """
+    from scipy.linalg.lapack import zgttrf, zgttrs
 
     _check_guard(potential, dt)
     lhs, rhs_main, gamma = _cn_operators(potential, mass, dz, dt)
+    for band in lhs:
+        np.asarray_chkfinite(band)
+    # in place: the diagonals are needed only as their LU factors
+    dl, d, du, du2, ipiv, info = zgttrf(*lhs, overwrite_dl=1, overwrite_d=1,
+                                        overwrite_du=1)
+    if info > 0:  # pragma: no cover - cannot occur under the guard
+        raise RuntimeError(f"singular Crank-Nicolson system: zero pivot {info}")
     for step in range(1, n_steps + 1):
-        psi = _cn_apply(psi, lhs, rhs_main, gamma, solve_banded)
+        rhs = rhs_main * psi
+        rhs[1:] += gamma * psi[:-1]
+        rhs[:-1] += gamma * psi[1:]
+        psi, _ = zgttrs(dl, d, du, du2, ipiv, np.asarray_chkfinite(rhs), overwrite_b=1)
+        psi[0] = 0.0
+        psi[-1] = 0.0
         yield step, psi
 
 
@@ -328,6 +329,14 @@ class ScatterResult:
     @property
     def total(self) -> float:
         return self.transmitted + self.reflected + self.interior_norm
+
+
+def fractions_below_residual(result: ScatterResult) -> tuple[str, ...]:
+    """Names of the outgoing fractions ("transmitted", "reflected") smaller
+    than the norm still inside the medium at t_final: that residual has yet
+    to leave by one side or the other, so such a fraction is not settled."""
+    return tuple(name for name in ("transmitted", "reflected")
+                 if getattr(result, name) < result.interior_norm)
 
 
 def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid,

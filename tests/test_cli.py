@@ -308,7 +308,8 @@ class TestPlotCommand:
 class TestPacketCommand:
     def test_defaults_match_prediction(self, capsys):
         assert run_cli("packet") == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "warning" not in err  # both fractions exceed the interior residual
         match = re.search(r"transmitted fraction: .*deviation ([0-9.]+)%", out)
         assert match and float(match.group(1)) <= 2.0
         assert "norm gain +" in out  # gain region first: the packet gains norm
@@ -345,8 +346,23 @@ class TestPacketCommand:
             assert run_cli("packet", "--config", str(cfg), "--energy-ev", "0.02",
                            "--sigma-um", "4", "--from", side,
                            "--t-final-ps", "1.5", "--interior-tol", "1.0") == 0
-            out = capsys.readouterr().out
+            out, err = capsys.readouterr()
             totals[side] = float(re.search(r"total norm:\s+([0-9.]+)", out).group(1))
+            # mid-flight, most of the norm is inside the medium: neither
+            # outgoing fraction is settled, and each gets one stderr line
+            printed = {name: float(re.search(rf"{name}:\s+([0-9.]+)", out).group(1))
+                       for name in ("transmitted fraction", "reflected fraction",
+                                    "interior residual")}
+            warnings = err.splitlines()
+            assert len(warnings) == 2
+            for name, line in zip(("transmitted", "reflected"), warnings):
+                match = re.fullmatch(rf"warning: {name} fraction (\S+) is below the "
+                                     r"interior residual (\S+); it is not settled", line)
+                assert match
+                assert float(match.group(1)) == pytest.approx(
+                    printed[f"{name} fraction"], rel=5e-3, abs=5e-7)
+                assert float(match.group(2)) == pytest.approx(
+                    printed["interior residual"], rel=5e-3)
         assert totals["left"] > 1.0 > totals["right"]
 
     def test_snapshots_written(self, tmp_path, capsys):

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 
 from ptwaveguide.helmholtz import amplitudes
 from ptwaveguide.medium import (MediumParams, effective_mass,
@@ -10,14 +13,52 @@ from ptwaveguide.models import build_approx_stack
 from ptwaveguide.quantities import E_CHARGE, HBAR
 from ptwaveguide.timeprop import (BoundaryContaminationError,
                                   IncompleteScatterError, PlacementError,
-                                  SpatialGrid, WavepacketSpec, initial_gaussian,
-                                  norm, norm_balance_residual, plan_packet_run,
-                                  potential_on_grid, propagate, scatter_packet,
-                                  transmission_prediction)
+                                  SpatialGrid, WavepacketSpec, WavepacketState,
+                                  _march, fractions_below_residual,
+                                  initial_gaussian, norm, norm_balance_residual,
+                                  plan_packet_run, potential_on_grid, propagate,
+                                  scatter_packet, transmission_prediction)
 
 
 def carrier_for_energy(params, energy_ev: float) -> float:
     return math.sqrt(2.0 * effective_mass(params) * energy_ev * E_CHARGE) / HBAR
+
+
+def banded_steps(psi, potential, mass, dz, dt, n_steps):
+    """Reference stepper: the implicit midpoint rule with a full banded
+    solve (scipy.linalg.solve_banded) per step; returns every state."""
+    gamma = 1j * HBAR * dt / (4.0 * mass * dz * dz)
+    vfac = 1j * dt / (2.0 * HBAR) * potential
+    lhs = np.zeros((3, potential.size), dtype=complex)
+    lhs[0, 1:] = -gamma
+    lhs[1, :] = 1.0 + 2.0 * gamma + vfac
+    lhs[2, :-1] = -gamma
+    rhs_main = 1.0 - 2.0 * gamma - vfac
+    states = []
+    for _ in range(n_steps):
+        rhs = rhs_main * psi
+        rhs[1:] += gamma * psi[:-1]
+        rhs[:-1] += gamma * psi[1:]
+        psi = scipy.linalg.solve_banded((1, 1), lhs, rhs)
+        psi[0] = 0.0
+        psi[-1] = 0.0
+        states.append(psi)
+    return states
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Count the stepper's zgttrf and zgttrs calls."""
+    calls = {"zgttrf": 0, "zgttrs": 0}
+    for name in calls:
+        original = getattr(scipy.linalg.lapack, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+    return calls
 
 
 class TestGaussian:
@@ -118,6 +159,53 @@ class TestCrankNicolson:
         potential = potential_on_grid(params, grid)
         with pytest.raises(ValueError, match="dt too large"):
             propagate(state, potential, effective_mass(params), grid.dt, 1)
+
+
+class TestFactoredStepper:
+    @pytest.mark.parametrize("direction", [+1.0, -1.0])
+    def test_bit_identical_to_banded_solver(self, params, direction):
+        # a packet straddling the gain/absorber interface, so that the
+        # potential acts at every step
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        z = grid.z
+        psi = np.exp(-z ** 2 / (4.0 * (4e-6) ** 2)
+                     + 1j * direction * carrier_for_energy(params, 0.2) * z)
+        potential = potential_on_grid(params, grid)
+        mass = effective_mass(params)
+        states = propagate(WavepacketState(psi=psi, t=0.0, grid=grid), potential,
+                           mass, grid.dt, 300, record_every=1)
+        expected = banded_steps(psi, potential, mass, grid.dz, grid.dt, 300)
+        assert np.any(np.imag(potential) != 0)
+        assert len(states) == 301
+        assert all(np.array_equal(s.psi, e) for s, e in zip(states[1:], expected))
+
+    def test_one_factorization_per_run(self, params, lapack_calls):
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
+                              carrier_k=carrier_for_energy(params, 0.2))
+        propagate(initial_gaussian(spec, grid, params), potential_on_grid(params, grid),
+                  effective_mass(params), grid.dt, 7)
+        assert lapack_calls == {"zgttrf": 1, "zgttrs": 7}
+
+    def test_nan_field_rejected(self, params):
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
+                              carrier_k=carrier_for_energy(params, 0.2))
+        state = initial_gaussian(spec, grid, params)
+        state.psi[1500] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            propagate(state, potential_on_grid(params, grid), effective_mass(params),
+                      grid.dt, 3)
+
+    def test_nonfinite_potential_rejected_before_stepping(self, params, lapack_calls):
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        potential = potential_on_grid(params, grid)
+        potential[2000] = complex(0.0, np.nan)
+        steps = _march(np.ones(grid.n_points, dtype=complex), potential,
+                       effective_mass(params), grid.dz, grid.dt, 3)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            next(steps)
+        assert lapack_calls == {"zgttrf": 0, "zgttrs": 0}
 
 
 class TestNormBalance:
@@ -270,6 +358,18 @@ class TestScatter:
                               carrier_k=carrier_for_energy(params, 0.2))
         with pytest.raises(ValueError, match="dt too large"):
             scatter_packet(params, spec, grid, 1e-12)
+
+    def test_fractions_below_residual(self, default_packet_run):
+        _, result = default_packet_run
+        assert result.interior_norm < result.transmitted < result.reflected
+        assert fractions_below_residual(result) == ()
+        assert fractions_below_residual(replace(result, reflected=1e-4)) == ("reflected",)
+        assert fractions_below_residual(replace(result, interior_norm=2.0)) == ("transmitted",)
+        assert fractions_below_residual(replace(result, interior_norm=40.0)) == (
+            "transmitted", "reflected")
+        # a fraction equal to the residual is not named
+        assert fractions_below_residual(
+            replace(result, transmitted=result.interior_norm)) == ()
 
     def test_record_times(self, default_packet_run):
         plan, result = default_packet_run
