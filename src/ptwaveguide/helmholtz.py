@@ -1,11 +1,13 @@
 """Piecewise-constant 1D Helmholtz scattering engine.
 
 Solves phi'' + k^2(z) phi = 0 for a stack of uniform layers between two
-identical semi-infinite propagating regions.  One array kernel multiplies
+identical semi-infinite propagating regions.  A stack is the exterior
+wavenumber ``k_outer`` and a list of (k2, thickness) pairs, and that is the
+only input format.  One array kernel, :func:`transfer_arrays`, multiplies
 the layers' characteristic matrices, each written in the exterior's
-plane-wave basis, over arrays of frequencies; scalar callers use it with
-length-1 inputs.  Adaptive Runge-Kutta integration of the same ODE is the
-independent cross-validation oracle.
+plane-wave basis, over arrays of frequencies; :func:`amplitude_arrays` and
+:func:`flux_sums` read it.  Adaptive Runge-Kutta integration of the same
+ODE, :func:`ode_amplitudes`, is the independent cross-validation oracle.
 
 Phase conventions: each exterior's coefficients multiply e^{+-ik(z - z_edge)}
 with z_edge the stack edge it touches (the left exterior is referenced at
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,58 +36,6 @@ class StiffnessError(RuntimeError):
         self.z = z
 
 
-@dataclass(frozen=True)
-class Layer:
-    """Uniform slab with complex squared wavenumber (1/m^2) and thickness (m)."""
-
-    k2: complex
-    thickness: float
-
-    def __post_init__(self):
-        if self.thickness < 0:
-            raise ValueError(f"thickness must be non-negative, got {self.thickness}")
-
-
-@dataclass(frozen=True)
-class LayerStack:
-    """Ordered layers between two identical propagating exterior regions."""
-
-    k_outer: float
-    layers: tuple[Layer, ...]
-
-    def __post_init__(self):
-        if self.k_outer <= 0:
-            raise ValueError(f"k_outer must be positive, got {self.k_outer}")
-        object.__setattr__(self, "layers", tuple(self.layers))
-
-    @property
-    def total_thickness(self) -> float:
-        return sum(layer.thickness for layer in self.layers)
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Plane-wave coefficient map (A+, A-) of the left exterior to the right."""
-
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-
-    def det(self) -> complex:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-
-@dataclass(frozen=True)
-class ScatteringAmplitudes:
-    """Transmission/reflection amplitudes for left and right incidence."""
-
-    t_left: complex
-    r_left: complex
-    t_right: complex
-    r_right: complex
-
-
 def wavenumber_from_k2(k2):
     """Principal square root; real-axis inputs resolve to the upper branch cut.
 
@@ -96,19 +45,6 @@ def wavenumber_from_k2(k2):
     """
     z = np.asarray(k2, dtype=complex)
     return np.sqrt(np.where(z.imag == 0.0, z.real + 0j, z))
-
-
-def layer_matrix(k2, d: float):
-    """Entries (c11, c12, c21, c22) of the characteristic matrix of a uniform
-    layer, [[cos kd, sin(kd)/k], [-k sin kd, cos kd]] (Born & Wolf,
-    *Principles of Optics* sec. 1.6), mapping (phi, phi') across it.
-
-    Even in k, determinant 1, and regular at k = 0, where it becomes the
-    {1, z} pair [[1, d], [0, 1]].  ``k2`` may be an array.
-    """
-    _, kd, sin_over_k = _layer_phase(k2, d)
-    cos = np.cos(kd)
-    return cos, sin_over_k, -np.asarray(k2, dtype=complex) * sin_over_k, cos
 
 
 def _layer_phase(k2, d: float):
@@ -132,9 +68,15 @@ def transfer_arrays(k_outer, layers: Sequence[tuple]):
     ``k_outer``.
 
     ``k_outer`` and each k2 may be arrays over frequencies (they broadcast);
-    thicknesses are numbers.  Each layer's characteristic matrix C (see
-    :func:`layer_matrix`) enters in the exterior's plane-wave basis,
-    P^-1 C P with P = [[1, 1], [ik, -ik]] mapping (A+, A-) to (phi, phi'):
+    thicknesses are numbers.  Each layer's characteristic matrix, which maps
+    (phi, phi') across it (Born & Wolf, *Principles of Optics* sec. 1.6),
+
+        C = [[cos k_l d,         sin(k_l d) / k_l],
+             [-k_l sin k_l d,    cos k_l d]],
+
+    even in k_l, of determinant 1 and equal to [[1, d], [0, 1]] at k_l = 0,
+    enters in the exterior's plane-wave basis, P^-1 C P with
+    P = [[1, 1], [ik, -ik]] mapping (A+, A-) to (phi, phi'):
 
         [[e^{i k_l d} + q,  s (k2 - k^2)],
          [s (k^2 - k2),     e^{-i k_l d} - q]],
@@ -164,7 +106,17 @@ def transfer_arrays(k_outer, layers: Sequence[tuple]):
     return m11, m12, m21, m22
 
 
-def _ratios(m12, m21, m22):
+def amplitude_arrays(k_outer, layers: Sequence[tuple]):
+    """(t, r_left, r_right, singular) of the kernel :func:`transfer_arrays`.
+
+    Left incidence: phi = e^{ikz'} + r_left e^{-ikz'} on the left (z'
+    referenced at the first interface) and t e^{ikz''} on the right (z''
+    referenced at the last); right incidence is the mirror image, with the
+    same t.  ``singular`` is true where m22 = 0 (a spectral singularity); the
+    amplitudes there are meaningless.  Elsewhere they can still be
+    non-finite where the matrix entries overflowed.
+    """
+    _, m12, m21, m22 = transfer_arrays(k_outer, layers)
     # With equal exterior wavenumbers the determinant is exactly 1, so
     # t_left = det/m22 = 1/m22 = t_right; using the analytic value avoids
     # the catastrophic cancellation of the numeric 2x2 determinant when the
@@ -177,80 +129,34 @@ def _ratios(m12, m21, m22):
     return t, r_left, r_right, m22 == 0
 
 
-def amplitude_arrays(k_outer, layers: Sequence[tuple]):
-    """(t, r_left, r_right, singular) of the kernel :func:`transfer_arrays`.
-
-    ``singular`` is true where m22 = 0 (a spectral singularity); the
-    amplitudes there are meaningless.  Elsewhere they can still be
-    non-finite where the matrix entries overflowed.
-    """
-    _, m12, m21, m22 = transfer_arrays(k_outer, layers)
-    return _ratios(m12, m21, m22)
-
-
-def total_transfer(stack: LayerStack) -> TransferMatrix:
-    """Transfer matrix of the stack, left exterior to right exterior."""
-    pairs = [(layer.k2, layer.thickness) for layer in stack.layers]
-    return TransferMatrix(*(complex(m) for m in transfer_arrays(stack.k_outer, pairs)))
+def flux_sums(t, r_left, r_right):
+    """(|t|^2 + |r_left|^2, |t|^2 + |r_right|^2), elementwise over arrays;
+    both are 1 for unitary scattering."""
+    t, r_left, r_right = np.broadcast_arrays(
+        *(np.asarray(a, dtype=complex) for a in (t, r_left, r_right)))
+    # Python's abs(complex) ** 2 per element (hypot, then libm pow): numpy's
+    # complex abs and its square each differ from those in the last ulp, and
+    # the sweep CSV prints every digit
+    t2 = [a ** 2 for a in np.hypot(t.real, t.imag).ravel().tolist()]
+    return tuple(np.array([a + b ** 2 for a, b in zip(
+        t2, np.hypot(r.real, r.imag).ravel().tolist())]).reshape(t.shape)
+        for r in (r_left, r_right))
 
 
-def _amplitudes_from_transfer(m: TransferMatrix) -> ScatteringAmplitudes:
-    t, r_left, r_right, singular = _ratios(m.m12, m.m21, m.m22)
-    if singular or not np.isfinite(t):
-        raise SpectralSingularityError(
-            f"m22 = {m.m22!r}: spectral singularity, no bounded scattering "
-            "solution at this real frequency")
-    t = complex(t)
-    return ScatteringAmplitudes(t_left=t, r_left=complex(r_left),
-                                t_right=t, r_right=complex(r_right))
+# The oracle's integrator: scipy's embedded 5(4) Runge-Kutta pair and its
+# relative and absolute tolerances.
+ODE_METHOD = "RK45"
+ODE_RTOL = 1e-10
+ODE_ATOL = 1e-10
 
 
-def amplitudes(stack: LayerStack) -> ScatteringAmplitudes:
-    """Scattering amplitudes of the stack for both incidence directions.
+def ode_amplitudes(k_outer, layers: Sequence[tuple]):
+    """(t_left, r_left, t_right, r_right) of the stack by direct adaptive
+    integration of the wave ODE.
 
-    Left incidence: phi = e^{ikz'} + r_left e^{-ikz'} on the left
-    (z' referenced at the first interface) and t_left e^{ikz''} on the right
-    (z'' referenced at the last).  Right incidence is the mirror image.
-    Raises :class:`SpectralSingularityError` at a scattering pole.
-    """
-    return _amplitudes_from_transfer(total_transfer(stack))
-
-
-def flux_sums(amp: ScatteringAmplitudes) -> tuple[float, float]:
-    """(|t|^2 + |r|^2) for left and right incidence; 1 for unitary scattering."""
-    s_left = abs(amp.t_left) ** 2 + abs(amp.r_left) ** 2
-    s_right = abs(amp.t_right) ** 2 + abs(amp.r_right) ** 2
-    return s_left, s_right
-
-
-def stack_k2_profile(stack: LayerStack):
-    """Piecewise k^2(z) of the stack laid out on [0, total_thickness].
-
-    Returns (k2_of_z, (z_min, z_max), knots); knots are the interior
-    interface positions, useful to segment the ODE oracle.
-    """
-    edges = [0.0]
-    for layer in stack.layers:
-        edges.append(edges[-1] + layer.thickness)
-    k2_outer = complex(stack.k_outer * stack.k_outer)
-    spans = [(edges[i], edges[i + 1], complex(stack.layers[i].k2))
-             for i in range(len(stack.layers))]
-
-    def k2_of_z(z: float) -> complex:
-        for z0, z1, k2 in spans:
-            if z0 < z <= z1:
-                return k2
-        return k2_outer
-
-    return k2_of_z, (0.0, edges[-1]), tuple(edges[1:-1])
-
-
-def ode_amplitudes(k2_of_z, z_span: tuple[float, float], k_outer: float, *,
-                   knots: tuple[float, ...] = (), rtol: float = 1e-10,
-                   atol: float = 1e-10, method: str = "RK45") -> ScatteringAmplitudes:
-    """Scattering amplitudes by direct adaptive integration of the wave ODE.
-
-    Independent cross-check of :func:`amplitudes`: integrates
+    Independent cross-check of :func:`amplitude_arrays`, for one frequency:
+    ``k_outer`` and each k2 are numbers.  The layers are laid out on
+    [0, total thickness] as a piecewise k^2(z); the oracle integrates
     phi'' = -k^2(z) phi from the far boundary seeded with the outgoing wave
     to the near boundary, where the solution splits into incoming and
     outgoing plane waves.  The unknowns are the local plane-wave amplitudes
@@ -262,19 +168,32 @@ def ode_amplitudes(k2_of_z, z_span: tuple[float, float], k_outer: float, *,
 
     The reflected amplitude starts at zero and grows only where D is
     nonzero, so a weak reflection is integrated directly rather than
-    recovered from near-cancelling (phi, phi') combinations.  ``knots``
-    (interior discontinuities of k^2) split the integration into smooth
-    segments; the embedded 5(4) pair then controls the error properly.
-    Conventions match :func:`amplitudes` (references at z_min and z_max).
+    recovered from near-cancelling (phi, phi') combinations.  The interfaces
+    split the integration into smooth segments; the embedded 5(4) pair then
+    controls the error properly.  Conventions match :func:`amplitude_arrays`
+    (references at the first and last interface).
     """
-    from scipy.integrate import solve_ivp
-
-    z_min, z_max = z_span
-    if not z_max > z_min:
-        raise ValueError("z_span must be increasing")
+    k_outer = float(k_outer)
     ik = 1j * k_outer
     k_sq = k_outer * k_outer
     i_over_2k = 0.5j / k_outer
+    edges = [0.0]
+    spans = []  # (z0, z1, k2) of each layer, occupying (z0, z1]
+    for k2, d in layers:
+        if d < 0:
+            raise ValueError(f"thickness must be non-negative, got {d}")
+        edges.append(edges[-1] + d)
+        spans.append((edges[-2], edges[-1], complex(k2)))
+    z_min, z_max = 0.0, edges[-1]
+    if z_max == z_min:
+        return 1.0, 0.0, 1.0, 0.0
+    from scipy.integrate import solve_ivp
+
+    def k2_of_z(z: float) -> complex:
+        for z0, z1, k2 in spans:
+            if z0 < z <= z1:
+                return k2
+        return complex(k_sq)
 
     def run(points: list[float], y0, z_ref: float, atol):
         """(A, B) at the last point and each component's peak |.| en route."""
@@ -290,7 +209,7 @@ def ode_amplitudes(k2_of_z, z_span: tuple[float, float], k_outer: float, *,
             # smaller than the step (t + h == 0.0 for a knot at 1e-95), and
             # a pad below the knot's ulp rounds away.  A segment with no
             # float inside (one ulp wide) takes the value at its upper end,
-            # the half-open (z0, z1] convention of stack_k2_profile.
+            # the half-open (z0, z1] convention of k2_of_z.
             lo, hi = min(z0, z1), max(z0, z1)
             pad = (hi - lo) * 1e-12
             inner_lo = max(lo + pad, math.nextafter(lo, hi))
@@ -303,8 +222,8 @@ def ode_amplitudes(k2_of_z, z_span: tuple[float, float], k_outer: float, *,
                     * (a * wave + b / wave)
                 return [drive / wave, -drive * wave]
 
-            sol = solve_ivp(rhs, (z0, z1), y, method=method, rtol=rtol, atol=atol,
-                            first_step=abs(z1 - z0) / 1000.0 or abs(z1 - z0))
+            sol = solve_ivp(rhs, (z0, z1), y, method=ODE_METHOD, rtol=ODE_RTOL,
+                            atol=atol, first_step=abs(z1 - z0) / 1000.0 or abs(z1 - z0))
             if not sol.success:
                 raise StiffnessError(float(sol.t[-1]), sol.message)
             peak = np.maximum(peak, np.abs(sol.y).max(axis=1))
@@ -312,7 +231,7 @@ def ode_amplitudes(k2_of_z, z_span: tuple[float, float], k_outer: float, *,
         return y, peak
 
     def solve(points: list[float], y0, z_ref: float) -> np.ndarray:
-        y, peak = run(points, y0, z_ref, atol)
+        y, peak = run(points, y0, z_ref, ODE_ATOL)
         # A weak reflection stays orders of magnitude below the transmitted
         # amplitude, and an absolute tolerance sized for the larger one
         # leaves it unresolved (the step then skips over its e^{2ikz}
@@ -320,11 +239,11 @@ def ode_amplitudes(k2_of_z, z_span: tuple[float, float], k_outer: float, *,
         # its own peak.
         ratio = peak / peak.max()
         if ratio.min() < 1e-3:
-            scaled = np.maximum(atol * ratio, np.finfo(float).tiny)
+            scaled = np.maximum(ODE_ATOL * ratio, np.finfo(float).tiny)
             y, _ = run(points, y0, z_ref, scaled)
         return y
 
-    interior = sorted(k for k in knots if z_min < k < z_max)
+    interior = [z for z in edges[1:-1] if z_min < z < z_max]
     forward = [z_min, *interior, z_max]
     backward = list(reversed(forward))
 
@@ -344,35 +263,16 @@ def ode_amplitudes(k2_of_z, z_span: tuple[float, float], k_outer: float, *,
     t_right = span_phase / b
     r_right = a / b * span_phase * span_phase
 
-    return ScatteringAmplitudes(t_left=t_left, r_left=r_left,
-                                t_right=t_right, r_right=r_right)
+    return t_left, r_left, t_right, r_right
 
 
-def ode_amplitudes_for_stack(stack: LayerStack, **kwargs) -> ScatteringAmplitudes:
-    """ODE-oracle amplitudes of a LayerStack (same conventions as amplitudes)."""
-    k2_of_z, z_span, knots = stack_k2_profile(stack)
-    if z_span[1] == z_span[0]:
-        return ScatteringAmplitudes(1.0, 0.0, 1.0, 0.0)
-    return ode_amplitudes(k2_of_z, z_span, stack.k_outer, knots=knots, **kwargs)
-
-
-def max_relative_difference(a: ScatteringAmplitudes, b: ScatteringAmplitudes) -> float:
-    """Worst relative amplitude disagreement between two solutions."""
-    worst = 0.0
-    for x, y in ((a.t_left, b.t_left), (a.r_left, b.r_left),
-                 (a.t_right, b.t_right), (a.r_right, b.r_right)):
-        scale = max(abs(x), abs(y))
-        if scale > 0:
-            worst = max(worst, abs(x - y) / scale)
-    return worst
-
-
-def growth_exponent(stack: LayerStack) -> float:
-    """Largest |Im k| * thickness over the stack.
+def growth_exponent(layers: Sequence[tuple]) -> float:
+    """Largest |Im k| * thickness over the (k2, thickness) pairs; each k2 may
+    be an array over frequencies, and the largest over it counts.
 
     Transfer-matrix entries reach e^{2x} of this exponent; above ~17 the
     numeric 2x2 determinant is destroyed by cancellation (amplitudes remain
     accurate, as they only use entry ratios and the analytic determinant).
     """
-    return max((float(abs(wavenumber_from_k2(layer.k2).imag)) * layer.thickness
-                for layer in stack.layers), default=0.0)
+    return max((float(np.max(np.abs(wavenumber_from_k2(k2).imag))) * d
+                for k2, d in layers), default=0.0)

@@ -11,12 +11,13 @@ potential and auxiliary mass) that the truncation is equivalent to.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .quantities import C, HBAR, PI
+from .quantities import C, HBAR, cutoff_frequency
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +72,7 @@ class MediumParams:
             raise ParameterError("omega0, delta, slab_width, region_length must be positive")
         if self.omega_p < 0:
             raise ParameterError("omega_p must be non-negative")
-        object.__setattr__(self, "omega_c", C * PI / self.slab_width)
+        object.__setattr__(self, "omega_c", cutoff_frequency(self.slab_width))
         if self.check_tuning:
             rel = abs(self.omega_c - self.omega0) / self.omega0
             if rel > CUTOFF_TUNING_TOL:
@@ -92,7 +93,7 @@ class MediumParams:
         if omega0 <= 0:
             raise ParameterError("omega0 must be positive")
         return cls(omega0=omega0, omega_p=omega_p, delta=delta,
-                   slab_width=C * PI / omega0, region_length=region_length)
+                   slab_width=C * math.pi / omega0, region_length=region_length)
 
     @classmethod
     def detuned(cls, omega0: float, omega_p: float, delta: float,

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .helmholtz import Layer, LayerStack, amplitude_arrays
+from .helmholtz import amplitude_arrays, flux_sums
 from .medium import (MediumParams, RegionKind, k_squared_approx,
                      k_squared_exact, raw_pt_defect)
 from .quantities import C
@@ -77,24 +77,6 @@ def bilayer(model: ModelKind, params: MediumParams, omega):
     return approx_bilayer(params, omega - params.omega_c)
 
 
-def _stack(k_outer, layers) -> LayerStack:
-    return LayerStack(float(k_outer), tuple(Layer(complex(k2), d) for k2, d in layers))
-
-
-def build_exact_stack(params: MediumParams, omega: float) -> LayerStack:
-    """Gain/absorber bilayer with the dispersive-model wavenumbers at omega."""
-    return _stack(*exact_bilayer(params, omega))
-
-
-def build_approx_stack(params: MediumParams, detuning: float) -> LayerStack:
-    """Bilayer with the truncated wavenumbers at the given detuning above cutoff."""
-    return _stack(*approx_bilayer(params, detuning))
-
-
-def build_stack(model: ModelKind, params: MediumParams, omega: float) -> LayerStack:
-    return _stack(*bilayer(model, params, omega))
-
-
 def pt_defect(model: ModelKind, params: MediumParams, omega):
     """Deviation of the profile from k^2(-z) = conj(k^2(z)), dimensionless.
 
@@ -139,20 +121,12 @@ class ModelColumns:
     @classmethod
     def from_amplitudes(cls, t, r_left, r_right, singular) -> "ModelColumns":
         """Columns of :func:`helmholtz.amplitude_arrays`' output."""
-        s_left, s_right = _flux_sum(t, r_left), _flux_sum(t, r_right)
+        s_left, s_right = flux_sums(t, r_left, r_right)
         finite = (np.isfinite(t) & np.isfinite(r_left) & np.isfinite(r_right)
                   & np.isfinite(s_left) & np.isfinite(s_right))
         status = np.where(singular, STATUS_SINGULAR,
                           np.where(finite, STATUS_OK, STATUS_NONFINITE))
         return cls(t, r_left, r_right, s_left, s_right, status)
-
-
-def _flux_sum(t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # |t|^2 + |r|^2 as Python's abs(complex) ** 2 (hypot, then libm pow), so
-    # every digit matches helmholtz.flux_sums: numpy's complex abs and its
-    # square each differ from those in the last ulp
-    return np.array([a ** 2 + b ** 2 for a, b in zip(
-        np.hypot(t.real, t.imag).tolist(), np.hypot(r.real, r.imag).tolist())])
 
 
 @dataclass(frozen=True)

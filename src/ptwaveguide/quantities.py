@@ -10,22 +10,10 @@ import math
 from dataclasses import dataclass, fields, replace
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """2019 SI exact values."""
-
-    c: float = 299792458.0
-    hbar: float = 1.054571817e-34
-    e_charge: float = 1.602176634e-19
-
-
-CONSTANTS = PhysicalConstants()
-
-C = CONSTANTS.c
-HBAR = CONSTANTS.hbar
-E_CHARGE = CONSTANTS.e_charge
-
-PI = 3.141592653589793
+# 2019 SI exact values
+C = 299792458.0
+HBAR = 1.054571817e-34
+E_CHARGE = 1.602176634e-19
 
 
 def ev_to_angular(energy_ev: float) -> float:
@@ -49,7 +37,7 @@ def cutoff_frequency(slab_width: float) -> float:
     """
     if slab_width <= 0:
         raise ValueError(f"slab width must be positive, got {slab_width}")
-    return C * PI / slab_width
+    return C * math.pi / slab_width
 
 
 class ConfigError(ValueError):

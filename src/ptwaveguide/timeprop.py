@@ -39,12 +39,23 @@ logger = logging.getLogger(__name__)
 # Accuracy guard for a single step: the potential phase per step stays small.
 POTENTIAL_PHASE_GUARD = 0.1
 
-# Default contamination thresholds (amplitude relative to the global peak).
+# Contamination thresholds (amplitude relative to the global peak); the
+# interior one is the default of scatter_packet's interior_tol.
 # Validated against the reference medium: subcritical ring-down radiation and
 # dispersive grid precursors set a floor near 1e-9; packets that actually
 # touch a wall blow through 1e-6 within a few hundred steps.
 BOUNDARY_TOL = 1e-6
 INTERIOR_TOL = 0.75
+
+# The run recipe of plan_packet_run: time step (s), grid points per carrier
+# wavelength, and the packet's start clearance from the medium in widths.
+PACKET_DT = 1e-16
+POINTS_PER_WAVELENGTH = 80.0
+PLACEMENT_SIGMAS = 7.0
+
+# Norm fractions print to six decimals: a fraction or residual below this
+# resolution reads as zero, and no deviation or comparison is drawn from it.
+PRINTED_RESOLUTION = 1e-6
 
 
 class PlacementError(ValueError):
@@ -303,9 +314,9 @@ def transmission_prediction(params: MediumParams, spec: WavepacketSpec,
 
 def deviation_percent(measured: float, predicted: float) -> str:
     """|measured - predicted| / predicted in percent to three decimals, or
-    "n/a" when the predicted fraction is below 1e-6: fractions print to six
-    decimals, and a relative deviation from a smaller one says nothing."""
-    if predicted < 1e-6:
+    "n/a" when the predicted fraction is below :data:`PRINTED_RESOLUTION`: a
+    relative deviation from a fraction that prints as zero says nothing."""
+    if predicted < PRINTED_RESOLUTION:
         return "n/a"
     return f"{100 * (abs(measured - predicted) / predicted):.3f}%"
 
@@ -334,15 +345,20 @@ class ScatterResult:
 def fractions_below_residual(result: ScatterResult) -> tuple[str, ...]:
     """Names of the outgoing fractions ("transmitted", "reflected") smaller
     than the norm still inside the medium at t_final: that residual has yet
-    to leave by one side or the other, so such a fraction is not settled."""
+    to leave by one side or the other, so such a fraction is not settled.
+
+    None is named when the residual itself is below
+    :data:`PRINTED_RESOLUTION`, however small the fractions."""
+    if result.interior_norm < PRINTED_RESOLUTION:
+        return ()
     return tuple(name for name in ("transmitted", "reflected")
                  if getattr(result, name) < result.interior_norm)
 
 
 def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid,
-                   t_final: float, *, boundary_tol: float = BOUNDARY_TOL,
-                   interior_tol: float = INTERIOR_TOL, check_every: int = 200,
-                   record_times: Sequence[float] = ()) -> ScatterResult:
+                   t_final: float, *, interior_tol: float = INTERIOR_TOL,
+                   check_every: int = 200, record_times: Sequence[float] = ()
+                   ) -> ScatterResult:
     """Scatter a Gaussian packet off the gain/loss bilayer.
 
     Returns the transmitted and reflected norm fractions at t_final together
@@ -370,10 +386,10 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
             peak = float(np.abs(psi).max())
             edge = max(float(np.abs(psi[:5]).max()), float(np.abs(psi[-5:]).max()))
             boundary_peak = max(boundary_peak, edge / peak)
-            if edge / peak > boundary_tol:
+            if edge / peak > BOUNDARY_TOL:
                 raise BoundaryContaminationError(
                     f"boundary amplitude {edge / peak:.2e} of peak at step {step} "
-                    f"exceeds {boundary_tol:.1e}; enlarge the grid or stop earlier")
+                    f"exceeds {BOUNDARY_TOL:.1e}; enlarge the grid or stop earlier")
         if step in wanted:
             recorded.append(WavepacketState(psi=psi.copy(), t=step * dt, grid=grid))
     final = WavepacketState(psi=psi, t=n_steps * dt, grid=grid)
@@ -416,9 +432,7 @@ class PacketRunPlan:
 
 
 def plan_packet_run(params: MediumParams, sigma: float, energy: float,
-                    from_left: bool = True, *, dt: float = 1e-16,
-                    points_per_wavelength: float = 80.0,
-                    placement_sigmas: float = 7.0) -> PacketRunPlan:
+                    from_left: bool = True) -> PacketRunPlan:
     """Desk-scale run recipe validated against the reference medium.
 
     ``energy`` is the carrier kinetic energy hbar^2 k^2 / 2m in joules.  The
@@ -436,7 +450,7 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     k0 = math.sqrt(2.0 * mass * energy) / HBAR
     v = HBAR * k0 / mass
     l = params.region_length
-    z0 = l + placement_sigmas * sigma
+    z0 = l + PLACEMENT_SIGMAS * sigma
     t_near = (z0 - l) / v
     t_cross = (z0 + l) / v
     spread_rate = HBAR / (2.0 * mass * sigma * sigma)
@@ -456,7 +470,7 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     wavelength = 2.0 * math.pi / k0
     # snap dz so l is an exact multiple, then extend the ends in whole cells;
     # -l, 0 and +l all land on grid points
-    dz = l / math.ceil(l * points_per_wavelength / wavelength)
+    dz = l / math.ceil(l * POINTS_PER_WAVELENGTH / wavelength)
     cells_near = math.ceil((near_extent - l) / dz)
     cells_far = math.ceil((far_extent - l) / dz)
     if from_left:
@@ -468,7 +482,7 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
         z_max = l + cells_near * dz
         center, carrier = z0, -k0
     n_points = int(round((z_max - z_min) / dz)) + 1
-    grid = SpatialGrid(z_min=z_min, z_max=z_max, n_points=n_points, dt=dt)
+    grid = SpatialGrid(z_min=z_min, z_max=z_max, n_points=n_points, dt=PACKET_DT)
     return PacketRunPlan(
         spec=WavepacketSpec(center=center, sigma=sigma, carrier_k=carrier),
         grid=grid,

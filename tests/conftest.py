@@ -1,5 +1,6 @@
 import pytest
 
+from ptwaveguide.helmholtz import amplitude_arrays
 from ptwaveguide.medium import MediumParams
 from ptwaveguide.quantities import E_CHARGE, ev_to_angular
 from ptwaveguide.timeprop import plan_packet_run, scatter_packet
@@ -50,3 +51,21 @@ def default_packet_run(params):
     result = scatter_packet(params, plan.spec, plan.grid, plan.t_final,
                             record_times=(0.4e-12,))
     return plan, result
+
+
+def max_relative_difference(a, b) -> float:
+    """Worst relative disagreement between two (t_left, r_left, t_right,
+    r_right) tuples; each amplitude is scaled by the larger of its pair."""
+    worst = 0.0
+    for x, y in zip(a, b):
+        scale = max(abs(x), abs(y))
+        if scale > 0:
+            worst = max(worst, abs(x - y) / scale)
+    return worst
+
+
+def kernel_amplitudes(k_outer, layers):
+    """(t_left, r_left, t_right, r_right) of one stack from the array kernel,
+    in the order of helmholtz.ode_amplitudes; t_left = t_right = 1/m22."""
+    t, r_left, r_right, _ = amplitude_arrays(k_outer, layers)
+    return complex(t), complex(r_left), complex(t), complex(r_right)

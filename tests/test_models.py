@@ -2,18 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from conftest import kernel_amplitudes, max_relative_difference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptwaveguide.helmholtz import (LayerStack, amplitudes, flux_sums,
-                                   max_relative_difference,
-                                   ode_amplitudes_for_stack)
+from ptwaveguide.helmholtz import amplitude_arrays, flux_sums, ode_amplitudes
 from ptwaveguide.medium import MediumParams, RegionKind, effective_mass, \
     effective_potential, k_squared_approx
 from ptwaveguide.models import (STATUS_OK, BelowCutoffError, ModelKind,
-                                build_approx_stack, build_exact_stack,
-                                build_stack, evaluate_row, pt_defect, sweep,
-                                sweep_grid)
+                                approx_bilayer, bilayer, evaluate_row,
+                                exact_bilayer, pt_defect, sweep, sweep_grid)
 from ptwaveguide.quantities import HBAR, ev_to_angular
 
 # Regression pins: log10 flux sums of both models on the reference medium,
@@ -42,22 +40,22 @@ LOG10_SUM_PINS = [
 
 class TestStacks:
     def test_exact_outer_wavenumber(self, params):
-        stack = build_exact_stack(params, 1.01 * params.omega_c)
-        assert stack.k_outer == pytest.approx(3592374.1534089535, rel=1e-3)
-        assert len(stack.layers) == 2
-        assert stack.layers[0].thickness == params.region_length
+        k_outer, layers = exact_bilayer(params, 1.01 * params.omega_c)
+        assert k_outer == pytest.approx(3592374.1534089535, rel=1e-3)
+        assert len(layers) == 2
+        assert layers[0][1] == params.region_length
         # gain layer first (negative imaginary part), absorber second
-        assert stack.layers[0].k2.imag < 0 < stack.layers[1].k2.imag
+        assert layers[0][0].imag < 0 < layers[1][0].imag
 
     def test_approx_outer_wavenumber(self, params):
-        stack = build_approx_stack(params, 0.01 * params.omega_c)
-        assert stack.k_outer == pytest.approx(3583426.75681718, rel=1e-3)
+        k_outer, _ = approx_bilayer(params, 0.01 * params.omega_c)
+        assert k_outer == pytest.approx(3583426.75681718, rel=1e-3)
 
     def test_below_cutoff_rejected(self, params):
         with pytest.raises(BelowCutoffError):
-            build_exact_stack(params, params.omega_c)
+            exact_bilayer(params, params.omega_c)
         with pytest.raises(BelowCutoffError):
-            build_approx_stack(params, 0.0)
+            approx_bilayer(params, 0.0)
 
     def test_schrodinger_identity(self, params):
         # 2m(E - V)/hbar^2 reproduces the truncated k^2 for every region
@@ -73,9 +71,9 @@ class TestStacks:
 
     def test_medium_off_is_transparent(self, hermitian_params):
         for model in ModelKind:
-            stack = build_stack(model, hermitian_params,
-                                1.01 * hermitian_params.omega_c)
-            s_left, s_right = flux_sums(amplitudes(stack))
+            t, r_left, r_right, _ = amplitude_arrays(
+                *bilayer(model, hermitian_params, 1.01 * hermitian_params.omega_c))
+            s_left, s_right = flux_sums(t, r_left, r_right)
             assert s_left == pytest.approx(1.0, abs=1e-10)
             assert s_right == pytest.approx(1.0, abs=1e-10)
 
@@ -165,10 +163,11 @@ class TestSweep:
 
     def test_swap_layers_swaps_sides(self, params):
         for model in ModelKind:
-            stack = build_stack(model, params, 1.013 * params.omega_c)
-            swapped = LayerStack(stack.k_outer, tuple(reversed(stack.layers)))
-            s = flux_sums(amplitudes(stack))
-            t = flux_sums(amplitudes(swapped))
+            k_outer, layers = bilayer(model, params, 1.013 * params.omega_c)
+            t_a, r_left_a, r_right_a, _ = amplitude_arrays(k_outer, layers)
+            t_b, r_left_b, r_right_b, _ = amplitude_arrays(k_outer, layers[::-1])
+            s = flux_sums(t_a, r_left_a, r_right_a)
+            t = flux_sums(t_b, r_left_b, r_right_b)
             assert s[0] == pytest.approx(t[1], rel=1e-10)
             assert s[1] == pytest.approx(t[0], rel=1e-10)
 
@@ -179,16 +178,19 @@ class TestSweep:
                 assert s_right == pytest.approx(1.0, abs=1e-10)
 
     def test_rows_match_pointwise_evaluation(self, params):
-        # the array kernel over the grid against one scalar solve per row
+        # the array kernel over the grid against one single-frequency solve
+        # per row, with the flux sums as Python's abs(complex) ** 2
         table = sweep(params, 1.0005, 1.10, 60)
         for model, col in table.models.items():
             assert (col.status == STATUS_OK).all()
             for i, x in enumerate(table.omega_over_omegac.tolist()):
-                single = amplitudes(build_stack(model, params, x * params.omega_c))
-                s_left, s_right = flux_sums(single)
+                t, r_left, _, r_right = kernel_amplitudes(
+                    *bilayer(model, params, x * params.omega_c))
+                s_left = abs(t) ** 2 + abs(r_left) ** 2
+                s_right = abs(t) ** 2 + abs(r_right) ** 2
                 scale = math.sqrt(col.s_left[i] + col.s_right[i])
-                for got, want in ((col.t[i], single.t_left), (col.r_left[i], single.r_left),
-                                  (col.t[i], single.t_right), (col.r_right[i], single.r_right)):
+                for got, want in ((col.t[i], t), (col.r_left[i], r_left),
+                                  (col.r_right[i], r_right)):
                     assert abs(got - want) <= 1e-13 * scale
                 assert col.s_left[i] == pytest.approx(s_left, rel=1e-13)
                 assert col.s_right[i] == pytest.approx(s_right, rel=1e-13)
@@ -198,15 +200,15 @@ class TestSweep:
     def test_approx_generalized_unitarity_everywhere(self, x):
         p = MediumParams.tuned(ev_to_angular(5.0), ev_to_angular(0.2),
                                ev_to_angular(1.25), 19.7e-6)
-        amp = amplitudes(build_approx_stack(p, (x - 1.0) * p.omega_c))
-        cross = amp.r_left.conjugate() * amp.r_right
-        assert abs(abs(amp.t_left) ** 2 + cross - 1.0) <= 1e-8
+        t, r_left, _, r_right = kernel_amplitudes(
+            *approx_bilayer(p, (x - 1.0) * p.omega_c))
+        cross = r_left.conjugate() * r_right
+        assert abs(abs(t) ** 2 + cross - 1.0) <= 1e-8
         assert abs(cross.imag) <= 1e-8
-        assert abs((amp.t_left.conjugate() * amp.r_left).real) <= 1e-8
-        assert abs((amp.t_left.conjugate() * amp.r_right).real) <= 1e-8
+        assert abs((t.conjugate() * r_left).real) <= 1e-8
+        assert abs((t.conjugate() * r_right).real) <= 1e-8
 
     def test_exact_model_oracle_spot_check(self, params):
-        stack = build_exact_stack(params, 1.0197 * params.omega_c)
-        rel = max_relative_difference(amplitudes(stack),
-                                      ode_amplitudes_for_stack(stack))
+        stack = exact_bilayer(params, 1.0197 * params.omega_c)
+        rel = max_relative_difference(kernel_amplitudes(*stack), ode_amplitudes(*stack))
         assert rel < 1e-6
