@@ -9,9 +9,10 @@ validate the correspondence with the stationary amplitudes.
 
 One step loop, :func:`_march`, checks dt, builds the operators and LU-factors
 the constant tridiagonal LHS once (LAPACK zgttrf), then yields the field
-after each step; a step is one zgttrs solve.  :func:`propagate` keeps every
-k-th state from it; :func:`scatter_packet` checks the walls and keeps its
-snapshots.
+after each step; a step is one zgttrs solve and allocates nothing.  The
+yielded field is one of two reused buffers, valid until the next step.
+:func:`propagate` keeps a copy of every k-th state from it;
+:func:`scatter_packet` checks the walls and keeps copies of its snapshots.
 
 Caution: for strong pumping the gain section can exceed its amplification
 threshold (the bilayer then hosts exponentially growing modes, seeded by
@@ -175,6 +176,12 @@ def initial_gaussian(spec: WavepacketSpec, grid: SpatialGrid,
     return WavepacketState(psi=psi, t=0.0, grid=grid)
 
 
+def _require_positive(name: str, value: float):
+    """Reject a value that is not a finite, positive number (nan, inf, <= 0)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value:g}")
+
+
 def _cn_operators(potential: np.ndarray, mass: float, dz: float, dt: float):
     """Tridiagonal LHS as (sub-, main, super-diagonal), and the RHS main
     diagonal and off-diagonal value, of one implicit midpoint step."""
@@ -198,7 +205,10 @@ def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
     """Yield (step, psi) after each of n_steps implicit midpoint steps.
 
     The constant LHS is checked and LU-factored once (zgttrf); each step
-    builds the RHS, checks it and is one zgttrs solve.
+    builds the RHS, checks it and is one zgttrs solve.  A step allocates
+    nothing: the caller's psi is copied once, then two field buffers take
+    turns as the current field and the RHS/solution, so the yielded array is
+    overwritten by the next step.  Copy it to keep it.
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
 
@@ -211,14 +221,24 @@ def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
                                         overwrite_du=1)
     if info > 0:  # pragma: no cover - cannot occur under the guard
         raise RuntimeError(f"singular Crank-Nicolson system: zero pivot {info}")
+    cur = np.array(psi, dtype=complex)
+    nxt = np.empty_like(cur)
+    term = np.empty_like(cur)
+    # isfinite on the float view tests real and imaginary parts, as on complex
+    finite = np.empty(2 * cur.size, dtype=bool)
     for step in range(1, n_steps + 1):
-        rhs = rhs_main * psi
-        rhs[1:] += gamma * psi[:-1]
-        rhs[:-1] += gamma * psi[1:]
-        psi, _ = zgttrs(dl, d, du, du2, ipiv, np.asarray_chkfinite(rhs), overwrite_b=1)
-        psi[0] = 0.0
-        psi[-1] = 0.0
-        yield step, psi
+        np.multiply(rhs_main, cur, out=nxt)
+        np.multiply(gamma, cur, out=term)
+        nxt[1:] += term[:-1]
+        nxt[:-1] += term[1:]
+        if not np.isfinite(nxt.view(float), out=finite).all():
+            raise ValueError("array must not contain infs or NaNs")
+        # contiguous, so the solution overwrites the RHS in place
+        nxt, _ = zgttrs(dl, d, du, du2, ipiv, nxt, overwrite_b=1)
+        nxt[0] = 0.0
+        nxt[-1] = 0.0
+        cur, nxt = nxt, cur
+        yield step, cur
 
 
 def propagate(state: WavepacketState, potential: np.ndarray, mass: float,
@@ -366,8 +386,14 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     run is rejected if the field touches a wall (enlarge the grid) or if a
     dominant share of it is still inside the medium (lengthen t_final, or
     note that above the amplification threshold the medium never clears).
-    ``record_times`` requests intermediate snapshots (nearest step).
+    ``record_times`` requests intermediate snapshots (nearest step); the
+    final state is always kept, once.
     """
+    _require_positive("t_final", t_final)
+    _require_positive("interior_tol", interior_tol)
+    for t in record_times:
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"record time must be finite and non-negative, got {t:g}")
     state = initial_gaussian(spec, grid, params)
     ratio = spec.bandwidth_ratio(params)
     if ratio > 0.1:
@@ -378,7 +404,9 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     n_steps = max(1, int(round(t_final / dt)))
     z = grid.z
     inside = (z >= -params.region_length) & (z <= params.region_length)
-    wanted = {min(n_steps, max(1, int(round(t / dt)))) for t in record_times}
+    # the final state is kept anyway: a time that rounds to t_final or past
+    # it adds nothing
+    wanted = {max(1, int(round(t / dt))) for t in record_times if t < t_final} - {n_steps}
     boundary_peak = 0.0
     recorded: list[WavepacketState] = []
     for step, psi in _march(state.psi, potential, mass, grid.dz, dt, n_steps):
@@ -444,8 +472,8 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     the fractions at the few-per-mil level.  Everything is overridable by
     constructing :class:`WavepacketSpec` and :class:`SpatialGrid` directly.
     """
-    if energy <= 0:
-        raise ValueError("carrier energy must be positive")
+    _require_positive("sigma", sigma)
+    _require_positive("carrier energy", energy)
     mass = effective_mass(params)
     k0 = math.sqrt(2.0 * mass * energy) / HBAR
     v = HBAR * k0 / mass

@@ -408,6 +408,28 @@ class TestPacketCommand:
         assert run_cli("packet", "--energy-ev", "-0.1") == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--t-final-ps", "inf", "t_final must be finite and positive, got inf"),
+        ("--t-final-ps", "-1", "t_final must be finite and positive, got -1e-12"),
+        ("--snapshot-times-ps", "0.1,inf",
+         "record time must be finite and non-negative, got inf"),
+        ("--snapshot-times-ps", "-0.1",
+         "record time must be finite and non-negative, got -1e-13"),
+        ("--energy-ev", "inf", "carrier energy must be finite and positive, got inf"),
+        ("--interior-tol", "nan", "interior_tol must be finite and positive, got nan"),
+        ("--sigma-um", "inf", "sigma must be finite and positive, got inf"),
+        ("--sigma-um", "nan", "sigma must be finite and positive, got nan"),
+    ])
+    def test_non_finite_packet_input_exits_2(self, monkeypatch, capsys,
+                                            option, value, message):
+        # rejected where the value enters, before any step is taken
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", no_steps)
+        assert run_cli("packet", option, value) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -209,6 +211,86 @@ class TestFactoredStepper:
         assert lapack_calls == {"zgttrf": 0, "zgttrs": 0}
 
 
+    def test_nonfinite_imaginary_part_rejected(self, params, lapack_calls):
+        # finite but for one imaginary infinity: rejected before any solve
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        psi = np.ones(grid.n_points, dtype=complex)
+        psi[1500] = complex(0.0, np.inf)
+        steps = _march(psi, potential_on_grid(params, grid), effective_mass(params),
+                       grid.dz, grid.dt, 3)
+        with pytest.raises(ValueError, match="infs or NaNs"), np.errstate(invalid="ignore"):
+            next(steps)
+        assert lapack_calls == {"zgttrf": 1, "zgttrs": 0}
+
+    def test_steps_allocate_nothing(self, params):
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
+                              carrier_k=carrier_for_energy(params, 0.2))
+        psi = initial_gaussian(spec, grid, params).psi
+        steps = _march(psi, potential_on_grid(params, grid), effective_mass(params),
+                       grid.dz, grid.dt, 11)
+        tracemalloc.start()
+        try:
+            next(steps)  # the buffers and the LU factors are set up here
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                next(steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 0.25 * psi.nbytes
+
+    def test_initial_field_untouched(self, params, monkeypatch):
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
+                              carrier_k=carrier_for_energy(params, 0.2))
+        potential = potential_on_grid(params, grid)
+        mass = effective_mass(params)
+        state = initial_gaussian(spec, grid, params)
+        before = state.psi.copy()
+        for _ in _march(state.psi, potential, mass, grid.dz, grid.dt, 5):
+            pass
+        propagate(state, potential, mass, grid.dt, 5, record_every=2)
+        assert np.array_equal(state.psi, before)
+        made = []
+
+        def kept_initial_gaussian(*args):
+            made.append(initial_gaussian(*args))
+            return made[-1]
+
+        monkeypatch.setattr(tp, "initial_gaussian", kept_initial_gaussian)
+        scatter_packet(params, spec, grid, 5 * grid.dt, interior_tol=1.0)
+        assert np.array_equal(made[0].psi, before)
+
+    @pytest.mark.parametrize("record_every", [1, 4])
+    def test_recorded_states_own_their_fields(self, params, record_every):
+        # the stepper yields a reused buffer; every kept state is its own copy
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
+                              carrier_k=carrier_for_energy(params, 0.2))
+        states = propagate(initial_gaussian(spec, grid, params),
+                           potential_on_grid(params, grid), effective_mass(params),
+                           grid.dt, 6, record_every=record_every)
+        assert len(states) == (7 if record_every == 1 else 3)
+        assert not any(np.shares_memory(a.psi, b.psi)
+                       for a, b in itertools.combinations(states, 2))
+
+    @pytest.mark.parametrize("from_left", [True, False])
+    def test_default_grid_bit_identical(self, params, from_left):
+        # the first 100 steps of the default packet run, on its own grid
+        plan = plan_packet_run(params, sigma=3e-6, energy=0.2 * E_CHARGE,
+                               from_left=from_left)
+        grid = plan.grid
+        assert grid.n_points == 22235
+        psi = initial_gaussian(plan.spec, grid, params).psi
+        potential = potential_on_grid(params, grid)
+        mass = effective_mass(params)
+        expected = banded_steps(psi, potential, mass, grid.dz, grid.dt, 100)
+        steps = _march(psi, potential, mass, grid.dz, grid.dt, 100)
+        assert all(np.array_equal(got, want) for (_, got), want in zip(steps, expected))
+
+
 class TestNormBalance:
     def _trajectory(self, params, dt, steps, potential=None, n=3000):
         grid = SpatialGrid(-55e-6, 45e-6, n, dt)
@@ -383,6 +465,16 @@ class TestScatter:
         assert len(result.states) == 2
         assert result.states[0].t == pytest.approx(0.4e-12, rel=1e-6)
         assert result.states[-1].t == pytest.approx(plan.t_final, rel=1e-3)
+
+
+    def test_final_snapshot_kept_once(self, params):
+        # requested times at and past t_final all fall on the final state
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
+                              carrier_k=carrier_for_energy(params, 0.2))
+        result = scatter_packet(params, spec, grid, 150 * grid.dt, interior_tol=1.0,
+                                record_times=(50 * grid.dt, 150 * grid.dt, 1e-12))
+        assert [round(s.t / grid.dt) for s in result.states] == [50, 150]
 
 
 class TestPrediction:
