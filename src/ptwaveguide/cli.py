@@ -11,12 +11,15 @@ import json
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
-from itertools import chain, repeat
+from itertools import chain
 from math import log10
+from time import perf_counter
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__
+from .csvtext import WIDTH, g15_fields, join_rows
 from .medium import MediumParams, from_config, width_mismatch
 from .helmholtz import amplitude_arrays
 from .models import (STATUS_NONFINITE, STATUS_OK, ModelColumns, ModelKind,
@@ -26,14 +29,26 @@ from .quantities import (E_CHARGE, Config, ConfigError, angular_to_ev,
                          with_overrides)
 from .timeprop import (BoundaryContaminationError, IncompleteScatterError,
                        PlacementError, deviation_percent,
-                       fractions_below_residual, plan_packet_run, scatter_packet)
+                       fractions_below_residual, plan_packet_run,
+                       require_record_times, scatter_packet)
 
 CSV_HEADER = ("omega_over_omegac,model,t_left_re,t_left_im,r_left_re,r_left_im,"
               "t_right_re,t_right_im,r_right_re,r_right_im,sum_left,sum_right,"
               "log10_sum_left,log10_sum_right,status")
 
-_SNAPSHOT_ROW = "%.15g,%.15g,%.15g,%.15g,%.15g\n"
-_SNAPSHOT_BLOCK = 2048  # points per write; a whole state at once adds ~8 MB of peak RSS
+# The distinct numeric columns of a model, and the CSV's 12 numeric fields
+# as indices into them: t_left and t_right print the same t.
+_CSV_FIELDS = ("t_re", "t_im", "r_left_re", "r_left_im", "r_right_re", "r_right_im",
+               "sum_left", "sum_right", "log10_sum_left", "log10_sum_right")
+_CSV_ORDER = (0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 8, 9)
+
+# Values per renderer call.  The sweep renders a block of frequencies in one
+# call; the snapshot writer renders each column of a block of points alone,
+# as it runs at the end of a packet run, on top of its peak RSS.  Writing 11
+# states of 22,235 points raises peak RSS by ~0.3 MB at 1024 points per
+# block, ~0.7 MB at 2048, ~4 MB at 8192 and ~11 MB a whole state at once.
+_SWEEP_BLOCK = 8192
+_SNAPSHOT_BLOCK = 1024
 
 _MODEL_CHOICES = {
     "exact": (ModelKind.EXACT,),
@@ -42,28 +57,75 @@ _MODEL_CHOICES = {
 }
 
 
-def _model_lines(x: list[float], model: ModelKind, col: ModelColumns) -> list[str]:
-    # one %-template render per row over .tolist() columns: Python floats
-    # print exactly as f"{x:.15g}" does
-    s_left, s_right = col.s_left.tolist(), col.s_right.tolist()
-    t_re, t_im = col.t.real.tolist(), col.t.imag.tolist()
-    template = "%.15g," + model.value + ",%.15g" * 12 + "," + STATUS_OK
-    lines = [template % row for row in zip(
-        x, t_re, t_im, col.r_left.real.tolist(), col.r_left.imag.tolist(),
-        t_re, t_im, col.r_right.real.tolist(), col.r_right.imag.tolist(),
-        s_left, s_right, map(log10, s_left), map(log10, s_right))]
-    blank = "%.15g," + model.value + "," * 13 + "%s"
-    for i in np.flatnonzero(col.status != STATUS_OK).tolist():
-        lines[i] = blank % (x[i], col.status[i])
-    return lines
+def _log10(s: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    # math.log10 on Python floats: numpy's log10 differs from it in the last
+    # ulp for about a quarter of inputs.  Rows that are not ok print no number.
+    out = np.ones_like(s)
+    out[ok] = [log10(v) for v in s[ok].tolist()]
+    return out
+
+
+def _model_values(col: ModelColumns, lo: int, hi: int, ok: np.ndarray) -> list[np.ndarray]:
+    """The 10 distinct numeric columns of one model's rows lo..hi, in the
+    order of :data:`_CSV_FIELDS`."""
+    t, r_left, r_right = col.t[lo:hi], col.r_left[lo:hi], col.r_right[lo:hi]
+    s_left, s_right = col.s_left[lo:hi], col.s_right[lo:hi]
+    return [t.real, t.imag, r_left.real, r_left.imag, r_right.real, r_right.imag,
+            s_left, s_right, _log10(s_left, ok), _log10(s_right, ok)]
+
+
+def csv_chunks(table: SweepTable) -> Iterator[bytes]:
+    """The sweep table in the fixed CSV schema, header first, then blocks
+    of rows: one line per frequency and model, each field as '%.15g'; rows
+    that are not ok keep empty numeric fields and their status."""
+    yield (CSV_HEADER + "\n").encode()
+    columns = list(table.models.values())
+    names = np.array([f",{model.value},".encode() for model in table.models])
+    names = names.view(np.uint8).reshape(len(columns), -1)
+    n = len(table.omega_over_omegac)
+    rows = _SWEEP_BLOCK // (1 + len(_CSV_FIELDS) * len(columns))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        status = np.stack([col.status[lo:hi] for col in columns], axis=1)
+        ok = status == STATUS_OK
+        # one render per block: x once for all models, then each model's columns
+        fields = g15_fields(np.concatenate([table.omega_over_omegac[lo:hi], *chain.from_iterable(
+            _model_values(col, lo, hi, ok[:, j]) for j, col in enumerate(columns))]))
+        x = fields[:hi - lo, None]
+        numbers = fields[hi - lo:].reshape(len(columns), len(_CSV_FIELDS), hi - lo, WIDTH)
+        numbers = numbers.transpose(2, 0, 1, 3)  # frequency, model, column, text
+        numbers[~ok] = 0
+        cells = [x, names]
+        for k in _CSV_ORDER:
+            cells += [numbers[:, :, k], b","]
+        # nine bytes fit the longest status, "nonfinite"
+        cells += [status.astype("S9").view(np.uint8).reshape(hi - lo, len(columns), 9), b"\n"]
+        yield join_rows(cells, (hi - lo, len(columns)))
 
 
 def rows_to_csv(table: SweepTable) -> str:
-    """Render the sweep table in the fixed schema, one line per frequency and
-    model; rows that are not ok keep empty numeric fields and their status."""
-    x = table.omega_over_omegac.tolist()
-    per_model = [_model_lines(x, model, col) for model, col in table.models.items()]
-    return "\n".join([CSV_HEADER, *chain.from_iterable(zip(*per_model))]) + "\n"
+    """The text of :func:`csv_chunks`."""
+    return b"".join(csv_chunks(table)).decode("ascii")
+
+
+def write_snapshots(path: str, states) -> None:
+    """Snapshot CSV: one line per state and grid point, each field as '%.15g'."""
+    with open(path, "wb") as fh:
+        fh.write(b"t,z,re_psi,im_psi,abs2_psi\n")
+        for state in states:
+            t = b"%.15g," % state.t
+            for lo in range(0, state.psi.size, _SNAPSHOT_BLOCK):
+                psi = state.psi[lo:lo + _SNAPSHOT_BLOCK]
+                # |psi|^2 as hypot, then Python's float ** (libm pow): the
+                # digits of abs(p) ** 2 on a numpy complex scalar
+                abs2 = np.array([a ** 2 for a in np.hypot(psi.real, psi.imag).tolist()])
+                # z is rendered again for each state: the run's z text held
+                # through the whole write (22 bytes a point) would raise
+                # peak RSS more than the writer's blocks do
+                z = g15_fields(state.grid.z[lo:lo + _SNAPSHOT_BLOCK])
+                fh.write(join_rows([t, z, b",", g15_fields(psi.real),
+                                    b",", g15_fields(psi.imag), b",", g15_fields(abs2),
+                                    b"\n"], (psi.size,)))
 
 
 def render_plot_script(csv_path: str) -> str:
@@ -90,7 +152,9 @@ def render_plot_script(csv_path: str) -> str:
 
 
 def write_manifest(path: str, config: Config, params: MediumParams,
-                   table: SweepTable) -> None:
+                   table: SweepTable, stage_seconds: dict[str, float] | None = None) -> None:
+    """JSON manifest of a sweep: resolved config, derived quantities, row
+    counts and, when given, the wall time of each stage of the run."""
     by_status = table.status_counts()
     frequencies, csv_rows = len(table.omega_over_omegac), sum(by_status.values())
     manifest = {
@@ -112,6 +176,7 @@ def write_manifest(path: str, config: Config, params: MediumParams,
         "csv_rows": csv_rows,
         "singular_rows": csv_rows - by_status[STATUS_OK],
         "rows_by_status": by_status,
+        "stage_seconds": stage_seconds or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -177,20 +242,25 @@ def _load(args) -> Config:
 
 
 def cmd_sweep(args) -> int:
+    start = perf_counter()
     config = _load(args)
     params = from_config(config)
+    configured = perf_counter()
     models = _MODEL_CHOICES[args.models]
     table = sweep(params, config.sweep_start, config.sweep_stop,
                   config.sweep_points, models=models)
-    csv_text = rows_to_csv(table)
-    with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text)
-    write_manifest(config.output_path + ".manifest.json", config, params, table)
+    swept = perf_counter()
+    with open(config.output_path, "wb") as fh:
+        fh.writelines(csv_chunks(table))
+    stage_seconds = {"config": configured - start, "sweep": swept - configured,
+                     "csv": perf_counter() - swept}
+    write_manifest(config.output_path + ".manifest.json", config, params, table,
+                   stage_seconds)
     x, by_status = table.omega_over_omegac, table.status_counts()
-    singular = sum(by_status.values()) - by_status[STATUS_OK]
     max_defect = float(np.max(pt_defect(ModelKind.EXACT, params, x * params.omega_c)))
+    counts = ", ".join(f"{n} {status}" for status, n in by_status.items())
     print(f"wrote {config.output_path}: {len(x)} frequencies x "
-          f"{len(models)} model(s), {singular} singular row(s)")
+          f"{len(models)} model(s), rows {counts}")
     print(f"max mirror-conjugation defect of the exact profile: {max_defect:.6g}")
     if args.plot:
         plot_path = config.output_path + ".gp"
@@ -236,6 +306,10 @@ def cmd_packet(args) -> int:
         plan = replace(plan, t_final=args.t_final_ps * 1e-12)
     record = tuple(float(t) * 1e-12 for t in args.snapshot_times_ps.split(",")) \
         if args.snapshot_times_ps else ()
+    require_record_times(record)
+    if record and not args.snapshots:
+        raise ValueError("--snapshot-times-ps needs --snapshots: the requested states "
+                         "would not be written")
     guards = {}
     if args.interior_tol is not None:
         guards["interior_tol"] = args.interior_tol
@@ -259,17 +333,7 @@ def cmd_packet(args) -> int:
               f"interior residual {result.interior_norm:.3g}; it is not settled",
               file=sys.stderr)
     if args.snapshots:
-        with open(args.snapshots, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,z,re_psi,im_psi,abs2_psi\n")
-            for state in result.states:
-                for lo in range(0, state.psi.size, _SNAPSHOT_BLOCK):
-                    psi = state.psi[lo:lo + _SNAPSHOT_BLOCK]
-                    # |psi|^2 as hypot, then Python's float ** (libm pow): the
-                    # digits of abs(p) ** 2 on a numpy complex scalar
-                    abs2 = [a ** 2 for a in np.hypot(psi.real, psi.imag).tolist()]
-                    fh.write("".join([_SNAPSHOT_ROW % row for row in zip(
-                        repeat(state.t), state.grid.z[lo:lo + _SNAPSHOT_BLOCK].tolist(),
-                        psi.real.tolist(), psi.imag.tolist(), abs2)]))
+        write_snapshots(args.snapshots, result.states)
         print(f"wrote {args.snapshots}")
     return 0
 

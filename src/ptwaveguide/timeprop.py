@@ -375,6 +375,13 @@ def fractions_below_residual(result: ScatterResult) -> tuple[str, ...]:
                  if getattr(result, name) < result.interior_norm)
 
 
+def require_record_times(record_times: Sequence[float]) -> None:
+    """Reject a snapshot time that is not finite and non-negative."""
+    for t in record_times:
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"record time must be finite and non-negative, got {t:g}")
+
+
 def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid,
                    t_final: float, *, interior_tol: float = INTERIOR_TOL,
                    check_every: int = 200, record_times: Sequence[float] = ()
@@ -391,9 +398,7 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     """
     _require_positive("t_final", t_final)
     _require_positive("interior_tol", interior_tol)
-    for t in record_times:
-        if not (math.isfinite(t) and t >= 0):
-            raise ValueError(f"record time must be finite and non-negative, got {t:g}")
+    require_record_times(record_times)
     state = initial_gaussian(spec, grid, params)
     ratio = spec.bandwidth_ratio(params)
     if ratio > 0.1:

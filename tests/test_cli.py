@@ -80,6 +80,15 @@ class TestRowStatus:
         assert manifest["rows_by_status"] == {"ok": 1, "singular": 1, "nonfinite": 1}
         assert sum(manifest["rows_by_status"].values()) == manifest["csv_rows"] == 3
 
+    def test_sweep_summary_counts_each_status(self, table, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: table)
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--models", "exact", "--output", str(out)) == 0
+        assert "3 frequencies x 1 model(s), rows 1 ok, 1 singular, 1 nonfinite\n" \
+            in capsys.readouterr().out
+        # the file is written block by block; rows_to_csv returns the same text
+        assert out.read_text() == cli.rows_to_csv(table)
+
     def test_check_fails_on_nonfinite(self, table, params):
         failures = cli.run_checks(table, params, Config())
         assert "non-finite amplitudes at x=1.003 (exact)" in failures
@@ -269,6 +278,9 @@ class TestSweepCommand:
         assert sum(manifest["rows_by_status"].values()) == manifest["csv_rows"] == 4
         assert manifest["derived"]["hbar_omega_c_ev"] == pytest.approx(5.0)
         assert manifest["config"]["sweep_points"] == 2
+        stages = manifest["stage_seconds"]
+        assert set(stages) == {"config", "sweep", "csv"}
+        assert all(seconds >= 0.0 for seconds in stages.values())
 
 
 class TestPlotCommand:
@@ -430,6 +442,16 @@ class TestPacketCommand:
         assert run_cli("packet", option, value) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_snapshot_times_need_snapshots_file(self, monkeypatch, capsys):
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", no_steps)
+        assert run_cli("packet", "--snapshot-times-ps", "0.1") == 2
+        assert capsys.readouterr().err == (
+            "error: --snapshot-times-ps needs --snapshots: the requested states "
+            "would not be written\n")
+
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -448,6 +470,13 @@ def test_import_leaves_scipy_unloaded():
     # should not pay for importing it
     code = "import sys, ptwaveguide.cli; print('scipy' in sys.modules)"
     assert run_python("-c", code).stdout.strip() == "False"
+
+
+def test_import_builds_no_render_tables():
+    # the CSV renderer's tables are built on first use, not by importing the CLI
+    code = ("import ptwaveguide.cli, ptwaveguide.csvtext as c; "
+            "print(c._tables.cache_info().currsize)")
+    assert run_python("-c", code).stdout.strip() == "0"
 
 
 def test_sweep_figure_script(tmp_path):
