@@ -11,8 +11,9 @@ One step loop, :func:`_march`, checks dt, builds the operators and LU-factors
 the constant tridiagonal LHS once (LAPACK zgttrf), then yields the field
 after each step; a step is one zgttrs solve and allocates nothing.  The
 yielded field is one of two reused buffers, valid until the next step.
-:func:`propagate` keeps a copy of every k-th state from it;
-:func:`scatter_packet` checks the walls and keeps copies of its snapshots.
+:func:`propagate` returns the final state, :func:`norm_balance_residual` keeps
+a norm and a flux per step, and :func:`scatter_packet` checks the walls and
+keeps copies of its snapshots.
 
 Caution: for strong pumping the gain section can exceed its amplification
 threshold (the bilayer then hosts exponentially growing modes, seeded by
@@ -23,6 +24,7 @@ recipe.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -138,8 +140,11 @@ def norm(state: WavepacketState) -> float:
 def potential_on_grid(params: MediumParams, grid: SpatialGrid) -> np.ndarray:
     """Effective potential sampled on the grid (complex, joules).
 
-    Boundary points take the region to their right, as in
-    :func:`medium.region_sign`.
+    A point exactly on a region boundary takes the region to its right, as
+    in :func:`medium.region_sign`.  But the grid is a ``linspace``: a boundary
+    that :func:`plan_packet_run` snaps onto the grid misses its point by
+    roundoff, on either side, so that point does not reliably take the region
+    to its right.
     """
     z = grid.z
     l = params.region_length
@@ -242,54 +247,39 @@ def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
 
 
 def propagate(state: WavepacketState, potential: np.ndarray, mass: float,
-              dt: float, n_steps: int, record_every: int = 0) -> list[WavepacketState]:
-    """March n_steps; return recorded states (always includes the final one).
-
-    record_every = 0 records only the final state; k > 0 records every k-th
-    step starting from the initial state.
-    """
+              dt: float, n_steps: int) -> WavepacketState:
+    """March n_steps from state; return the final state."""
     psi = np.asarray(state.psi, dtype=complex)
-    out: list[WavepacketState] = []
-    if record_every:
-        out.append(state)
-    for step, psi in _march(psi, potential, mass, state.grid.dz, dt, n_steps):
-        if record_every and step % record_every == 0:
-            out.append(WavepacketState(psi=psi.copy(), t=state.t + step * dt,
-                                       grid=state.grid))
-    final = WavepacketState(psi=psi, t=state.t + n_steps * dt, grid=state.grid)
-    if not out or out[-1].t != final.t:
-        out.append(final)
-    return out
+    for _, psi in _march(psi, potential, mass, state.grid.dz, dt, n_steps):
+        pass
+    return WavepacketState(psi=psi, t=state.t + n_steps * dt, grid=state.grid)
 
 
-def norm_balance_residual(trajectory: Sequence[WavepacketState],
-                          potential: np.ndarray) -> float:
-    """Worst violation of d/dt(norm) = (2/hbar) * sum Im(V) |psi|^2 dz.
+def norm_balance_residual(state: WavepacketState, potential: np.ndarray,
+                          mass: float, dt: float, n_steps: int) -> float:
+    """Worst violation of d/dt(norm) = (2/hbar) * sum Im(V) |psi|^2 dz over
+    n_steps from state.
 
-    Central time differences at interior states; the defect rate is scaled
-    by the norm and by the characteristic balance rate (the largest |flux|
-    per unit norm, floored at 1/duration so the Hermitian case is still
-    well-defined).  Second-order accurate stepping makes this O(dt^2).
+    The march keeps two numbers per state, its norm and its flux, not the
+    state.  Central time differences at interior states; the defect rate is
+    scaled by the norm and by the characteristic balance rate (the largest
+    |flux| per unit norm, floored at 1/duration so the Hermitian case is
+    still well-defined).  Second-order accurate stepping makes this O(dt^2).
     """
-    if len(trajectory) < 3:
-        raise ValueError("need at least 3 states")
-    times = np.array([s.t for s in trajectory])
-    steps = np.diff(times)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("trajectory must be uniformly spaced in time")
-    dt = float(steps[0])
-    dz = trajectory[0].grid.dz
-    norms = np.array([norm(s) for s in trajectory])
+    if n_steps < 2:
+        raise ValueError("need at least 2 steps (3 states)")
+    dz = state.grid.dz
     im_v = np.imag(potential)
-    fluxes = np.array([(2.0 / HBAR) * float(np.sum(im_v * np.abs(s.psi) ** 2) * dz)
-                       for s in trajectory])
-    duration = times[-1] - times[0]
-    rate_scale = max(float(np.max(np.abs(fluxes) / norms)), 1.0 / duration)
-    worst = 0.0
-    for k in range(1, len(trajectory) - 1):
-        dndt = (norms[k + 1] - norms[k - 1]) / (2.0 * dt)
-        worst = max(worst, abs(dndt - fluxes[k]) / norms[k])
-    return worst / rate_scale
+    norms = np.empty(n_steps + 1)
+    fluxes = np.empty(n_steps + 1)
+    for k, psi in itertools.chain([(0, state.psi)],
+                                  _march(state.psi, potential, mass, dz, dt, n_steps)):
+        absq = np.abs(psi) ** 2
+        norms[k] = float(np.sum(absq) * dz)
+        fluxes[k] = (2.0 / HBAR) * float(np.sum(im_v * absq) * dz)
+    rate_scale = max(float(np.max(np.abs(fluxes) / norms)), 1.0 / (n_steps * dt))
+    dndt = (norms[2:] - norms[:-2]) / (2.0 * dt)
+    return float(np.max(np.abs(dndt - fluxes[1:-1]) / norms[1:-1])) / rate_scale
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,9 @@ def hermitian_params():
 
 @pytest.fixture(scope="session")
 def subcritical_params():
-    """Weaker pumping (0.1 eV plasma frequency): the gain section stays below
-    its amplification threshold at every frequency, so time-domain runs
-    converge at low carriers too."""
+    """Weaker pumping (0.1 eV plasma frequency): short time-domain runs at
+    low carriers converge too.  It is not shown to be below its
+    amplification threshold at every frequency."""
     return MediumParams.tuned(
         omega0=ev_to_angular(5.0),
         omega_p=ev_to_angular(0.1),

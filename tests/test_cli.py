@@ -1,3 +1,4 @@
+import glob
 import io
 import json
 import math
@@ -480,9 +481,14 @@ def test_import_builds_no_render_tables():
 
 
 def test_sweep_figure_script(tmp_path):
+    # every script runs here, each given one output path, so none goes unrun;
     # the figure script writes the CSV of the default sweep command
-    figure = tmp_path / "figure.csv"
-    run_python(os.path.join(ROOT, "scripts", "sweep_figure.py"), str(figure), cwd=tmp_path)
+    scripts = sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py")))
+    assert scripts
+    for script in scripts:
+        name = os.path.splitext(os.path.basename(script))[0]
+        run_python(script, str(tmp_path / f"{name}.csv"), cwd=tmp_path)
+    figure = tmp_path / "sweep_figure.csv"
     assert run_cli("sweep", "--output", str(tmp_path / "sweep.csv")) == 0
     assert figure.read_bytes() == (tmp_path / "sweep.csv").read_bytes()
-    assert (tmp_path / "figure.csv.gp").exists()
+    assert (tmp_path / "sweep_figure.csv.gp").exists()

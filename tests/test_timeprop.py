@@ -16,7 +16,7 @@ from ptwaveguide.models import approx_bilayer
 from ptwaveguide.quantities import E_CHARGE, HBAR
 from ptwaveguide.timeprop import (PRINTED_RESOLUTION, BoundaryContaminationError,
                                   IncompleteScatterError, PlacementError,
-                                  SpatialGrid, WavepacketSpec, WavepacketState,
+                                  SpatialGrid, WavepacketSpec,
                                   _march, fractions_below_residual,
                                   initial_gaussian, norm, norm_balance_residual,
                                   plan_packet_run, potential_on_grid, propagate,
@@ -120,7 +120,7 @@ class TestCrankNicolson:
                               carrier_k=carrier_for_energy(params, 0.2))
         state = initial_gaussian(spec, grid, params)
         potential = np.zeros(grid.n_points, dtype=complex)
-        out = propagate(state, potential, effective_mass(params), grid.dt, 1)[-1]
+        out = propagate(state, potential, effective_mass(params), grid.dt, 1)
         assert norm(out) == pytest.approx(1.0, abs=1e-12)
         assert out.t == grid.dt
 
@@ -138,7 +138,7 @@ class TestCrankNicolson:
             state = initial_gaussian(spec, grid, params)
             potential = np.full(grid.n_points, sign * 1j * vmag, dtype=complex)
             steps = int(round(4e-14 / dt))
-            final = propagate(state, potential, mass, dt, steps)[-1]
+            final = propagate(state, potential, mass, dt, steps)
             expected = math.exp(sign * 2.0 * vmag * steps * dt / HBAR)
             grid_dt[dt] = abs(norm(final) - expected) / expected
         assert grid_dt[1e-16] < 5e-4
@@ -175,12 +175,12 @@ class TestFactoredStepper:
                      + 1j * direction * carrier_for_energy(params, 0.2) * z)
         potential = potential_on_grid(params, grid)
         mass = effective_mass(params)
-        states = propagate(WavepacketState(psi=psi, t=0.0, grid=grid), potential,
-                           mass, grid.dt, 300, record_every=1)
+        fields = [got.copy() for _, got in _march(psi, potential, mass, grid.dz,
+                                                  grid.dt, 300)]
         expected = banded_steps(psi, potential, mass, grid.dz, grid.dt, 300)
         assert np.any(np.imag(potential) != 0)
-        assert len(states) == 301
-        assert all(np.array_equal(s.psi, e) for s, e in zip(states[1:], expected))
+        assert len(fields) == 300
+        assert all(np.array_equal(got, want) for got, want in zip(fields, expected))
 
     def test_one_factorization_per_run(self, params, lapack_calls):
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
@@ -251,7 +251,8 @@ class TestFactoredStepper:
         before = state.psi.copy()
         for _ in _march(state.psi, potential, mass, grid.dz, grid.dt, 5):
             pass
-        propagate(state, potential, mass, grid.dt, 5, record_every=2)
+        propagate(state, potential, mass, grid.dt, 5)
+        norm_balance_residual(state, potential, mass, grid.dt, 5)
         assert np.array_equal(state.psi, before)
         made = []
 
@@ -263,16 +264,16 @@ class TestFactoredStepper:
         scatter_packet(params, spec, grid, 5 * grid.dt, interior_tol=1.0)
         assert np.array_equal(made[0].psi, before)
 
-    @pytest.mark.parametrize("record_every", [1, 4])
-    def test_recorded_states_own_their_fields(self, params, record_every):
+    @pytest.mark.parametrize("every", [1, 4])
+    def test_recorded_states_own_their_fields(self, params, every):
         # the stepper yields a reused buffer; every kept state is its own copy
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        states = propagate(initial_gaussian(spec, grid, params),
-                           potential_on_grid(params, grid), effective_mass(params),
-                           grid.dt, 6, record_every=record_every)
-        assert len(states) == (7 if record_every == 1 else 3)
+        states = scatter_packet(params, spec, grid, 6 * grid.dt,
+                                record_times=[k * grid.dt for k in range(every, 6, every)]
+                                ).states
+        assert len(states) == (6 if every == 1 else 2)
         assert not any(np.shares_memory(a.psi, b.psi)
                        for a, b in itertools.combinations(states, 2))
 
@@ -292,27 +293,26 @@ class TestFactoredStepper:
 
 
 class TestNormBalance:
-    def _trajectory(self, params, dt, steps, potential=None, n=3000):
+    def _start(self, params, dt, n=3000):
         grid = SpatialGrid(-55e-6, 45e-6, n, dt)
         spec = WavepacketSpec(center=-34e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        state = initial_gaussian(spec, grid, params)
+        return initial_gaussian(spec, grid, params), potential_on_grid(params, grid)
+
+    def _residual(self, params, dt, steps, potential=None, n=3000):
+        state, reference = self._start(params, dt, n)
         if potential is None:
-            potential = potential_on_grid(params, grid)
-        return propagate(state, potential, effective_mass(params), dt, steps,
-                         record_every=1), potential
+            potential = reference
+        return norm_balance_residual(state, potential, effective_mass(params),
+                                     dt, steps)
 
     def test_real_potential_conserves(self, params):
         potential = np.full(3000, 0.001 * E_CHARGE, dtype=complex)
-        traj, _ = self._trajectory(params, 1e-16, 300, potential=potential)
-        assert norm_balance_residual(traj, potential) <= 1e-10
+        assert self._residual(params, 1e-16, 300, potential=potential) <= 1e-10
 
     def test_reference_potential_residual_and_dt_scaling(self, params):
-        residuals = {}
-        for dt in (2e-16, 1e-16):
-            traj, potential = self._trajectory(params, dt, int(round(8e-14 / dt)),
-                                               n=5000)
-            residuals[dt] = norm_balance_residual(traj, potential)
+        residuals = {dt: self._residual(params, dt, int(round(8e-14 / dt)), n=5000)
+                     for dt in (2e-16, 1e-16)}
         assert residuals[1e-16] <= 1e-6
         # second-order stepping: halving dt divides the residual by ~4
         assert 3.0 <= residuals[2e-16] / residuals[1e-16] <= 5.0
@@ -320,17 +320,31 @@ class TestNormBalance:
     def test_uniform_imaginary_consistent(self, params):
         vmag = 0.008 * E_CHARGE
         potential = np.full(3000, -1j * vmag, dtype=complex)
-        traj, _ = self._trajectory(params, 1e-16, 300, potential=potential)
-        residual = norm_balance_residual(traj, potential)
+        residual = self._residual(params, 1e-16, 300, potential=potential)
         # dominated by the kinetic cross term (E dt / 2 hbar)^2-scale
         assert residual <= 1e-3
-        traj2, _ = self._trajectory(params, 5e-17, 600, potential=potential)
-        assert norm_balance_residual(traj2, potential) <= 0.3 * residual
+        assert self._residual(params, 5e-17, 600, potential=potential) <= 0.3 * residual
 
     def test_requires_three_states(self, params):
-        traj, potential = self._trajectory(params, 1e-16, 1)
-        with pytest.raises(ValueError):
-            norm_balance_residual(traj[:2], potential)
+        state, potential = self._start(params, 1e-16)
+        for steps in (0, 1):
+            with pytest.raises(ValueError, match="3 states"):
+                norm_balance_residual(state, potential, effective_mass(params),
+                                      1e-16, steps)
+
+    def test_keeps_scalars_not_states(self, params):
+        # criterion 10's grid over 801 states: a trajectory of them would
+        # take 801 fields; the residual keeps two floats per state, and the
+        # march's operators, LU factors and buffers take about 9 fields
+        state, potential = self._start(params, 1e-16, n=5000)
+        mass = effective_mass(params)
+        tracemalloc.start()
+        try:
+            norm_balance_residual(state, potential, mass, 1e-16, 800)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * state.psi.nbytes
 
 
 class TestScatter:
@@ -367,7 +381,7 @@ class TestScatter:
             state = initial_gaussian(spec, grid, sub)
             potential = potential_on_grid(sub, grid)
             final = propagate(state, potential, mass, grid.dt,
-                              int(round(1.5e-12 / grid.dt)))[-1]
+                              int(round(1.5e-12 / grid.dt)))
             totals[side] = norm(final)
         assert totals["left"] > 1.0 > totals["right"]
 
@@ -381,11 +395,11 @@ class TestScatter:
         steps = int(round(0.9e-12 / grid.dt))
         right = initial_gaussian(
             WavepacketSpec(center=45e-6, sigma=3e-6, carrier_k=-kbar), grid, sub)
-        total_right = norm(propagate(right, potential, mass, grid.dt, steps)[-1])
+        total_right = norm(propagate(right, potential, mass, grid.dt, steps))
         left_mirrored = initial_gaussian(
             WavepacketSpec(center=-45e-6, sigma=3e-6, carrier_k=kbar), grid, sub)
         total_left = norm(propagate(left_mirrored, potential[::-1].copy(), mass,
-                                    grid.dt, steps)[-1])
+                                    grid.dt, steps))
         assert abs(total_right - total_left) <= 1e-8 * total_right
 
     def test_grid_convergence_second_order(self, subcritical_params):
@@ -427,13 +441,16 @@ class TestScatter:
                               carrier_k=carrier_for_energy(params, 0.2))
         result = scatter_packet(params, spec, grid, 2000 * grid.dt, interior_tol=1.0,
                                 record_times=(1000 * grid.dt,))
-        states = propagate(initial_gaussian(spec, grid, params),
-                           potential_on_grid(params, grid), effective_mass(params),
-                           grid.dt, 2000, record_every=1000)
-        assert [s.t for s in result.states] == [s.t for s in states[1:]]
-        assert np.array_equal(result.states[0].psi, states[1].psi)
-        assert np.array_equal(result.states[-1].psi, states[-1].psi)
-        assert norm(states[-1]) > 2.0  # the packet has entered the gain section
+        potential = potential_on_grid(params, grid)
+        mass = effective_mass(params)
+        # the 2,000-step final continues the 1,000-step one
+        half = propagate(initial_gaussian(spec, grid, params), potential, mass,
+                         grid.dt, 1000)
+        finals = [half, propagate(half, potential, mass, grid.dt, 1000)]
+        assert [s.t for s in result.states] == [s.t for s in finals]
+        assert np.array_equal(result.states[0].psi, finals[0].psi)
+        assert np.array_equal(result.states[-1].psi, finals[-1].psi)
+        assert norm(finals[-1]) > 2.0  # the packet has entered the gain section
 
     def test_guard_rejects_large_dt(self, params):
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-12)
