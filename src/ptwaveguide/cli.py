@@ -252,8 +252,13 @@ def cmd_sweep(args) -> int:
     swept = perf_counter()
     with open(config.output_path, "wb") as fh:
         fh.writelines(csv_chunks(table))
+    written = perf_counter()
     stage_seconds = {"config": configured - start, "sweep": swept - configured,
-                     "csv": perf_counter() - swept}
+                     "csv": written - swept}
+    failures = []
+    if args.check:
+        failures = run_checks(table, params, config)
+        stage_seconds["checks"] = perf_counter() - written
     write_manifest(config.output_path + ".manifest.json", config, params, table,
                    stage_seconds)
     x, by_status = table.omega_over_omegac, table.status_counts()
@@ -267,12 +272,11 @@ def cmd_sweep(args) -> int:
         with open(plot_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render_plot_script(config.output_path))
         print(f"wrote {plot_path}")
+    if failures:
+        for message in failures:
+            print(f"CHECK FAILED: {message}", file=sys.stderr)
+        return 1
     if args.check:
-        failures = run_checks(table, params, config)
-        if failures:
-            for message in failures:
-                print(f"CHECK FAILED: {message}", file=sys.stderr)
-            return 1
         print("all sweep checks passed")
     return 0
 

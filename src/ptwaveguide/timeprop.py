@@ -11,6 +11,11 @@ One step loop, :func:`_march`, checks dt, builds the operators and LU-factors
 the constant tridiagonal LHS once (LAPACK zgttrf), then yields the field
 after each step; a step is one zgttrs solve and allocates nothing.  The
 yielded field is one of two reused buffers, valid until the next step.
+The two LAPACK routines come from scipy's compiled extension
+``scipy.linalg._flapack``, loaded directly (:func:`_flapack`): importing
+``scipy.linalg`` would cost each packet run 0.3-0.5 s and about 23 MB of
+memory for modules the stepper never calls.  They are the very objects
+``scipy.linalg.lapack`` exports, so the fields are bit-identical.
 :func:`propagate` returns the final state, :func:`norm_balance_residual` keeps
 a norm and a flux per step, and :func:`scatter_packet` checks the walls and
 keeps copies of its snapshots.
@@ -24,9 +29,13 @@ recipe.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,10 +94,11 @@ class SpatialGrid:
     def __post_init__(self):
         if self.n_points < 2:
             raise ValueError("need at least 2 grid points")
+        _require_finite("z_min", self.z_min)
+        _require_finite("z_max", self.z_max)
         if not self.z_max > self.z_min:
             raise ValueError("z_max must exceed z_min")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        _require_positive("dt", self.dt)
 
     @property
     def dz(self) -> float:
@@ -111,8 +121,9 @@ class WavepacketSpec:
     carrier_k: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        _require_finite("center", self.center)
+        _require_positive("sigma", self.sigma)
+        _require_finite("carrier_k", self.carrier_k)
         if self.carrier_k == 0:
             raise ValueError("carrier_k must be nonzero")
 
@@ -187,6 +198,12 @@ def _require_positive(name: str, value: float):
         raise ValueError(f"{name} must be finite and positive, got {value:g}")
 
 
+def _require_finite(name: str, value: float):
+    """Reject a value that is nan or infinite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value:g}")
+
+
 def _cn_operators(potential: np.ndarray, mass: float, dz: float, dt: float):
     """Tridiagonal LHS as (sub-, main, super-diagonal), and the RHS main
     diagonal and off-diagonal value, of one implicit midpoint step."""
@@ -205,18 +222,48 @@ def _check_guard(potential: np.ndarray, dt: float):
             f"{POTENTIAL_PHASE_GUARD}")
 
 
+def _flapack():
+    """scipy's compiled LAPACK extension, without scipy.linalg's __init__.
+
+    The module already in ``sys.modules`` if there is one; otherwise the
+    extension file found in scipy's directory (``find_spec`` imports nothing)
+    is loaded under its own name and registered, so a later
+    ``import scipy.linalg`` reuses the same module and function objects.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed")
+    folder = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no scipy LAPACK extension _flapack.* in {folder}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
            dt: float, n_steps: int):
     """Yield (step, psi) after each of n_steps implicit midpoint steps.
 
     The constant LHS is checked and LU-factored once (zgttrf); each step
-    builds the RHS, checks it and is one zgttrs solve.  A step allocates
+    builds the RHS, checks it and is one zgttrs solve, both read off
+    :func:`_flapack` at the first step.  A step allocates
     nothing: the caller's psi is copied once, then two field buffers take
     turns as the current field and the RHS/solution, so the yielded array is
     overwritten by the next step.  Copy it to keep it.
     """
-    from scipy.linalg.lapack import zgttrf, zgttrs
-
+    lapack = _flapack()
+    zgttrf, zgttrs = lapack.zgttrf, lapack.zgttrs
     _check_guard(potential, dt)
     lhs, rhs_main, gamma = _cn_operators(potential, mass, dz, dt)
     for band in lhs:

@@ -283,6 +283,20 @@ class TestSweepCommand:
         assert set(stages) == {"config", "sweep", "csv"}
         assert all(seconds >= 0.0 for seconds in stages.values())
 
+    @pytest.mark.parametrize("passing", [True, False])
+    def test_manifest_times_checks(self, tmp_path, capsys, monkeypatch, passing):
+        # the manifest is written after the checks, whether or not they pass
+        if not passing:
+            monkeypatch.setattr(cli, "run_checks", lambda *args: ["planted failure"])
+        out = tmp_path / "c.csv"
+        assert run_cli("sweep", "--sweep", "1.003:1.01:2", "--check",
+                       "--output", str(out)) == (0 if passing else 1)
+        err = capsys.readouterr().err
+        assert err == ("" if passing else "CHECK FAILED: planted failure\n")
+        stages = json.loads((tmp_path / "c.csv.manifest.json").read_text())["stage_seconds"]
+        assert set(stages) == {"config", "sweep", "csv", "checks"}
+        assert all(seconds >= 0.0 for seconds in stages.values())
+
 
 class TestPlotCommand:
     def test_script_series(self, tmp_path, capsys):
@@ -467,10 +481,55 @@ def run_python(*argv, cwd=None):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy serves only the ODE oracle and the time stepper; a sweep
-    # should not pay for importing it
+    # scipy.integrate serves only the ODE oracle, and the time stepper loads
+    # scipy's LAPACK extension at its first step; a sweep pays for neither
     code = "import sys, ptwaveguide.cli; print('scipy' in sys.modules)"
     assert run_python("-c", code).stdout.strip() == "False"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_packet_steps_leave_scipy_linalg_unloaded():
+    # two steps on the default packet grid: the stepper loads scipy's LAPACK
+    # extension alone, where importing scipy.linalg would add ~23 MB
+    code = """if True:
+        import resource, sys
+        import ptwaveguide.cli
+        from ptwaveguide.medium import effective_mass, from_config
+        from ptwaveguide.quantities import E_CHARGE, Config
+        from ptwaveguide.timeprop import (initial_gaussian, plan_packet_run,
+                                          potential_on_grid, propagate)
+        params = from_config(Config())
+        plan = plan_packet_run(params, 3e-6, 0.2 * E_CHARGE)
+        state = initial_gaussian(plan.spec, plan.grid, params)
+        potential = potential_on_grid(params, plan.grid)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        propagate(state, potential, effective_mass(params), plan.grid.dt, 2)
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        print(plan.grid.n_points, 'scipy.linalg' in sys.modules, grown)
+    """
+    n_points, linalg_loaded, grown_kib = run_python("-c", code).stdout.split()
+    assert (n_points, linalg_loaded) == ("22235", "False")
+    assert int(grown_kib) < 12 * 1024
+
+
+def test_stepper_lapack_shared_with_later_scipy_import():
+    # the extension the stepper loads is the one a later import of
+    # scipy.linalg uses: the same module, the same function objects
+    code = """if True:
+        import sys
+        from ptwaveguide.timeprop import _flapack
+        lapack = _flapack()
+        assert 'scipy.linalg' not in sys.modules
+        import numpy as np
+        import scipy.linalg, scipy.linalg.lapack
+        assert _flapack() is lapack is sys.modules['scipy.linalg._flapack']
+        assert scipy.linalg.lapack.zgttrf is lapack.zgttrf
+        assert scipy.linalg.lapack.zgttrs is lapack.zgttrs
+        x = scipy.linalg.solve_banded((1, 1), np.array([[0, 1.0], [2, 2], [1, 0]]),
+                                      np.array([1.0, 2.0]))
+        print(x.tolist())
+    """
+    assert run_python("-c", code).stdout.strip() == "[0.0, 1.0]"
 
 
 def test_import_builds_no_render_tables():

@@ -1,5 +1,9 @@
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -7,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
+from scipy.linalg import _flapack as flapack
 
 import ptwaveguide.timeprop as tp
 from ptwaveguide.helmholtz import SpectralSingularityError, amplitude_arrays
@@ -51,17 +56,37 @@ def banded_steps(psi, potential, mass, dz, dt, n_steps):
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Count the stepper's zgttrf and zgttrs calls."""
+    """Count the stepper's zgttrf and zgttrs calls, on the LAPACK extension
+    module it reads them from."""
     calls = {"zgttrf": 0, "zgttrs": 0}
     for name in calls:
-        original = getattr(scipy.linalg.lapack, name)
+        original = getattr(flapack, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+        monkeypatch.setattr(flapack, name, counted)
     return calls
+
+
+GRID = dict(z_min=-80e-6, z_max=60e-6, n_points=3000, dt=1e-16)
+SPEC = dict(center=-40e-6, sigma=2e-6, carrier_k=1e6)
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (SpatialGrid, "z_min", -math.inf),
+    (SpatialGrid, "z_max", math.inf),
+    (SpatialGrid, "dt", math.nan),
+    (WavepacketSpec, "center", math.nan),
+    (WavepacketSpec, "sigma", math.nan),
+    (WavepacketSpec, "carrier_k", math.inf),
+])
+def test_non_finite_field_rejected(cls, field, value):
+    valid = GRID if cls is SpatialGrid else SPEC
+    cls(**valid)
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        cls(**dict(valid, **{field: value}))
 
 
 class TestGaussian:
@@ -189,6 +214,21 @@ class TestFactoredStepper:
         propagate(initial_gaussian(spec, grid, params), potential_on_grid(params, grid),
                   effective_mass(params), grid.dt, 7)
         assert lapack_calls == {"zgttrf": 1, "zgttrs": 7}
+
+    def test_lapack_functions_are_scipys(self):
+        # the stepper's routines are the very objects scipy.linalg.lapack
+        # exports, however the extension was loaded
+        lapack = tp._flapack()
+        assert lapack.zgttrf is scipy.linalg.lapack.zgttrf
+        assert lapack.zgttrs is scipy.linalg.lapack.zgttrs
+
+    def test_missing_lapack_extension_names_folder(self, monkeypatch, tmp_path):
+        scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy_spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_spec)
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            tp._flapack()
 
     def test_nan_field_rejected(self, params):
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
