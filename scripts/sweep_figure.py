@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Reproduce the flux-sum comparison figure: both models swept over
-omega/omega_c, CSV + gnuplot script written next to each other.
+"""Reproduce the flux-sum comparison figure: runs `ptwaveguide sweep --plot`
+(both models, CSV + gnuplot script + manifest written next to each other),
+then prints two figures of that sweep.
 
 Usage: python scripts/sweep_figure.py [output.csv]
 Then:  gnuplot -p output.csv.gp
@@ -10,29 +11,24 @@ import sys
 
 import numpy as np
 
-from ptwaveguide.cli import render_plot_script, rows_to_csv, write_manifest
+from ptwaveguide import cli
 from ptwaveguide.medium import from_config
-from ptwaveguide.models import ModelKind, pt_defect, sweep
-from ptwaveguide.quantities import Config
+from ptwaveguide.models import ModelKind, sweep
+from ptwaveguide.quantities import Config, angular_to_ev
 
 out = sys.argv[1] if len(sys.argv) > 1 else "figure_sweep.csv"
-config = Config(output_path=out)
-params = from_config(config)
-models = (ModelKind.EXACT, ModelKind.APPROXIMATE)
+if cli.main(["sweep", "--plot", "--output", out]) != 0:
+    sys.exit(1)
 
-print(f"medium: hbar*omega_c = {5.0:.2f} eV tuned to the resonance, "
-      f"regions {params.region_length * 1e6:.1f} um")
+config = Config()
+params = from_config(config)
+print(f"medium: hbar*omega_c = {angular_to_ev(params.omega_c):.2f} eV tuned to the "
+      f"resonance, regions {params.region_length * 1e6:.1f} um")
 print(f"weak-resonance ratios: {params.regime_ratio_damping:.4f}, "
       f"{params.regime_ratio_cutoff:.4f}")
 
-table = sweep(params, config.sweep_start, config.sweep_stop,
-              config.sweep_points, models=models)
-
-with open(out, "w", encoding="utf-8", newline="\n") as fh:
-    fh.write(rows_to_csv(table))
-write_manifest(out + ".manifest.json", config, params, table)
-with open(out + ".gp", "w", encoding="utf-8", newline="\n") as fh:
-    fh.write(render_plot_script(out))
+table = sweep(params, config.sweep_start, config.sweep_stop, config.sweep_points,
+              models=(ModelKind.EXACT, ModelKind.APPROXIMATE))
 
 # where does the left/right asymmetry hold, and how close are the models?
 x = table.omega_over_omegac
@@ -47,9 +43,6 @@ worst_low = 0.0
 for se, sa in ((exact.s_left, approx.s_left), (exact.s_right, approx.s_right)):
     le, la = np.log10(se[low]), np.log10(sa[low])
     worst_low = max(worst_low, float(np.max(np.abs(le - la) / np.maximum(1.0, np.abs(le)))))
-defect = float(np.max(pt_defect(ModelKind.EXACT, params, x * params.omega_c)))
 print(f"s_left > 1 > s_right holds on every grid point up to omega/omega_c "
       f"= {asym_prefix:.4f} (both models)")
 print(f"worst log10 model-agreement metric below 1.0158: {worst_low:.4f}")
-print(f"max mirror-conjugation defect of the dispersive profile: {defect:.3f}")
-print(f"wrote {out}, {out}.gp, {out}.manifest.json")

@@ -25,9 +25,8 @@ from .helmholtz import amplitude_arrays
 from .models import (STATUS_NONFINITE, STATUS_OK, ModelColumns, ModelKind,
                      SweepTable, bilayer, pt_defect, sweep)
 from .quantities import (E_CHARGE, Config, ConfigError, angular_to_ev,
-                         config_as_dict, ev_to_angular, load_config,
-                         with_overrides)
-from .timeprop import (BoundaryContaminationError, IncompleteScatterError,
+                         config_as_dict, ev_to_angular, load_config)
+from .timeprop import (INTERIOR_TOL, BoundaryContaminationError, IncompleteScatterError,
                        PlacementError, deviation_percent,
                        fractions_below_residual, plan_packet_run,
                        require_record_times, scatter_packet)
@@ -103,11 +102,6 @@ def csv_chunks(table: SweepTable) -> Iterator[bytes]:
         yield join_rows(cells, (hi - lo, len(columns)))
 
 
-def rows_to_csv(table: SweepTable) -> str:
-    """The text of :func:`csv_chunks`."""
-    return b"".join(csv_chunks(table)).decode("ascii")
-
-
 def write_snapshots(path: str, states) -> None:
     """Snapshot CSV: one line per state and grid point, each field as '%.15g'."""
     with open(path, "wb") as fh:
@@ -152,11 +146,10 @@ def render_plot_script(csv_path: str) -> str:
 
 
 def write_manifest(path: str, config: Config, params: MediumParams,
-                   table: SweepTable, stage_seconds: dict[str, float] | None = None) -> None:
+                   table: SweepTable, stage_seconds: dict[str, float]) -> None:
     """JSON manifest of a sweep: resolved config, derived quantities, row
-    counts and, when given, the wall time of each stage of the run."""
+    counts and the wall time of each stage of the run."""
     by_status = table.status_counts()
-    frequencies, csv_rows = len(table.omega_over_omegac), sum(by_status.values())
     manifest = {
         "tool": "ptwaveguide",
         "version": __version__,
@@ -171,12 +164,10 @@ def write_manifest(path: str, config: Config, params: MediumParams,
             "regime_ratio_cutoff": params.regime_ratio_cutoff,
         },
         "models": [m.value for m in table.models],
-        "rows": frequencies,
-        "frequencies": frequencies,
-        "csv_rows": csv_rows,
-        "singular_rows": csv_rows - by_status[STATUS_OK],
+        "frequencies": len(table.omega_over_omegac),
+        "csv_rows": sum(by_status.values()),
         "rows_by_status": by_status,
-        "stage_seconds": stage_seconds or {},
+        "stage_seconds": stage_seconds,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -238,7 +229,7 @@ def _load(args) -> Config:
                          sweep_points=int(parts[2]))
     if getattr(args, "output", None):
         overrides["output_path"] = args.output
-    return with_overrides(config, **overrides)
+    return replace(config, **overrides)
 
 
 def cmd_sweep(args) -> int:
@@ -314,11 +305,8 @@ def cmd_packet(args) -> int:
     if record and not args.snapshots:
         raise ValueError("--snapshot-times-ps needs --snapshots: the requested states "
                          "would not be written")
-    guards = {}
-    if args.interior_tol is not None:
-        guards["interior_tol"] = args.interior_tol
     result = scatter_packet(params, plan.spec, plan.grid, plan.t_final,
-                            record_times=record, **guards)
+                            interior_tol=args.interior_tol, record_times=record)
     x_carrier = 1.0 + ev_to_angular(args.energy_ev) / params.omega_c
     print(f"carrier: {args.energy_ev:g} eV (omega/omega_c = {x_carrier:.4f}), "
           f"sigma = {args.sigma_um:g} um, incidence {args.incidence}")
@@ -377,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="left")
     p_packet.add_argument("--t-final-ps", type=float, default=None,
                           help="override the planned run duration")
-    p_packet.add_argument("--interior-tol", type=float, default=None,
+    p_packet.add_argument("--interior-tol", type=float, default=INTERIOR_TOL,
                           help="override the interior-clearance guard "
                                "(useful for mid-flight snapshots)")
     p_packet.add_argument("--snapshots", help="write field snapshots to this CSV")

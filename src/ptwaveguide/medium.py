@@ -50,11 +50,10 @@ class RegionKind(Enum):
 class MediumParams:
     """Medium and geometry parameters, all SI.
 
-    ``omega_c`` is derived from the slab width.  The primary constructor
-    rejects parameter sets where the cutoff does not coincide with the
-    resonance frequency, because the near-cutoff truncation implemented
-    here relies on that tuning; use :meth:`detuned` to bypass the check
-    for exploratory work.
+    ``omega_c`` is derived from the slab width.  The constructor rejects
+    parameter sets where the cutoff does not coincide with the resonance
+    frequency, because the near-cutoff truncation implemented here relies
+    on that tuning.
     """
 
     omega0: float
@@ -63,8 +62,6 @@ class MediumParams:
     slab_width: float
     region_length: float
     omega_c: float = field(init=False)
-    # False only through detuned(); not part of the medium's identity
-    check_tuning: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         if self.omega0 <= 0 or self.delta <= 0 or self.slab_width <= 0 \
@@ -73,13 +70,12 @@ class MediumParams:
         if self.omega_p < 0:
             raise ParameterError("omega_p must be non-negative")
         object.__setattr__(self, "omega_c", cutoff_frequency(self.slab_width))
-        if self.check_tuning:
-            rel = abs(self.omega_c - self.omega0) / self.omega0
-            if rel > CUTOFF_TUNING_TOL:
-                raise ParameterError(
-                    f"cutoff c*pi/width = {self.omega_c:.6e} does not match the resonance "
-                    f"omega0 = {self.omega0:.6e} (relative mismatch {rel:.2e}); "
-                    f"use MediumParams.tuned(...) or MediumParams.detuned(...)")
+        rel = abs(self.omega_c - self.omega0) / self.omega0
+        if rel > CUTOFF_TUNING_TOL:
+            raise ParameterError(
+                f"cutoff c*pi/width = {self.omega_c:.6e} does not match the resonance "
+                f"omega0 = {self.omega0:.6e} (relative mismatch {rel:.2e}); "
+                "use MediumParams.tuned(...)")
         if self.regime_ratio > REGIME_WARN_LEVEL:
             logger.warning(
                 "medium outside the weak-resonance regime: "
@@ -94,14 +90,6 @@ class MediumParams:
             raise ParameterError("omega0 must be positive")
         return cls(omega0=omega0, omega_p=omega_p, delta=delta,
                    slab_width=C * math.pi / omega0, region_length=region_length)
-
-    @classmethod
-    def detuned(cls, omega0: float, omega_p: float, delta: float,
-                slab_width: float, region_length: float) -> "MediumParams":
-        """Construct without the cutoff-equals-resonance check (exploratory)."""
-        return cls(omega0=omega0, omega_p=omega_p, delta=delta,
-                   slab_width=slab_width, region_length=region_length,
-                   check_tuning=False)
 
     # Diagnostics for the small-parameter assumption omega_p^2/delta << delta, omega_c.
     @property

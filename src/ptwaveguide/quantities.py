@@ -7,7 +7,7 @@ and micrometers appear only here, at the configuration boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 
 # 2019 SI exact values
@@ -134,11 +134,6 @@ def parse_config(text: str) -> Config:
 def load_config(path: str) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def with_overrides(config: Config, **kwargs) -> Config:
-    """Return a copy with the given fields replaced (re-validated)."""
-    return replace(config, **{k: v for k, v in kwargs.items() if v is not None})
 
 
 def config_as_dict(config: Config) -> dict:

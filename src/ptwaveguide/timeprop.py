@@ -34,6 +34,7 @@ import importlib.util
 import itertools
 import logging
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -58,6 +59,8 @@ POTENTIAL_PHASE_GUARD = 0.1
 # touch a wall blow through 1e-6 within a few hundred steps.
 BOUNDARY_TOL = 1e-6
 INTERIOR_TOL = 0.75
+# scatter_packet checks the walls every CHECK_EVERY steps and at the last one.
+CHECK_EVERY = 200
 
 # The run recipe of plan_packet_run: time step (s), grid points per carrier
 # wavelength, and the packet's start clearance from the medium in widths.
@@ -92,7 +95,8 @@ class SpatialGrid:
     dt: float
 
     def __post_init__(self):
-        if self.n_points < 2:
+        # an integer type (int, np.int64) only: a float count fails later, in np.linspace
+        if operator.index(self.n_points) < 2:
             raise ValueError("need at least 2 grid points")
         _require_finite("z_min", self.z_min)
         _require_finite("z_max", self.z_max)
@@ -421,8 +425,7 @@ def require_record_times(record_times: Sequence[float]) -> None:
 
 def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid,
                    t_final: float, *, interior_tol: float = INTERIOR_TOL,
-                   check_every: int = 200, record_times: Sequence[float] = ()
-                   ) -> ScatterResult:
+                   record_times: Sequence[float] = ()) -> ScatterResult:
     """Scatter a Gaussian packet off the gain/loss bilayer.
 
     Returns the transmitted and reflected norm fractions at t_final together
@@ -452,7 +455,7 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     boundary_peak = 0.0
     recorded: list[WavepacketState] = []
     for step, psi in _march(state.psi, potential, mass, grid.dz, dt, n_steps):
-        if step % check_every == 0 or step == n_steps:
+        if step % CHECK_EVERY == 0 or step == n_steps:
             peak = float(np.abs(psi).max())
             edge = max(float(np.abs(psi[:5]).max()), float(np.abs(psi[-5:]).max()))
             boundary_peak = max(boundary_peak, edge / peak)

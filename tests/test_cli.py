@@ -65,7 +65,7 @@ class TestRowStatus:
         assert table.status_counts() == {"ok": 1, "singular": 1, "nonfinite": 1}
 
     def test_csv_keeps_empty_fields(self, table):
-        lines = cli.rows_to_csv(table).splitlines()
+        lines = b"".join(cli.csv_chunks(table)).decode().splitlines()
         assert lines[0] == CSV_HEADER
         assert lines[1].startswith("1.001,exact,0.5,0.5,0,0.1,0.5,0.5,0.2,0,")
         assert lines[1].endswith(",ok")
@@ -74,10 +74,9 @@ class TestRowStatus:
 
     def test_manifest_counts(self, table, params, tmp_path):
         path = tmp_path / "m.json"
-        cli.write_manifest(str(path), Config(), params, table)
+        cli.write_manifest(str(path), Config(), params, table, {})
         manifest = json.loads(path.read_text())
-        assert manifest["rows"] == manifest["frequencies"] == 3
-        assert manifest["singular_rows"] == 2
+        assert manifest["frequencies"] == 3
         assert manifest["rows_by_status"] == {"ok": 1, "singular": 1, "nonfinite": 1}
         assert sum(manifest["rows_by_status"].values()) == manifest["csv_rows"] == 3
 
@@ -87,8 +86,8 @@ class TestRowStatus:
         assert run_cli("sweep", "--models", "exact", "--output", str(out)) == 0
         assert "3 frequencies x 1 model(s), rows 1 ok, 1 singular, 1 nonfinite\n" \
             in capsys.readouterr().out
-        # the file is written block by block; rows_to_csv returns the same text
-        assert out.read_text() == cli.rows_to_csv(table)
+        # the file is written block by block: the same text as the chunks joined
+        assert out.read_text() == b"".join(cli.csv_chunks(table)).decode()
 
     def test_check_fails_on_nonfinite(self, table, params):
         failures = cli.run_checks(table, params, Config())
@@ -190,7 +189,7 @@ class TestSweepCommand:
                           rr.imag, s_left, s_right, math.log10(s_left), math.log10(s_right))
                 expected.append(f"{x:.15g},{model.value},"
                                 + ",".join(f"{v:.15g}" for v in fields[1:]) + ",ok")
-        assert cli.rows_to_csv(table) == "\n".join(expected) + "\n"
+        assert b"".join(cli.csv_chunks(table)).decode() == "\n".join(expected) + "\n"
 
     def test_models_filter(self, tmp_path):
         out = tmp_path / "approx.csv"
@@ -272,8 +271,7 @@ class TestSweepCommand:
         run_cli("sweep", "--sweep", "1.003:1.01:2", "--output", str(out))
         manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
         assert manifest["tool"] == "ptwaveguide"
-        assert manifest["rows"] == manifest["frequencies"] == 2
-        assert manifest["singular_rows"] == 0
+        assert manifest["frequencies"] == 2
         assert manifest["rows_by_status"] == {"ok": 4, "singular": 0, "nonfinite": 0}
         # one CSV row per frequency and model
         assert sum(manifest["rows_by_status"].values()) == manifest["csv_rows"] == 4
@@ -541,13 +539,19 @@ def test_import_builds_no_render_tables():
 
 def test_sweep_figure_script(tmp_path):
     # every script runs here, each given one output path, so none goes unrun;
-    # the figure script writes the CSV of the default sweep command
+    # the figure script runs the default sweep command with --plot
     scripts = sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py")))
     assert scripts
+    stdout = {}
     for script in scripts:
         name = os.path.splitext(os.path.basename(script))[0]
-        run_python(script, str(tmp_path / f"{name}.csv"), cwd=tmp_path)
+        stdout[name] = run_python(script, str(tmp_path / f"{name}.csv"), cwd=tmp_path).stdout
     figure = tmp_path / "sweep_figure.csv"
     assert run_cli("sweep", "--output", str(tmp_path / "sweep.csv")) == 0
     assert figure.read_bytes() == (tmp_path / "sweep.csv").read_bytes()
-    assert (tmp_path / "sweep_figure.csv.gp").exists()
+    assert (tmp_path / "sweep_figure.csv.gp").read_text() == render_plot_script(str(figure))
+    manifest = json.loads((tmp_path / "sweep_figure.csv.manifest.json").read_text())
+    assert set(manifest["stage_seconds"]) == {"config", "sweep", "csv"}
+    assert "s_left > 1 > s_right holds on every grid point up to omega/omega_c = " \
+        in stdout["sweep_figure"]
+    assert "worst log10 model-agreement metric below 1.0158: " in stdout["sweep_figure"]

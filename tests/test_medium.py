@@ -25,12 +25,6 @@ class TestParams:
             MediumParams(omega0=ev_to_angular(5.0), omega_p=1e14, delta=1e15,
                          slab_width=0.124e-6, region_length=19.7e-6)
 
-    def test_detuned_constructor_bypasses_coupling(self):
-        p = MediumParams.detuned(omega0=ev_to_angular(5.0), omega_p=1e14,
-                                 delta=1e15, slab_width=0.124e-6,
-                                 region_length=19.7e-6)
-        assert abs(p.omega_c - p.omega0) / p.omega0 > CUTOFF_TUNING_TOL
-
     def test_regime_ratios(self, params):
         # omega_p^2/delta^2 and omega_p^2/(delta*omega_c) at the reference values
         assert params.regime_ratio_damping == pytest.approx(0.0256, rel=1e-12)
@@ -199,8 +193,8 @@ class TestEffective:
             pytest.approx(params.omega_c, rel=1e-12)
 
     def test_mass_scales_inverse_width(self, params):
-        wider = MediumParams.detuned(
-            omega0=params.omega0, omega_p=params.omega_p, delta=params.delta,
-            slab_width=2 * params.slab_width, region_length=params.region_length)
+        wider = MediumParams.tuned(
+            omega0=params.omega0 / 2, omega_p=params.omega_p, delta=params.delta,
+            region_length=params.region_length)
         assert effective_mass(wider) == pytest.approx(effective_mass(params) / 2,
                                                       rel=1e-12)

@@ -89,6 +89,13 @@ def test_non_finite_field_rejected(cls, field, value):
         cls(**dict(valid, **{field: value}))
 
 
+def test_grid_point_count_must_be_integer():
+    # a float count used to construct and fail later, at grid.z
+    with pytest.raises(TypeError):
+        SpatialGrid(**dict(GRID, n_points=2.5))
+    assert SpatialGrid(**dict(GRID, n_points=np.int64(3000))).z.size == 3000
+
+
 class TestGaussian:
     def test_unit_norm(self, params):
         grid = SpatialGrid(-80e-6, 60e-6, 4000, 1e-16)
@@ -466,7 +473,7 @@ class TestScatter:
         spec = WavepacketSpec(center=-33.7e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
         with pytest.raises(BoundaryContaminationError):
-            scatter_packet(params, spec, grid, 1.0e-12, check_every=50)
+            scatter_packet(params, spec, grid, 1.0e-12)
 
     def test_unfinished_run_rejected(self, params):
         plan = plan_packet_run(params, sigma=3e-6, energy=0.2 * E_CHARGE)
