@@ -2,10 +2,13 @@
 
 A pumped (gain) and an unpumped (absorbing) section of the same atomic gas
 fill adjacent regions of the waveguide; both follow a single-resonance
-Lorentz permittivity with opposite sign of the resonant term.  The module
-provides the exact squared wavenumber of the guided mode, its near-cutoff
-first-order truncation, and the effective Schrodinger parameters (complex
-potential and auxiliary mass) that the truncation is equivalent to.
+Lorentz permittivity with opposite sign of the resonant term.  A medium,
+:class:`MediumParams`, is four numbers: resonance, plasma and damping
+frequency and region length; the slab width follows from the resonance so
+that the waveguide cutoff sits on it.  The module provides the exact
+squared wavenumber of the guided mode, its near-cutoff first-order
+truncation, and the effective Schrodinger parameters (complex potential and
+auxiliary mass) that the truncation is equivalent to.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ import numpy as np
 from .quantities import C, HBAR, cutoff_frequency
 
 logger = logging.getLogger(__name__)
-
-# Largest acceptable relative detuning between the waveguide cutoff and the
-# medium resonance for the tuned model.
-CUTOFF_TUNING_TOL = 1e-9
 
 # The near-cutoff reduction assumes omega_p^2/delta << delta, omega_c.
 # Above this ratio the truncation is dubious; we warn rather than refuse.
@@ -50,46 +49,31 @@ class RegionKind(Enum):
 class MediumParams:
     """Medium and geometry parameters, all SI.
 
-    ``omega_c`` is derived from the slab width.  The constructor rejects
-    parameter sets where the cutoff does not coincide with the resonance
-    frequency, because the near-cutoff truncation implemented here relies
-    on that tuning.
+    ``slab_width`` = c*pi/omega0 and the cutoff ``omega_c`` computed from it
+    are derived, so the cutoff coincides with the resonance, as the
+    near-cutoff truncation implemented here requires;
+    ``dataclasses.replace(params, omega0=...)`` retunes both.
     """
 
     omega0: float
     omega_p: float
     delta: float
-    slab_width: float
     region_length: float
+    slab_width: float = field(init=False)
     omega_c: float = field(init=False)
 
     def __post_init__(self):
-        if self.omega0 <= 0 or self.delta <= 0 or self.slab_width <= 0 \
-                or self.region_length <= 0:
-            raise ParameterError("omega0, delta, slab_width, region_length must be positive")
-        if self.omega_p < 0:
+        if not (self.omega0 > 0 and self.delta > 0 and self.region_length > 0):
+            raise ParameterError("omega0, delta, region_length must be positive")
+        if not self.omega_p >= 0:
             raise ParameterError("omega_p must be non-negative")
+        object.__setattr__(self, "slab_width", C * math.pi / self.omega0)
         object.__setattr__(self, "omega_c", cutoff_frequency(self.slab_width))
-        rel = abs(self.omega_c - self.omega0) / self.omega0
-        if rel > CUTOFF_TUNING_TOL:
-            raise ParameterError(
-                f"cutoff c*pi/width = {self.omega_c:.6e} does not match the resonance "
-                f"omega0 = {self.omega0:.6e} (relative mismatch {rel:.2e}); "
-                "use MediumParams.tuned(...)")
         if self.regime_ratio > REGIME_WARN_LEVEL:
             logger.warning(
                 "medium outside the weak-resonance regime: "
                 "omega_p^2/delta^2 = %.3g, omega_p^2/(delta*omega_c) = %.3g",
                 self.regime_ratio_damping, self.regime_ratio_cutoff)
-
-    @classmethod
-    def tuned(cls, omega0: float, omega_p: float, delta: float,
-              region_length: float) -> "MediumParams":
-        """Choose the slab width so the cutoff coincides with the resonance."""
-        if omega0 <= 0:
-            raise ParameterError("omega0 must be positive")
-        return cls(omega0=omega0, omega_p=omega_p, delta=delta,
-                   slab_width=C * math.pi / omega0, region_length=region_length)
 
     # Diagnostics for the small-parameter assumption omega_p^2/delta << delta, omega_c.
     @property
@@ -186,18 +170,17 @@ def raw_pt_defect(omega, params: MediumParams):
 
 
 def from_config(config) -> MediumParams:
-    """Build tuned parameters from a run configuration.
+    """Build the medium of a run configuration.
 
-    The resonance frequency is primary: the slab width is set to make the
-    cutoff coincide with it.  The configured width is only checked for
+    The resonance frequency is primary: the slab width is derived from it so
+    the cutoff coincides with it.  The configured width is only checked for
     consistency (it is typically a rounded number); a mismatch above 0.5%
     is logged.
     """
     from .quantities import ev_to_angular
 
-    omega0 = ev_to_angular(config.hbar_omega0_ev)
-    params = MediumParams.tuned(
-        omega0=omega0,
+    params = MediumParams(
+        omega0=ev_to_angular(config.hbar_omega0_ev),
         omega_p=ev_to_angular(config.hbar_omegap_ev),
         delta=ev_to_angular(config.hbar_delta_ev),
         region_length=config.region_length_um * 1e-6,
@@ -212,6 +195,6 @@ def from_config(config) -> MediumParams:
 
 
 def width_mismatch(params: MediumParams, config) -> float:
-    """Relative difference between the configured and the tuned slab width."""
+    """Relative difference between the configured and the derived slab width."""
     configured = config.slab_width_um * 1e-6
     return abs(params.slab_width - configured) / configured

@@ -101,9 +101,9 @@ CONFIG_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
 def parse_config(text: str) -> Config:
     """Parse ``key = value`` lines; ``#`` starts a comment; blank lines ignored.
 
-    Unknown keys and malformed lines raise :class:`ConfigParseError` with the
-    line number; constraint violations raise :class:`ConfigValidationError`
-    naming the key.
+    Unknown or repeated keys and malformed lines raise
+    :class:`ConfigParseError` with the line number; constraint violations
+    raise :class:`ConfigValidationError` naming the key.
     """
     values: dict[str, object] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -117,6 +117,8 @@ def parse_config(text: str) -> Config:
         value = value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigParseError(line_no, f"unknown key {key!r}")
+        if key in values:
+            raise ConfigParseError(line_no, f"key {key!r} given twice")
         if not value:
             raise ConfigParseError(line_no, f"empty value for {key!r}")
         try:

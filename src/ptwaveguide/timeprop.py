@@ -68,6 +68,11 @@ PACKET_DT = 1e-16
 POINTS_PER_WAVELENGTH = 80.0
 PLACEMENT_SIGMAS = 7.0
 
+# transmission_prediction samples the packet spectrum at this many
+# wavenumbers, spanning this many spectral standard deviations each side of k0.
+PREDICTION_POINTS = 4001
+PREDICTION_HALF_WIDTH = 8.0
+
 # Norm fractions print to six decimals: a fraction or residual below this
 # resolution reads as zero, and no deviation or comparison is drawn from it.
 PRINTED_RESOLUTION = 1e-6
@@ -341,8 +346,7 @@ class PacketPrediction:
     reflected: float
 
 
-def transmission_prediction(params: MediumParams, spec: WavepacketSpec,
-                            n_points: int = 4001, half_width: float = 8.0
+def transmission_prediction(params: MediumParams, spec: WavepacketSpec
                             ) -> PacketPrediction:
     """Average |t|^2 and |r|^2 of the stationary reduced model over the
     packet's analytic Gaussian spectrum |A(k)|^2 ~ exp(-2 sigma^2 (k-k0)^2).
@@ -353,8 +357,8 @@ def transmission_prediction(params: MediumParams, spec: WavepacketSpec,
     mass = effective_mass(params)
     k0 = abs(spec.carrier_k)
     from_left = spec.carrier_k > 0
-    dk = half_width / (2.0 * spec.sigma)
-    ks = np.linspace(k0 - dk, k0 + dk, n_points)
+    dk = PREDICTION_HALF_WIDTH / (2.0 * spec.sigma)
+    ks = np.linspace(k0 - dk, k0 + dk, PREDICTION_POINTS)
     if ks[0] <= 0:
         raise ValueError("packet spectrum reaches k <= 0; increase sigma or carrier")
     weights = np.exp(-2.0 * spec.sigma ** 2 * (ks - k0) ** 2)
@@ -510,17 +514,23 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
 
     ``energy`` is the carrier kinetic energy hbar^2 k^2 / 2m in joules.  The
     time budget lets the slower of the transmitted/reflected packets clear
-    the medium by 8.6 dispersed widths; wall clearances are 10.5 dispersed
-    widths plus margin.  The grid step is snapped so that all three region
-    boundaries fall exactly on grid points: otherwise the effective layer
-    lengths shift by O(dz), which moves the interference fringes and biases
-    the fractions at the few-per-mil level.  Everything is overridable by
-    constructing :class:`WavepacketSpec` and :class:`SpatialGrid` directly.
+    the medium by 8.6 dispersed widths, t = t_cross + 8.6 sigma(t) / v; as
+    sigma(t) / v grows like t / (2 sigma k0), it has a solution only for
+    sigma * k0 > 4.3, and a plan below that is rejected.  Wall clearances
+    are 10.5 dispersed widths plus margin.  The grid step is snapped so that
+    all three region boundaries fall exactly on grid points: otherwise the
+    effective layer lengths shift by O(dz), which moves the interference
+    fringes and biases the fractions at the few-per-mil level.  Everything
+    is overridable by constructing :class:`WavepacketSpec` and
+    :class:`SpatialGrid` directly.
     """
     _require_positive("sigma", sigma)
     _require_positive("carrier energy", energy)
     mass = effective_mass(params)
     k0 = math.sqrt(2.0 * mass * energy) / HBAR
+    if not sigma * k0 > 4.3:
+        raise ValueError(f"sigma*k0 = {sigma * k0:.3g} must exceed 4.3: the packet spreads "
+                         "faster than it clears the medium, so no time budget exists")
     v = HBAR * k0 / mass
     l = params.region_length
     z0 = l + PLACEMENT_SIGMAS * sigma

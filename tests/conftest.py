@@ -10,7 +10,7 @@ from ptwaveguide.timeprop import plan_packet_run, scatter_packet
 def params():
     """Reference medium: 5 eV resonance tuned to the cutoff, 0.2 eV plasma
     frequency, 1.25 eV damping, 19.7 um regions."""
-    return MediumParams.tuned(
+    return MediumParams(
         omega0=ev_to_angular(5.0),
         omega_p=ev_to_angular(0.2),
         delta=ev_to_angular(1.25),
@@ -21,7 +21,7 @@ def params():
 @pytest.fixture(scope="session")
 def hermitian_params():
     """Same geometry with the resonant term switched off (unitary control)."""
-    return MediumParams.tuned(
+    return MediumParams(
         omega0=ev_to_angular(5.0),
         omega_p=0.0,
         delta=ev_to_angular(1.25),
@@ -34,7 +34,7 @@ def subcritical_params():
     """Weaker pumping (0.1 eV plasma frequency): short time-domain runs at
     low carriers converge too.  It is not shown to be below its
     amplification threshold at every frequency."""
-    return MediumParams.tuned(
+    return MediumParams(
         omega0=ev_to_angular(5.0),
         omega_p=ev_to_angular(0.1),
         delta=ev_to_angular(1.25),

@@ -455,6 +455,19 @@ class TestPacketCommand:
         assert run_cli("packet", option, value) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("option, value, product", [
+        ("--sigma-um", "0.3", "2.15"), ("--energy-ev", "0.001", "1.52")])
+    def test_unplannable_packet_exits_2(self, monkeypatch, capsys, option, value, product):
+        # a packet too narrow or too slow for a finite time budget
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", no_steps)
+        assert run_cli("packet", option, value) == 2
+        assert capsys.readouterr().err == (
+            f"error: sigma*k0 = {product} must exceed 4.3: the packet spreads faster "
+            "than it clears the medium, so no time budget exists\n")
+
     def test_snapshot_times_need_snapshots_file(self, monkeypatch, capsys):
         def no_steps(*args):
             raise AssertionError("stepped")

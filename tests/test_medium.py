@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ptwaveguide.medium import (CUTOFF_TUNING_TOL, MediumParams, ParameterError,
-                                RegionKind, effective_mass, effective_potential,
+from ptwaveguide.medium import (MediumParams, ParameterError, RegionKind,
+                                effective_mass, effective_potential,
                                 k_squared_approx, k_squared_exact, permittivity,
                                 raw_pt_defect, region_at, region_sign)
 from ptwaveguide.quantities import C, E_CHARGE, HBAR, ev_to_angular
@@ -16,14 +17,13 @@ K_CUTOFF = 2054551571435.728
 
 
 class TestParams:
-    def test_tuned_couples_cutoff_to_resonance(self, params):
-        assert abs(params.omega_c - params.omega0) <= 1e-9 * params.omega0
-        assert params.omega_c == pytest.approx(C * math.pi / params.slab_width, rel=1e-15)
-
-    def test_mismatched_width_rejected(self):
-        with pytest.raises(ParameterError):
-            MediumParams(omega0=ev_to_angular(5.0), omega_p=1e14, delta=1e15,
-                         slab_width=0.124e-6, region_length=19.7e-6)
+    def test_tuned_couples_cutoff_to_resonance(self, params, subcritical_params):
+        # the width is derived from the resonance and the cutoff from the
+        # width, by exactly this arithmetic (0.2 eV and 0.1 eV media)
+        for p in (params, subcritical_params):
+            assert p.slab_width == C * math.pi / p.omega0
+            assert p.omega_c == C * math.pi / (C * math.pi / p.omega0)
+            assert abs(p.omega_c - p.omega0) <= 1e-9 * p.omega0
 
     def test_regime_ratios(self, params):
         # omega_p^2/delta^2 and omega_p^2/(delta*omega_c) at the reference values
@@ -33,19 +33,22 @@ class TestParams:
 
     def test_out_of_regime_warns(self, caplog):
         with caplog.at_level("WARNING", logger="ptwaveguide.medium"):
-            MediumParams.tuned(omega0=ev_to_angular(5.0),
-                               omega_p=ev_to_angular(2.0),
-                               delta=ev_to_angular(1.25),
-                               region_length=19.7e-6)
+            MediumParams(omega0=ev_to_angular(5.0),
+                         omega_p=ev_to_angular(2.0),
+                         delta=ev_to_angular(1.25),
+                         region_length=19.7e-6)
         assert any("regime" in rec.message for rec in caplog.records)
 
     def test_positivity(self):
         with pytest.raises(ParameterError):
-            MediumParams.tuned(omega0=-1.0, omega_p=1e14, delta=1e15,
-                               region_length=19.7e-6)
+            MediumParams(omega0=-1.0, omega_p=1e14, delta=1e15,
+                         region_length=19.7e-6)
         with pytest.raises(ParameterError):
-            MediumParams.tuned(omega0=1e15, omega_p=-1e14, delta=1e15,
-                               region_length=19.7e-6)
+            MediumParams(omega0=1e15, omega_p=-1e14, delta=1e15,
+                         region_length=19.7e-6)
+        with pytest.raises(ParameterError):  # nan fails every comparison
+            MediumParams(omega0=math.nan, omega_p=1e14, delta=1e15,
+                         region_length=19.7e-6)
 
 
 class TestRegionProfile:
@@ -93,8 +96,8 @@ class TestPermittivity:
     @given(st.floats(min_value=1e-3, max_value=2.0))
     def test_sign_convention(self, frac):
         # Im eps > 0 absorbing, < 0 gain, over (0, 2 omega0)
-        p = MediumParams.tuned(ev_to_angular(5.0), ev_to_angular(0.2),
-                               ev_to_angular(1.25), 19.7e-6)
+        p = MediumParams(ev_to_angular(5.0), ev_to_angular(0.2),
+                         ev_to_angular(1.25), 19.7e-6)
         omega = frac * p.omega0
         assert permittivity(RegionKind.ABSORBING, omega, p).imag > 0
         assert permittivity(RegionKind.GAIN, omega, p).imag < 0
@@ -135,8 +138,8 @@ class TestWavenumbers:
 
     @given(st.floats(min_value=-0.1, max_value=0.1))
     def test_truncation_is_mirror_conjugate(self, frac):
-        p = MediumParams.tuned(ev_to_angular(5.0), ev_to_angular(0.2),
-                               ev_to_angular(1.25), 19.7e-6)
+        p = MediumParams(ev_to_angular(5.0), ev_to_angular(0.2),
+                         ev_to_angular(1.25), 19.7e-6)
         detuning = frac * p.omega_c
         g = k_squared_approx(RegionKind.GAIN, detuning, p)
         a = k_squared_approx(RegionKind.ABSORBING, detuning, p)
@@ -185,16 +188,15 @@ class TestEffective:
     def test_mass_value(self, params):
         m = effective_mass(params)
         assert m == pytest.approx(8.913309608139488e-36, rel=1e-3)
-        assert m == pytest.approx(5.0 * E_CHARGE / C ** 2,
-                                  rel=2 * CUTOFF_TUNING_TOL + 1e-12)
+        assert m == pytest.approx(5.0 * E_CHARGE / C ** 2, rel=2e-9 + 1e-12)
 
     def test_mass_inverts_to_cutoff(self, params):
         assert effective_mass(params) * C ** 2 / HBAR == \
             pytest.approx(params.omega_c, rel=1e-12)
 
     def test_mass_scales_inverse_width(self, params):
-        wider = MediumParams.tuned(
-            omega0=params.omega0 / 2, omega_p=params.omega_p, delta=params.delta,
-            region_length=params.region_length)
+        # replacing the resonance retunes the width with it
+        wider = replace(params, omega0=params.omega0 / 2)
+        assert wider.slab_width == 2 * params.slab_width
         assert effective_mass(wider) == pytest.approx(effective_mass(params) / 2,
                                                       rel=1e-12)

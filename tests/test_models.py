@@ -198,8 +198,8 @@ class TestSweep:
     @given(st.floats(min_value=1.0002, max_value=1.1))
     @settings(max_examples=40, deadline=None)
     def test_approx_generalized_unitarity_everywhere(self, x):
-        p = MediumParams.tuned(ev_to_angular(5.0), ev_to_angular(0.2),
-                               ev_to_angular(1.25), 19.7e-6)
+        p = MediumParams(ev_to_angular(5.0), ev_to_angular(0.2),
+                         ev_to_angular(1.25), 19.7e-6)
         t, r_left, _, r_right = kernel_amplitudes(
             *approx_bilayer(p, (x - 1.0) * p.omega_c))
         cross = r_left.conjugate() * r_right

@@ -102,6 +102,12 @@ class TestConfig:
             parse_config("\n\nnot_a_key = 3\n")
         assert err.value.line_no == 3
 
+    def test_repeated_key_reports_second_line(self):
+        with pytest.raises(ConfigParseError) as err:
+            parse_config("sweep_points = 10\n# again\nsweep_points = 20\n")
+        assert err.value.line_no == 3
+        assert "'sweep_points' given twice" in str(err.value)
+
     def test_unparseable_value(self):
         with pytest.raises(ConfigParseError):
             parse_config("sweep_points = three")

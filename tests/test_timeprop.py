@@ -15,11 +15,11 @@ from scipy.linalg import _flapack as flapack
 
 import ptwaveguide.timeprop as tp
 from ptwaveguide.helmholtz import SpectralSingularityError, amplitude_arrays
-from ptwaveguide.medium import (MediumParams, effective_mass,
-                                effective_potential, region_at)
+from ptwaveguide.medium import effective_mass, effective_potential, region_at
 from ptwaveguide.models import approx_bilayer
 from ptwaveguide.quantities import E_CHARGE, HBAR
-from ptwaveguide.timeprop import (PRINTED_RESOLUTION, BoundaryContaminationError,
+from ptwaveguide.timeprop import (PREDICTION_HALF_WIDTH, PREDICTION_POINTS,
+                                  PRINTED_RESOLUTION, BoundaryContaminationError,
                                   IncompleteScatterError, PlacementError,
                                   SpatialGrid, WavepacketSpec,
                                   _march, fractions_below_residual,
@@ -179,7 +179,7 @@ class TestCrankNicolson:
     def test_potential_matches_pointwise_regions(self, params):
         # a power-of-two region length puts -l, 0 and l exactly on grid points
         l = 2.0 ** -15
-        params = MediumParams.tuned(params.omega0, params.omega_p, params.delta, l)
+        params = replace(params, region_length=l)
         grid = SpatialGrid(-2 * l, 2 * l, 257, 1e-16)
         expected = [effective_potential(region_at(z, params), params) for z in grid.z]
         potential = potential_on_grid(params, grid)
@@ -475,6 +475,24 @@ class TestScatter:
         with pytest.raises(BoundaryContaminationError):
             scatter_packet(params, spec, grid, 1.0e-12)
 
+    @pytest.mark.parametrize("sigma, energy_ev", [(0.3e-6, 0.2), (0.1e-6, 0.2),
+                                                  (0.59e-6, 0.2), (3e-6, 0.001)])
+    def test_plan_without_time_budget_rejected(self, params, monkeypatch,
+                                               sigma, energy_ev):
+        # t = t_cross + 8.6 sigma(t) / v has no solution for sigma * k0 <= 4.3
+        # (sigma <= 0.6 um at 0.2 eV, <= 8.5 um at 0.001 eV): no grid is built
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(tp, "SpatialGrid", no_grid)
+        with pytest.raises(ValueError, match=r"sigma\*k0 = .* must exceed 4\.3"):
+            plan_packet_run(params, sigma=sigma, energy=energy_ev * E_CHARGE)
+
+    def test_plan_just_above_time_budget_limit(self, params):
+        plan = plan_packet_run(params, sigma=0.61e-6, energy=0.2 * E_CHARGE)
+        assert 4.3 < plan.spec.sigma * plan.spec.carrier_k < 4.4
+        assert math.isfinite(plan.t_final)
+
     def test_unfinished_run_rejected(self, params):
         plan = plan_packet_run(params, sigma=3e-6, energy=0.2 * E_CHARGE)
         with pytest.raises(IncompleteScatterError):
@@ -556,11 +574,10 @@ class TestPrediction:
     def test_array_prediction_matches_pointwise_solves(self, params, sign):
         # the same spectral average with one single-wavenumber solve each
         spec = WavepacketSpec(-40e-6 * sign, 3e-6, sign * carrier_for_energy(params, 0.2))
-        n, half_width = 201, 8.0
-        got = transmission_prediction(params, spec, n_points=n, half_width=half_width)
+        got = transmission_prediction(params, spec)
         k0 = abs(spec.carrier_k)
-        dk = half_width / (2.0 * spec.sigma)
-        ks = np.linspace(k0 - dk, k0 + dk, n)
+        dk = PREDICTION_HALF_WIDTH / (2.0 * spec.sigma)
+        ks = np.linspace(k0 - dk, k0 + dk, PREDICTION_POINTS)
         weights = np.exp(-2.0 * spec.sigma ** 2 * (ks - k0) ** 2)
         t2, r2 = [], []
         for k in ks:
@@ -584,4 +601,4 @@ class TestPrediction:
         monkeypatch.setattr(tp, "amplitude_arrays", flag_middle)
         spec = WavepacketSpec(-40e-6, 3e-6, carrier_for_energy(params, 0.2))
         with pytest.raises(SpectralSingularityError, match="spectral singularity at k"):
-            transmission_prediction(params, spec, n_points=201)
+            transmission_prediction(params, spec)
