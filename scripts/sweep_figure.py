@@ -20,14 +20,13 @@ out = sys.argv[1] if len(sys.argv) > 1 else "figure_sweep.csv"
 if cli.main(["sweep", "--plot", "--output", out]) != 0:
     sys.exit(1)
 
-config = Config()
-params = from_config(config)
+params = from_config(Config())
 print(f"medium: hbar*omega_c = {angular_to_ev(params.omega_c):.2f} eV tuned to the "
       f"resonance, regions {params.region_length * 1e6:.1f} um")
 print(f"weak-resonance ratios: {params.regime_ratio_damping:.4f}, "
       f"{params.regime_ratio_cutoff:.4f}")
 
-table = sweep(params, config.sweep_start, config.sweep_stop, config.sweep_points,
+table = sweep(params, *cli.SWEEP_WINDOW,
               models=(ModelKind.EXACT, ModelKind.APPROXIMATE))
 
 # where does the left/right asymmetry hold, and how close are the models?

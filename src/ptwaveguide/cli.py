@@ -20,15 +20,14 @@ import numpy as np
 
 from . import __version__
 from .csvtext import WIDTH, g15_fields, join_rows
-from .medium import MediumParams, from_config, width_mismatch
+from .medium import MediumParams, from_config
 from .helmholtz import amplitude_arrays
 from .models import (STATUS_NONFINITE, STATUS_OK, ModelColumns, ModelKind,
                      SweepTable, bilayer, pt_defect, sweep)
 from .quantities import (E_CHARGE, Config, ConfigError, angular_to_ev,
                          config_as_dict, ev_to_angular, load_config)
 from .timeprop import (INTERIOR_TOL, BoundaryContaminationError, IncompleteScatterError,
-                       PlacementError, deviation_percent,
-                       fractions_below_residual, plan_packet_run,
+                       deviation_percent, fractions_below_residual, plan_packet_run,
                        require_record_times, scatter_packet)
 
 CSV_HEADER = ("omega_over_omegac,model,t_left_re,t_left_im,r_left_re,r_left_im,"
@@ -48,6 +47,9 @@ _CSV_ORDER = (0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 8, 9)
 # block, ~0.7 MB at 2048, ~4 MB at 8192 and ~11 MB a whole state at once.
 _SWEEP_BLOCK = 8192
 _SNAPSHOT_BLOCK = 1024
+
+# sweep --sweep: the default omega/omega_c grid (start, stop, points)
+SWEEP_WINDOW = (1.0005, 1.10, 400)
 
 _MODEL_CHOICES = {
     "exact": (ModelKind.EXACT,),
@@ -145,21 +147,23 @@ def render_plot_script(csv_path: str) -> str:
     )
 
 
-def write_manifest(path: str, config: Config, params: MediumParams,
-                   table: SweepTable, stage_seconds: dict[str, float]) -> None:
-    """JSON manifest of a sweep: resolved config, derived quantities, row
-    counts and the wall time of each stage of the run."""
+def write_manifest(path: str, config: Config, window: tuple[float, float, int],
+                   params: MediumParams, table: SweepTable,
+                   stage_seconds: dict[str, float]) -> None:
+    """JSON manifest of a sweep: the medium's config, the requested
+    (start, stop, points) window, derived quantities, row counts and the
+    wall time of each stage of the run."""
     by_status = table.status_counts()
     manifest = {
         "tool": "ptwaveguide",
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config": config_as_dict(config),
+        "sweep": {"start": window[0], "stop": window[1], "points": window[2]},
         "derived": {
             "omega_c_rad_s": params.omega_c,
             "hbar_omega_c_ev": angular_to_ev(params.omega_c),
             "slab_width_m": params.slab_width,
-            "width_mismatch_rel": width_mismatch(params, config),
             "regime_ratio_damping": params.regime_ratio_damping,
             "regime_ratio_cutoff": params.regime_ratio_cutoff,
         },
@@ -174,9 +178,10 @@ def write_manifest(path: str, config: Config, params: MediumParams,
         fh.write("\n")
 
 
-def run_checks(table: SweepTable, params: MediumParams, config: Config) -> list[str]:
+def run_checks(table: SweepTable, params: MediumParams) -> list[str]:
     """Property assertions on the sweep table; returns failure messages,
-    ordered by frequency, then model, then check."""
+    ordered by frequency, then model, then check.  The medium-off control
+    sweeps the table's range at up to 41 points."""
     found: list[tuple[tuple[int, int, int, int], str]] = []
 
     def flag(part, j, check, mask, message):
@@ -202,8 +207,7 @@ def run_checks(table: SweepTable, params: MediumParams, config: Config) -> list[
              lambda i: f"low-energy asymmetry violated at x={x[i]} ({name}): "
                        f"s_left={float(col.s_left[i])}, s_right={float(col.s_right[i])}")
     # Hermitian control: switching the resonant term off must give unit sums.
-    control = sweep(replace(params, omega_p=0.0), config.sweep_start, config.sweep_stop,
-                    min(41, config.sweep_points))
+    control = sweep(replace(params, omega_p=0.0), x[0], x[-1], min(41, len(x)))
     x_off = control.omega_over_omegac.tolist()
     for j, (model, col) in enumerate(control.models.items()):
         ok, name, status = col.status == STATUS_OK, model.value, col.status.tolist()
@@ -218,50 +222,53 @@ def run_checks(table: SweepTable, params: MediumParams, config: Config) -> list[
     return failures
 
 
+def parse_sweep(text: str) -> tuple[float, float, int]:
+    """(start, stop, points) of a START:STOP:N text; the range itself is
+    checked by :func:`models.sweep_grid`."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"--sweep expects START:STOP:N, got {text!r}")
+    try:
+        return float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(f"--sweep expects numbers START:STOP and an integer N, "
+                         f"got {text!r}") from None
+
+
 def _load(args) -> Config:
-    config = load_config(args.config) if args.config else Config()
-    overrides = {}
-    if getattr(args, "sweep", None):
-        parts = args.sweep.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"--sweep expects START:STOP:N, got {args.sweep!r}")
-        overrides = dict(sweep_start=float(parts[0]), sweep_stop=float(parts[1]),
-                         sweep_points=int(parts[2]))
-    if getattr(args, "output", None):
-        overrides["output_path"] = args.output
-    return replace(config, **overrides)
+    return load_config(args.config) if args.config else Config()
 
 
 def cmd_sweep(args) -> int:
+    window = parse_sweep(args.sweep)
     start = perf_counter()
     config = _load(args)
     params = from_config(config)
     configured = perf_counter()
     models = _MODEL_CHOICES[args.models]
-    table = sweep(params, config.sweep_start, config.sweep_stop,
-                  config.sweep_points, models=models)
+    table = sweep(params, *window, models=models)
     swept = perf_counter()
-    with open(config.output_path, "wb") as fh:
+    with open(args.output, "wb") as fh:
         fh.writelines(csv_chunks(table))
     written = perf_counter()
     stage_seconds = {"config": configured - start, "sweep": swept - configured,
                      "csv": written - swept}
     failures = []
     if args.check:
-        failures = run_checks(table, params, config)
+        failures = run_checks(table, params)
         stage_seconds["checks"] = perf_counter() - written
-    write_manifest(config.output_path + ".manifest.json", config, params, table,
+    write_manifest(args.output + ".manifest.json", config, window, params, table,
                    stage_seconds)
     x, by_status = table.omega_over_omegac, table.status_counts()
     max_defect = float(np.max(pt_defect(ModelKind.EXACT, params, x * params.omega_c)))
     counts = ", ".join(f"{n} {status}" for status, n in by_status.items())
-    print(f"wrote {config.output_path}: {len(x)} frequencies x "
+    print(f"wrote {args.output}: {len(x)} frequencies x "
           f"{len(models)} model(s), rows {counts}")
     print(f"max mirror-conjugation defect of the exact profile: {max_defect:.6g}")
     if args.plot:
-        plot_path = config.output_path + ".gp"
+        plot_path = args.output + ".gp"
         with open(plot_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_plot_script(config.output_path))
+            fh.write(render_plot_script(args.output))
         print(f"wrote {plot_path}")
     if failures:
         for message in failures:
@@ -341,9 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a frequency sweep and write CSV")
     p_sweep.add_argument("--config", help="config file (key = value lines)")
     p_sweep.add_argument("--models", choices=sorted(_MODEL_CHOICES), default="both")
-    p_sweep.add_argument("--sweep", metavar="START:STOP:N",
-                         help="override the omega/omega_c grid")
-    p_sweep.add_argument("--output", help="override the CSV path")
+    sweep_default = ":".join(map(str, SWEEP_WINDOW))
+    p_sweep.add_argument("--sweep", metavar="START:STOP:N", default=sweep_default,
+                         help=f"the omega/omega_c grid (default {sweep_default})")
+    p_sweep.add_argument("--output", default="results.csv",
+                         help="the CSV path (default results.csv)")
     p_sweep.add_argument("--plot", action="store_true",
                          help="also write a gnuplot script next to the CSV")
     p_sweep.add_argument("--check", action="store_true",
@@ -383,8 +392,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PlacementError, BoundaryContaminationError, IncompleteScatterError,
-            ValueError) as exc:
+    except (BoundaryContaminationError, IncompleteScatterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -170,31 +170,14 @@ def raw_pt_defect(omega, params: MediumParams):
 
 
 def from_config(config) -> MediumParams:
-    """Build the medium of a run configuration.
-
-    The resonance frequency is primary: the slab width is derived from it so
-    the cutoff coincides with it.  The configured width is only checked for
-    consistency (it is typically a rounded number); a mismatch above 0.5%
-    is logged.
-    """
+    """The medium of a run configuration, in SI: the four numbers of
+    :class:`quantities.Config` converted from eV and um.  The slab width is
+    not configured: :class:`MediumParams` derives it from the resonance."""
     from .quantities import ev_to_angular
 
-    params = MediumParams(
+    return MediumParams(
         omega0=ev_to_angular(config.hbar_omega0_ev),
         omega_p=ev_to_angular(config.hbar_omegap_ev),
         delta=ev_to_angular(config.hbar_delta_ev),
         region_length=config.region_length_um * 1e-6,
     )
-    mismatch = width_mismatch(params, config)
-    if mismatch > 5e-3:
-        logger.warning(
-            "configured slab_width_um = %g is %.2f%% away from c*pi/omega0; "
-            "the resonance-tuned width %.6g um is used",
-            config.slab_width_um, 100 * mismatch, params.slab_width * 1e6)
-    return params
-
-
-def width_mismatch(params: MediumParams, config) -> float:
-    """Relative difference between the configured and the derived slab width."""
-    configured = config.slab_width_um * 1e-6
-    return abs(params.slab_width - configured) / configured

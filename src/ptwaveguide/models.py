@@ -142,14 +142,18 @@ class SweepTable:
                             for col in self.models.values()) for status in STATUSES}
 
 
-def sweep_grid(start: float, stop: float, n: int) -> list[float]:
-    """n uniformly spaced omega/omega_c values, endpoints included."""
-    if not (1.0 < start < stop):
-        raise ValueError(f"need 1 < start < stop, got start={start}, stop={stop}")
+def sweep_grid(start: float, stop: float, n: int) -> np.ndarray:
+    """n uniformly spaced omega/omega_c values, endpoints included.
+
+    The one check of a sweep range: 1 < start < stop < inf (exterior waves
+    propagate only above cutoff) and n >= 2.
+    """
+    if not (1.0 < start < stop < np.inf):
+        raise ValueError(f"need 1 < start < stop < inf, got start={start}, stop={stop}")
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
     step = (stop - start) / (n - 1)
-    return [start + i * step for i in range(n)]
+    return start + np.arange(n) * step
 
 
 def evaluate_row(params: MediumParams, omega_over_omegac,

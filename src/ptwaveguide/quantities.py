@@ -62,40 +62,25 @@ class ConfigValidationError(ConfigError):
 
 @dataclass(frozen=True)
 class Config:
-    """Resolved run configuration; defaults reproduce the reference sweep."""
+    """The medium of a run, in eV and um: resonance, plasma and damping
+    frequency (as photon energies) and region length.  The defaults are the
+    reference medium.  The frequency grid and the output path of a sweep
+    are set on the command line, not here."""
 
-    slab_width_um: float = 0.124
     hbar_omega0_ev: float = 5.0
     hbar_omegap_ev: float = 0.2
     hbar_delta_ev: float = 1.25
     region_length_um: float = 19.7
-    sweep_start: float = 1.0005
-    sweep_stop: float = 1.10
-    sweep_points: int = 400
-    output_path: str = "results.csv"
 
     def __post_init__(self):
-        for key in _FLOAT_KEYS:
+        for key in CONFIG_KEYS:
             if not math.isfinite(getattr(self, key)):
                 raise ConfigValidationError(key, "must be finite")
-        for key in ("slab_width_um", "hbar_omega0_ev", "hbar_omegap_ev",
-                    "hbar_delta_ev", "region_length_um"):
             if getattr(self, key) <= 0:
                 raise ConfigValidationError(key, "must be strictly positive")
-        if self.sweep_start <= 1:
-            raise ConfigValidationError(
-                "sweep_start", "must exceed 1 (exterior waves propagate only above cutoff)")
-        if self.sweep_stop <= self.sweep_start:
-            raise ConfigValidationError("sweep_stop", "must exceed sweep_start")
-        if self.sweep_points < 2:
-            raise ConfigValidationError("sweep_points", "must be at least 2")
 
 
-_FLOAT_KEYS = ("slab_width_um", "hbar_omega0_ev", "hbar_omegap_ev",
-               "hbar_delta_ev", "region_length_um", "sweep_start", "sweep_stop")
-_INT_KEYS = ("sweep_points",)
-_STR_KEYS = ("output_path",)
-CONFIG_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
+CONFIG_KEYS = ("hbar_omega0_ev", "hbar_omegap_ev", "hbar_delta_ev", "region_length_um")
 
 
 def parse_config(text: str) -> Config:
@@ -105,7 +90,7 @@ def parse_config(text: str) -> Config:
     :class:`ConfigParseError` with the line number; constraint violations
     raise :class:`ConfigValidationError` naming the key.
     """
-    values: dict[str, object] = {}
+    values: dict[str, float] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -122,12 +107,7 @@ def parse_config(text: str) -> Config:
         if not value:
             raise ConfigParseError(line_no, f"empty value for {key!r}")
         try:
-            if key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            else:
-                values[key] = value
+            values[key] = float(value)
         except ValueError:
             raise ConfigParseError(line_no, f"cannot parse value {value!r} for {key!r}") from None
     return Config(**values)

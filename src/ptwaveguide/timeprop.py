@@ -67,6 +67,12 @@ CHECK_EVERY = 200
 PACKET_DT = 1e-16
 POINTS_PER_WAVELENGTH = 80.0
 PLACEMENT_SIGMAS = 7.0
+# Largest plan, in grid points times time steps.  As sigma * k0 falls to 4.3
+# the time budget, and with it the grid, grows without bound; near that
+# limit the cap keeps a plan under ~2e6 points at 0.2 eV (~30 MB per complex
+# field).  It rejects widths below 0.606 um at 0.2 eV (sigma * k0 < 4.34)
+# and admits 0.61 um (3.4e11 point-steps).
+MAX_POINT_STEPS = 10 ** 12
 
 # transmission_prediction samples the packet spectrum at this many
 # wavenumbers, spanning this many spectral standard deviations each side of k0.
@@ -393,18 +399,18 @@ class ScatterResult:
     transmitted: float
     reflected: float
     interior_norm: float
-    norm_gain: float
     predicted_transmitted: float
     predicted_reflected: float
     bandwidth_ratio: float
-    t_final: float
-    boundary_peak: float
-    interior_amplitude: float
     states: tuple[WavepacketState, ...]
 
     @property
     def total(self) -> float:
         return self.transmitted + self.reflected + self.interior_norm
+
+    @property
+    def norm_gain(self) -> float:
+        return self.total - 1.0
 
 
 def fractions_below_residual(result: ScatterResult) -> tuple[str, ...]:
@@ -456,20 +462,17 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     # the final state is kept anyway: a time that rounds to t_final or past
     # it adds nothing
     wanted = {max(1, int(round(t / dt))) for t in record_times if t < t_final} - {n_steps}
-    boundary_peak = 0.0
     recorded: list[WavepacketState] = []
     for step, psi in _march(state.psi, potential, mass, grid.dz, dt, n_steps):
         if step % CHECK_EVERY == 0 or step == n_steps:
             peak = float(np.abs(psi).max())
             edge = max(float(np.abs(psi[:5]).max()), float(np.abs(psi[-5:]).max()))
-            boundary_peak = max(boundary_peak, edge / peak)
             if edge / peak > BOUNDARY_TOL:
                 raise BoundaryContaminationError(
                     f"boundary amplitude {edge / peak:.2e} of peak at step {step} "
                     f"exceeds {BOUNDARY_TOL:.1e}; enlarge the grid or stop earlier")
         if step in wanted:
             recorded.append(WavepacketState(psi=psi.copy(), t=step * dt, grid=grid))
-    final = WavepacketState(psi=psi, t=n_steps * dt, grid=grid)
     absq = np.abs(psi) ** 2
     peak = math.sqrt(float(absq.max()))
     interior_amp = math.sqrt(float(absq[inside].max())) / peak
@@ -485,19 +488,14 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     prediction = transmission_prediction(params, spec)
     if spec.carrier_k < 0:
         transmitted, reflected = reflected, transmitted
-    total = transmitted + reflected + interior_norm
     return ScatterResult(
         transmitted=transmitted,
         reflected=reflected,
         interior_norm=interior_norm,
-        norm_gain=total - 1.0,
         predicted_transmitted=prediction.transmitted,
         predicted_reflected=prediction.reflected,
         bandwidth_ratio=ratio,
-        t_final=final.t,
-        boundary_peak=boundary_peak,
-        interior_amplitude=interior_amp,
-        states=(*recorded, final),
+        states=(*recorded, WavepacketState(psi=psi, t=n_steps * dt, grid=grid)),
     )
 
 
@@ -516,7 +514,8 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     time budget lets the slower of the transmitted/reflected packets clear
     the medium by 8.6 dispersed widths, t = t_cross + 8.6 sigma(t) / v; as
     sigma(t) / v grows like t / (2 sigma k0), it has a solution only for
-    sigma * k0 > 4.3, and a plan below that is rejected.  Wall clearances
+    sigma * k0 > 4.3, and a plan below that is rejected, as is one whose
+    grid points times steps exceed ``MAX_POINT_STEPS``.  Wall clearances
     are 10.5 dispersed widths plus margin.  The grid step is snapped so that
     all three region boundaries fall exactly on grid points: otherwise the
     effective layer lengths shift by O(dz), which moves the interference
@@ -537,14 +536,13 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     t_near = (z0 - l) / v
     t_cross = (z0 + l) / v
     spread_rate = HBAR / (2.0 * mass * sigma * sigma)
-
-    def dispersed(t: float) -> float:
-        return sigma * math.sqrt(1.0 + (spread_rate * t) ** 2)
-
-    t_final = t_cross
-    for _ in range(12):
-        t_final = t_cross + 8.6 * dispersed(t_final) / v
-    s_f = dispersed(t_final)
+    # t - t_cross = b sqrt(1 + (s t)^2) with b = 8.6 sigma / v, s = spread_rate,
+    # squared: a quadratic in t whose larger root is the budget (b s < 1 by
+    # the sigma * k0 check)
+    b = 8.6 * sigma / v
+    bs2 = (b * spread_rate) ** 2
+    t_final = (t_cross + b * math.sqrt(1.0 + (spread_rate * t_cross) ** 2 - bs2)) / (1.0 - bs2)
+    s_f = sigma * math.sqrt(1.0 + (spread_rate * t_final) ** 2)
     wall = 10.5 * s_f + 12e-6
     refl_center = l + (t_final - t_near) * v
     trans_center = l + (t_final - t_cross) * v
@@ -565,6 +563,11 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
         z_max = l + cells_near * dz
         center, carrier = z0, -k0
     n_points = int(round((z_max - z_min) / dz)) + 1
+    n_steps = max(1, int(round(t_final / PACKET_DT)))
+    if n_points * n_steps > MAX_POINT_STEPS:
+        raise ValueError(f"sigma*k0 = {sigma * k0:.3g} plans {n_points} points x {n_steps} "
+                         f"steps, over the {MAX_POINT_STEPS:.0e} point-step limit: the "
+                         "budget diverges as sigma*k0 falls to 4.3")
     grid = SpatialGrid(z_min=z_min, z_max=z_max, n_points=n_points, dt=PACKET_DT)
     return PacketRunPlan(
         spec=WavepacketSpec(center=center, sigma=sigma, carrier_k=carrier),

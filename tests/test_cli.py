@@ -1,3 +1,4 @@
+import argparse
 import glob
 import io
 import json
@@ -16,7 +17,7 @@ import ptwaveguide.cli as cli
 from ptwaveguide.cli import CSV_HEADER, main, render_plot_script
 from ptwaveguide.medium import from_config
 from ptwaveguide.models import ModelColumns, ModelKind, SweepTable, sweep, sweep_grid
-from ptwaveguide.quantities import E_CHARGE, Config, load_config
+from ptwaveguide.quantities import CONFIG_KEYS, E_CHARGE, Config, load_config
 from ptwaveguide.timeprop import plan_packet_run, scatter_packet
 
 
@@ -74,7 +75,7 @@ class TestRowStatus:
 
     def test_manifest_counts(self, table, params, tmp_path):
         path = tmp_path / "m.json"
-        cli.write_manifest(str(path), Config(), params, table, {})
+        cli.write_manifest(str(path), Config(), (1.001, 1.003, 3), params, table, {})
         manifest = json.loads(path.read_text())
         assert manifest["frequencies"] == 3
         assert manifest["rows_by_status"] == {"ok": 1, "singular": 1, "nonfinite": 1}
@@ -90,7 +91,7 @@ class TestRowStatus:
         assert out.read_text() == b"".join(cli.csv_chunks(table)).decode()
 
     def test_check_fails_on_nonfinite(self, table, params):
-        failures = cli.run_checks(table, params, Config())
+        failures = cli.run_checks(table, params)
         assert "non-finite amplitudes at x=1.003 (exact)" in failures
         assert not any("x=1.002" in message for message in failures)
 
@@ -104,13 +105,13 @@ class TestCheckMessages:
         return sweep(params, 1.001, 1.05, 9)
 
     def test_clean_table_passes(self, table, params):
-        assert cli.run_checks(table, params, Config()) == []
+        assert cli.run_checks(table, params) == []
 
     def test_reciprocity(self, table, params):
         t = complex(table.models[ModelKind.EXACT].t[2])
         bad = _inject(table, ModelKind.EXACT, "t", 2, t * (1 + 1e-9))
         x = float(table.omega_over_omegac[2])
-        assert cli.run_checks(bad, params, Config()) == [
+        assert cli.run_checks(bad, params) == [
             f"reciprocity violated at x={x} (exact)"]
 
     def test_generalized_unitarity(self, table, params):
@@ -121,7 +122,7 @@ class TestCheckMessages:
         resid = abs(abs(t) ** 2 + r_left.conjugate() * r_right - 1.0)
         assert resid > 1e-8
         x = float(table.omega_over_omegac[4])
-        assert cli.run_checks(bad, params, Config()) == [
+        assert cli.run_checks(bad, params) == [
             f"generalized unitarity residual {resid:.2e} at x={x}"]
 
     def test_low_energy_asymmetry(self, table, params):
@@ -129,7 +130,7 @@ class TestCheckMessages:
         x = float(table.omega_over_omegac[1])
         assert x <= 1.019
         s_right = float(table.models[ModelKind.EXACT].s_right[1])
-        assert cli.run_checks(bad, params, Config()) == [
+        assert cli.run_checks(bad, params) == [
             f"low-energy asymmetry violated at x={x} (exact): "
             f"s_left=0.5, s_right={s_right}"]
 
@@ -141,14 +142,15 @@ class TestCheckMessages:
             return _inject(control, ModelKind.APPROXIMATE, "s_right", 7, 1.0 + 1e-9)
 
         monkeypatch.setattr(cli, "sweep", control_sweep)
-        config = Config()
-        x = sweep_grid(config.sweep_start, config.sweep_stop, 41)[7]
-        assert cli.run_checks(table, params, config) == [
+        # the control sweeps the table's range, at its 9 points
+        xs = table.omega_over_omegac
+        x = sweep_grid(xs[0], xs[-1], 9).tolist()[7]
+        assert cli.run_checks(table, params) == [
             f"unit flux sums violated with the medium off at x={x} (approx)"]
 
     def test_all_singular_table(self, params):
         table = _singular_table((1.001, 1.01))
-        assert cli.run_checks(table, params, Config()) == ["no row has status ok"]
+        assert cli.run_checks(table, params) == ["no row has status ok"]
 
 
 class TestSweepCommand:
@@ -200,24 +202,74 @@ class TestSweepCommand:
         assert all(line.split(",")[1] == "approx" for line in lines[1:])
 
     def test_config_file_and_overrides(self, tmp_path):
+        # the file sets the medium, the flags set the grid and the path
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("sweep_points = 5\nsweep_start = 1.002\n"
-                       "sweep_stop = 1.03\noutput_path = ignored.csv\n")
+        cfg.write_text("hbar_omegap_ev = 0.1\nregion_length_um = 10\n")
         out = tmp_path / "cfg.csv"
-        assert run_cli("sweep", "--config", str(cfg), "--output", str(out)) == 0
+        assert run_cli("sweep", "--config", str(cfg), "--sweep", "1.002:1.03:5",
+                       "--output", str(out)) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 5 * 2
         assert lines[1].startswith("1.002,")
+        expected = b"".join(cli.csv_chunks(sweep(from_config(load_config(str(cfg))),
+                                                 1.002, 1.03, 5)))
+        assert out.read_bytes() == expected
+        assert expected != b"".join(cli.csv_chunks(sweep(from_config(Config()),
+                                                         1.002, 1.03, 5)))
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("sweep_start = 0.5\n")
+        cfg.write_text("hbar_delta_ev = -0.5\n")
         assert run_cli("sweep", "--config", str(cfg)) == 2
-        assert "sweep_start" in capsys.readouterr().err
+        assert "hbar_delta_ev" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, line", [
+        ("sweep", "slab_width_um = 0.124"), ("sweep", "sweep_points = 400"),
+        ("sweep", "output_path = results.csv"), ("packet", "sweep_start = 1.0005")])
+    def test_removed_config_key_exits_2(self, tmp_path, capsys, monkeypatch, command, line):
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", no_steps)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"hbar_omegap_ev = 0.2\n{line}\n")
+        assert run_cli(command, "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == \
+            f"config error: line 2: unknown key {line.split()[0]!r}\n"
+        assert os.listdir(tmp_path) == ["old.cfg"]
+
+    @pytest.mark.parametrize("window, message", [
+        pytest.param("1.001:1.05", "--sweep expects START:STOP:N, got '1.001:1.05'",
+                     id="missing N"),
+        pytest.param("1.001:1.05:9.5", "--sweep expects numbers START:STOP and an "
+                     "integer N, got '1.001:1.05:9.5'", id="non-integer N"),
+        pytest.param("1.001:1.05:1", "need at least 2 points, got 1", id="N < 2"),
+        pytest.param("1.0:1.05:9", "need 1 < start < stop < inf, got start=1.0, stop=1.05",
+                     id="start <= 1"),
+        pytest.param("1.05:1.05:9", "need 1 < start < stop < inf, got start=1.05, "
+                     "stop=1.05", id="stop <= start"),
+        pytest.param("nan:1.05:9", "need 1 < start < stop < inf, got start=nan, stop=1.05",
+                     id="nan start"),
+        pytest.param("inf:1.05:9", "need 1 < start < stop < inf, got start=inf, stop=1.05",
+                     id="inf start"),
+        pytest.param("1.001:nan:9", "need 1 < start < stop < inf, got start=1.001, "
+                     "stop=nan", id="nan stop"),
+        pytest.param("1.001:inf:9", "need 1 < start < stop < inf, got start=1.001, "
+                     "stop=inf", id="inf stop"),
+    ])
+    def test_bad_sweep_exits_2(self, tmp_path, capsys, window, message):
+        out = tmp_path / "bad.csv"
+        assert run_cli("sweep", "--sweep", window, "--check", "--plot",
+                       "--output", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
 
     def test_malformed_config_reports_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("# fine\nsweep_points == 7\n")
+        cfg.write_text("# fine\nhbar_omegap_ev == 7\n")
         assert run_cli("sweep", "--config", str(cfg)) == 2
         assert "line 2" in capsys.readouterr().err
 
@@ -246,7 +298,8 @@ class TestSweepCommand:
                        "--output", str(out)) == 0
         assert "all sweep checks passed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("line", ["hbar_omegap_ev = nan", "sweep_stop = inf"])
+    @pytest.mark.parametrize("line", ["hbar_omegap_ev = nan", "sweep_stop = inf",
+                                      "region_length_um = inf"])
     def test_non_finite_config_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
@@ -262,7 +315,7 @@ class TestSweepCommand:
         singular = _singular_table((1.001, 1.01))
         # the medium-off control sweep comes back singular too
         monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: singular)
-        failures = cli.run_checks(singular, params, Config())
+        failures = cli.run_checks(singular, params)
         assert "no row has status ok" in failures
         assert sum("medium off" in message for message in failures) == 2
 
@@ -276,7 +329,10 @@ class TestSweepCommand:
         # one CSV row per frequency and model
         assert sum(manifest["rows_by_status"].values()) == manifest["csv_rows"] == 4
         assert manifest["derived"]["hbar_omega_c_ev"] == pytest.approx(5.0)
-        assert manifest["config"]["sweep_points"] == 2
+        assert manifest["derived"]["slab_width_m"] == from_config(Config()).slab_width
+        assert "width_mismatch_rel" not in manifest["derived"]
+        assert manifest["config"] == {key: getattr(Config(), key) for key in CONFIG_KEYS}
+        assert manifest["sweep"] == {"start": 1.003, "stop": 1.01, "points": 2}
         stages = manifest["stage_seconds"]
         assert set(stages) == {"config", "sweep", "csv"}
         assert all(seconds >= 0.0 for seconds in stages.values())
@@ -468,6 +524,19 @@ class TestPacketCommand:
             f"error: sigma*k0 = {product} must exceed 4.3: the packet spreads faster "
             "than it clears the medium, so no time budget exists\n")
 
+    def test_oversized_packet_plan_exits_2(self, monkeypatch, capsys):
+        # sigma*k0 = 4.33 has a time budget, but its grid and step count are
+        # over the point-step limit
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", no_steps)
+        assert run_cli("packet", "--sigma-um", "0.604") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma*k0 = 4.33 plans ")
+        assert err.endswith(" steps, over the 1e+12 point-step limit: the budget "
+                            "diverges as sigma*k0 falls to 4.3\n")
+
     def test_snapshot_times_need_snapshots_file(self, monkeypatch, capsys):
         def no_steps(*args):
             raise AssertionError("stepped")
@@ -568,3 +637,24 @@ def test_sweep_figure_script(tmp_path):
     assert "s_left > 1 > s_right holds on every grid point up to omega/omega_c = " \
         in stdout["sweep_figure"]
     assert "worst log10 model-agreement metric below 1.0158: " in stdout["sweep_figure"]
+
+
+def test_readme_matches_parser_and_config():
+    # the README's command-line synopsis names exactly each subcommand's
+    # options, and its config block exactly the config keys and defaults
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```\n(.*?)```", fh.read(), re.S)
+    documented: dict[str, set[str]] = {}
+    for line in next(b for b in blocks if b.startswith("ptwaveguide ")).splitlines():
+        if line.startswith("ptwaveguide "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z-]+", line))
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices
+    assert documented == {name: {option for action in sub._actions
+                                 for option in action.option_strings} - {"-h", "--help"}
+                          for name, sub in subcommands.items()}
+    listed = re.findall(r"(\w+)\s*=\s*(\S+)", next(b for b in blocks if "hbar_omega0_ev" in b))
+    assert sorted(key for key, _ in listed) == sorted(CONFIG_KEYS)
+    assert {key: float(value) for key, value in listed} == \
+        {key: getattr(Config(), key) for key in CONFIG_KEYS}

@@ -109,6 +109,17 @@ class TestSweep:
             sweep_grid(1.1, 1.05, 10)
         with pytest.raises(ValueError):
             sweep_grid(1.01, 1.1, 1)
+        for start, stop in ((math.nan, 1.1), (1.01, math.nan), (1.01, math.inf),
+                            (math.inf, 1.1)):
+            with pytest.raises(ValueError):
+                sweep_grid(start, stop, 10)
+
+    @pytest.mark.parametrize("start, stop, n", [(1.0005, 1.10, 400), (1.001, 1.05, 9),
+                                                (1.00041, 1.1007, 40_000)])
+    def test_grid_matches_python_loop(self, start, stop, n):
+        # start + i * step in Python floats, the grid's reference arithmetic
+        step = (stop - start) / (n - 1)
+        assert sweep_grid(start, stop, n).tolist() == [start + i * step for i in range(n)]
 
     def test_low_energy_asymmetry_row(self, params):
         row = evaluate_row(params, 1.005, tuple(ModelKind))

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ptwaveguide.quantities import (C, E_CHARGE, HBAR, Config, ConfigParseError,
-                                    ConfigValidationError, angular_to_ev,
-                                    cutoff_frequency, ev_to_angular,
+from ptwaveguide.quantities import (C, CONFIG_KEYS, E_CHARGE, HBAR, Config,
+                                    ConfigParseError, ConfigValidationError,
+                                    angular_to_ev, cutoff_frequency, ev_to_angular,
                                     parse_config)
 
 
@@ -66,51 +66,55 @@ class TestConfig:
     def test_empty_gives_defaults(self):
         config = parse_config("")
         assert config == Config()
-        assert config.slab_width_um == 0.124
+        assert config.hbar_omega0_ev == 5.0
+        assert config.hbar_omegap_ev == 0.2
         assert config.hbar_delta_ev == 1.25
-        assert config.sweep_points == 400
-        assert config.output_path == "results.csv"
+        assert config.region_length_um == 19.7
 
     def test_comments_and_blank_lines(self):
-        text = "# a comment\n\nsweep_points = 10  # trailing comment\n"
-        assert parse_config(text).sweep_points == 10
+        text = "# a comment\n\nhbar_omegap_ev = 0.1  # trailing comment\n"
+        assert parse_config(text).hbar_omegap_ev == 0.1
 
     def test_all_keys(self):
         text = "\n".join([
-            "slab_width_um = 0.2",
             "hbar_omega0_ev = 4.0",
             "hbar_omegap_ev = 0.1",
             "hbar_delta_ev = 1.0",
             "region_length_um = 10",
-            "sweep_start = 1.001",
-            "sweep_stop = 1.05",
-            "sweep_points = 7",
-            "output_path = out.csv",
         ])
         config = parse_config(text)
         assert config.hbar_omega0_ev == 4.0
-        assert config.sweep_points == 7
-        assert config.output_path == "out.csv"
+        assert config.hbar_omegap_ev == 0.1
+        assert config.hbar_delta_ev == 1.0
+        assert config.region_length_um == 10.0
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(ConfigParseError) as err:
-            parse_config("sweep_points = 4\nbogus line\n")
+            parse_config("hbar_omegap_ev = 0.1\nbogus line\n")
         assert err.value.line_no == 2
 
     def test_unknown_key_reports_number(self):
         with pytest.raises(ConfigParseError) as err:
             parse_config("\n\nnot_a_key = 3\n")
         assert err.value.line_no == 3
+        # the sweep window and output path are command-line flags, and the
+        # slab width follows from the resonance: a file that sets one fails
+        for line in ("slab_width_um = 0.124", "sweep_start = 1.0005", "sweep_stop = 1.1",
+                     "sweep_points = 400", "output_path = results.csv"):
+            with pytest.raises(ConfigParseError) as err:
+                parse_config(f"hbar_omegap_ev = 0.1\n{line}\n")
+            assert err.value.line_no == 2
+            assert str(err.value) == f"line 2: unknown key {line.split()[0]!r}"
 
     def test_repeated_key_reports_second_line(self):
         with pytest.raises(ConfigParseError) as err:
-            parse_config("sweep_points = 10\n# again\nsweep_points = 20\n")
+            parse_config("hbar_omegap_ev = 0.1\n# again\nhbar_omegap_ev = 0.2\n")
         assert err.value.line_no == 3
-        assert "'sweep_points' given twice" in str(err.value)
+        assert "'hbar_omegap_ev' given twice" in str(err.value)
 
     def test_unparseable_value(self):
         with pytest.raises(ConfigParseError):
-            parse_config("sweep_points = three")
+            parse_config("hbar_omegap_ev = three")
 
     def test_zero_plasma_frequency_rejected(self):
         with pytest.raises(ConfigValidationError) as err:
@@ -118,27 +122,34 @@ class TestConfig:
         assert err.value.key == "hbar_omegap_ev"
 
     def test_sweep_start_below_one_rejected(self):
-        with pytest.raises(ConfigValidationError) as err:
+        # a file cannot set the window: the key itself is rejected
+        with pytest.raises(ConfigParseError) as err:
             parse_config("sweep_start = 0.9")
-        assert err.value.key == "sweep_start"
+        assert str(err.value) == "line 1: unknown key 'sweep_start'"
 
     def test_sweep_stop_must_exceed_start(self):
-        with pytest.raises(ConfigValidationError):
+        with pytest.raises(ConfigParseError) as err:
             parse_config("sweep_start = 1.05\nsweep_stop = 1.01")
+        assert str(err.value) == "line 1: unknown key 'sweep_start'"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", ["slab_width_um", "hbar_omega0_ev",
-                                     "hbar_omegap_ev", "hbar_delta_ev",
-                                     "region_length_um", "sweep_start",
-                                     "sweep_stop"])
+    @pytest.mark.parametrize("key", CONFIG_KEYS + ("slab_width_um", "sweep_start",
+                                                   "sweep_stop"))
     def test_non_finite_rejected(self, key, value):
+        if key not in CONFIG_KEYS:
+            # a removed key fails on its name, before its value is read
+            with pytest.raises(ConfigParseError) as err:
+                parse_config(f"{key} = {value}")
+            assert str(err.value) == f"line 1: unknown key {key!r}"
+            return
         with pytest.raises(ConfigValidationError) as err:
             parse_config(f"{key} = {value}")
         assert err.value.key == key
 
     def test_single_point_rejected(self):
-        with pytest.raises(ConfigValidationError):
+        with pytest.raises(ConfigParseError) as err:
             parse_config("sweep_points = 1")
+        assert str(err.value) == "line 1: unknown key 'sweep_points'"
 
 
 def test_si_constants_exact():

@@ -488,10 +488,37 @@ class TestScatter:
         with pytest.raises(ValueError, match=r"sigma\*k0 = .* must exceed 4\.3"):
             plan_packet_run(params, sigma=sigma, energy=energy_ev * E_CHARGE)
 
+    @pytest.mark.parametrize("sigma_k0", [4.3 * (1 + 1e-9), 4.33])
+    def test_plan_over_point_step_limit_rejected(self, params, monkeypatch, sigma_k0):
+        # just above sigma * k0 = 4.3 the budget is finite but huge (4.33 is
+        # 0.604 um at 0.2 eV, 2.5e6 points x 7.4e5 steps): no grid is built
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(tp, "SpatialGrid", no_grid)
+        sigma = sigma_k0 / carrier_for_energy(params, 0.2)
+        with pytest.raises(ValueError, match=r"over the 1e\+12 point-step limit"):
+            plan_packet_run(params, sigma=sigma, energy=0.2 * E_CHARGE)
+
     def test_plan_just_above_time_budget_limit(self, params):
         plan = plan_packet_run(params, sigma=0.61e-6, energy=0.2 * E_CHARGE)
         assert 4.3 < plan.spec.sigma * plan.spec.carrier_k < 4.4
         assert math.isfinite(plan.t_final)
+
+    @pytest.mark.parametrize("sigma, energy_ev", [(0.61e-6, 0.2), (1e-6, 0.1), (2e-6, 0.02)])
+    def test_plan_budget_is_fixed_point(self, params, sigma, energy_ev):
+        # t = t_cross + 8.6 sigma(t) / v holds at the planned t_final; planned
+        # only: these runs would be long (313,705 steps at 0.61 um)
+        plan = plan_packet_run(params, sigma=sigma, energy=energy_ev * E_CHARGE)
+        mass = effective_mass(params)
+        v = HBAR * abs(plan.spec.carrier_k) / mass
+        t_cross = (abs(plan.spec.center) + params.region_length) / v
+        spread_rate = HBAR / (2.0 * mass * sigma ** 2)
+        t = plan.t_final
+        budget = t_cross + 8.6 * sigma * math.sqrt(1.0 + (spread_rate * t) ** 2) / v
+        assert abs(budget - t) <= 1e-12 * t
+        if sigma == 0.61e-6:
+            assert round(t / plan.grid.dt) == 313_705
 
     def test_unfinished_run_rejected(self, params):
         plan = plan_packet_run(params, sigma=3e-6, energy=0.2 * E_CHARGE)
