@@ -26,9 +26,9 @@ from .models import (STATUS_NONFINITE, STATUS_OK, ModelColumns, ModelKind,
                      SweepTable, bilayer, pt_defect, sweep)
 from .quantities import (E_CHARGE, Config, ConfigError, angular_to_ev,
                          config_as_dict, ev_to_angular, load_config)
-from .timeprop import (INTERIOR_TOL, BoundaryContaminationError, IncompleteScatterError,
-                       deviation_percent, fractions_below_residual, plan_packet_run,
-                       require_record_times, scatter_packet)
+from .timeprop import (INTERIOR_TOL, PACKET_THETA, BoundaryContaminationError,
+                       IncompleteScatterError, deviation_percent, fractions_below_residual,
+                       plan_packet_run, require_record_times, scatter_packet)
 
 CSV_HEADER = ("omega_over_omegac,model,t_left_re,t_left_im,r_left_re,r_left_im,"
               "t_right_re,t_right_im,r_right_re,r_right_im,sum_left,sum_right,"
@@ -373,7 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_packet.add_argument("--from", dest="incidence", choices=("left", "right"),
                           default="left")
     p_packet.add_argument("--t-final-ps", type=float, default=None,
-                          help="override the planned run duration")
+                          help="override the planned run duration; like the "
+                               "snapshot times it counts steps of dt, so the packet "
+                               "lags the physical one by theta^2/4 (theta = "
+                               f"E dt/hbar, {PACKET_THETA:g} unless capped)")
     p_packet.add_argument("--interior-tol", type=float, default=INTERIOR_TOL,
                           help="override the interior-clearance guard "
                                "(useful for mid-flight snapshots)")

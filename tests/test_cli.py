@@ -534,7 +534,7 @@ class TestPacketCommand:
         assert run_cli("packet", "--sigma-um", "0.604") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: sigma*k0 = 4.33 plans ")
-        assert err.endswith(" steps, over the 1e+12 point-step limit: the budget "
+        assert err.endswith(" steps, over the 1e+11 point-step limit: the budget "
                             "diverges as sigma*k0 falls to 4.3\n")
 
     def test_snapshot_times_need_snapshots_file(self, monkeypatch, capsys):

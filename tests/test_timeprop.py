@@ -15,7 +15,7 @@ from scipy.linalg import _flapack as flapack
 
 import ptwaveguide.timeprop as tp
 from ptwaveguide.helmholtz import SpectralSingularityError, amplitude_arrays
-from ptwaveguide.medium import effective_mass, effective_potential, region_at
+from ptwaveguide.medium import RegionKind, effective_mass, effective_potential, region_at
 from ptwaveguide.models import approx_bilayer
 from ptwaveguide.quantities import E_CHARGE, HBAR
 from ptwaveguide.timeprop import (PREDICTION_HALF_WIDTH, PREDICTION_POINTS,
@@ -491,13 +491,13 @@ class TestScatter:
     @pytest.mark.parametrize("sigma_k0", [4.3 * (1 + 1e-9), 4.33])
     def test_plan_over_point_step_limit_rejected(self, params, monkeypatch, sigma_k0):
         # just above sigma * k0 = 4.3 the budget is finite but huge (4.33 is
-        # 0.604 um at 0.2 eV, 2.5e6 points x 7.4e5 steps): no grid is built
+        # 0.604 um at 0.2 eV, 2.5e6 points x 7.7e4 steps): no grid is built
         def no_grid(*args, **kwargs):
             raise AssertionError("grid built")
 
         monkeypatch.setattr(tp, "SpatialGrid", no_grid)
         sigma = sigma_k0 / carrier_for_energy(params, 0.2)
-        with pytest.raises(ValueError, match=r"over the 1e\+12 point-step limit"):
+        with pytest.raises(ValueError, match=r"over the 1e\+11 point-step limit"):
             plan_packet_run(params, sigma=sigma, energy=0.2 * E_CHARGE)
 
     def test_plan_just_above_time_budget_limit(self, params):
@@ -507,18 +507,59 @@ class TestScatter:
 
     @pytest.mark.parametrize("sigma, energy_ev", [(0.61e-6, 0.2), (1e-6, 0.1), (2e-6, 0.02)])
     def test_plan_budget_is_fixed_point(self, params, sigma, energy_ev):
-        # t = t_cross + 8.6 sigma(t) / v holds at the planned t_final; planned
-        # only: these runs would be long (313,705 steps at 0.61 um)
+        # t = t_cross + 8.6 sigma(t) / v holds for the physical budget, the
+        # planned t_final over the scheme's slowdown 1 + theta^2/4; planned
+        # only: these runs would be long (32,488 steps at 0.61 um)
         plan = plan_packet_run(params, sigma=sigma, energy=energy_ev * E_CHARGE)
+        theta = energy_ev * E_CHARGE * plan.grid.dt / HBAR
         mass = effective_mass(params)
         v = HBAR * abs(plan.spec.carrier_k) / mass
         t_cross = (abs(plan.spec.center) + params.region_length) / v
         spread_rate = HBAR / (2.0 * mass * sigma ** 2)
-        t = plan.t_final
+        t = plan.t_final / (1.0 + theta ** 2 / 4.0)
         budget = t_cross + 8.6 * sigma * math.sqrt(1.0 + (spread_rate * t) ** 2) / v
         assert abs(budget - t) <= 1e-12 * t
         if sigma == 0.61e-6:
-            assert round(t / plan.grid.dt) == 313_705
+            assert round(plan.t_final / plan.grid.dt) == 32_488
+
+    @pytest.mark.parametrize("medium, capped", [
+        ("params", {0.02, 0.03}), ("subcritical_params", set()),
+        ("hermitian_params", set())])
+    def test_planned_dt_from_carrier(self, request, medium, capped):
+        # dt = theta hbar / E, unless that step would turn the strongest
+        # potential by more than half the guard; planned only
+        p = request.getfixturevalue(medium)
+        vmax = abs(effective_potential(RegionKind.GAIN, p))
+        seen = set()
+        for energy_ev in (0.02, 0.03, 0.05, 0.1, 0.2, 0.3, 0.5):
+            energy = energy_ev * E_CHARGE
+            plan = plan_packet_run(p, sigma=3e-6, energy=energy)
+            dt = plan.grid.dt
+            tp._check_guard(potential_on_grid(p, plan.grid), dt)
+            carrier_dt = tp.PACKET_THETA * HBAR / energy
+            if carrier_dt * vmax / HBAR <= tp.POTENTIAL_PHASE_GUARD / 2:
+                assert dt == pytest.approx(carrier_dt, rel=1e-12)
+            else:
+                seen.add(energy_ev)
+                assert dt * vmax / HBAR == pytest.approx(tp.POTENTIAL_PHASE_GUARD / 2,
+                                                         rel=1e-12)
+        assert seen == capped
+
+    def test_planned_dt_matches_fine_step(self, subcritical_params):
+        # a draining plan (absorber first, regions shortened to 5 um): the
+        # carrier-sized step gives the fractions of a 1e-16 s step run to the
+        # unscaled budget, and leaves no more inside
+        short = replace(subcritical_params, region_length=5e-6)
+        plan = plan_packet_run(short, sigma=1.5e-6, energy=0.2 * E_CHARGE,
+                               from_left=False)
+        theta = 0.2 * E_CHARGE * plan.grid.dt / HBAR
+        assert theta == pytest.approx(tp.PACKET_THETA, rel=1e-12)
+        coarse = scatter_packet(short, plan.spec, plan.grid, plan.t_final)
+        fine = scatter_packet(short, plan.spec, replace(plan.grid, dt=1e-16),
+                              plan.t_final / (1.0 + theta ** 2 / 4.0))
+        assert coarse.transmitted == pytest.approx(fine.transmitted, rel=1e-5)
+        assert coarse.reflected == pytest.approx(fine.reflected, rel=1e-5, abs=1e-6)
+        assert coarse.interior_norm <= fine.interior_norm
 
     def test_unfinished_run_rejected(self, params):
         plan = plan_packet_run(params, sigma=3e-6, energy=0.2 * E_CHARGE)
