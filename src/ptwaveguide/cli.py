@@ -20,15 +20,15 @@ import numpy as np
 
 from . import __version__
 from .csvtext import WIDTH, g15_fields, join_rows
-from .medium import MediumParams, from_config
+from .medium import NEAR_CUTOFF_X_MAX, MediumParams, from_config
 from .helmholtz import amplitude_arrays
 from .models import (STATUS_NONFINITE, STATUS_OK, ModelColumns, ModelKind,
                      SweepTable, bilayer, pt_defect, sweep)
 from .quantities import (E_CHARGE, Config, ConfigError, angular_to_ev,
                          config_as_dict, ev_to_angular, load_config)
-from .timeprop import (INTERIOR_TOL, PACKET_THETA, BoundaryContaminationError,
-                       IncompleteScatterError, deviation_percent, fractions_below_residual,
-                       plan_packet_run, require_record_times, scatter_packet)
+from .timeprop import (BoundaryContaminationError, IncompleteScatterError,
+                       deviation_percent, fractions_below_residual, plan_packet_run,
+                       require_record_times, scatter_packet)
 
 CSV_HEADER = ("omega_over_omegac,model,t_left_re,t_left_im,r_left_re,r_left_im,"
               "t_right_re,t_right_im,r_right_re,r_right_im,sum_left,sum_right,"
@@ -49,7 +49,7 @@ _SWEEP_BLOCK = 8192
 _SNAPSHOT_BLOCK = 1024
 
 # sweep --sweep: the default omega/omega_c grid (start, stop, points)
-SWEEP_WINDOW = (1.0005, 1.10, 400)
+SWEEP_WINDOW = (1.0005, NEAR_CUTOFF_X_MAX, 400)
 
 _MODEL_CHOICES = {
     "exact": (ModelKind.EXACT,),
@@ -279,41 +279,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_plot(args) -> int:
-    with open(args.csv_path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        print(f"error: {args.csv_path} does not carry the expected header",
-              file=sys.stderr)
-        return 2
-    if len(lines) < 2:
-        print(f"error: {args.csv_path} has no data rows", file=sys.stderr)
-        return 2
-    script = render_plot_script(args.csv_path)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(script)
-    else:
-        sys.stdout.write(script)
-    return 0
-
-
 def cmd_packet(args) -> int:
     config = _load(args)
     params = from_config(config)
     plan = plan_packet_run(params, sigma=args.sigma_um * 1e-6,
                            energy=args.energy_ev * E_CHARGE,
                            from_left=(args.incidence == "left"))
-    if args.t_final_ps is not None:
-        plan = replace(plan, t_final=args.t_final_ps * 1e-12)
     record = tuple(float(t) * 1e-12 for t in args.snapshot_times_ps.split(",")) \
         if args.snapshot_times_ps else ()
     require_record_times(record)
     if record and not args.snapshots:
         raise ValueError("--snapshot-times-ps needs --snapshots: the requested states "
                          "would not be written")
-    result = scatter_packet(params, plan.spec, plan.grid, plan.t_final,
-                            interior_tol=args.interior_tol, record_times=record)
+    result = scatter_packet(params, plan.spec, plan.grid, plan.t_final, record_times=record)
     x_carrier = 1.0 + ev_to_angular(args.energy_ev) / params.omega_c
     print(f"carrier: {args.energy_ev:g} eV (omega/omega_c = {x_carrier:.4f}), "
           f"sigma = {args.sigma_um:g} um, incidence {args.incidence}")
@@ -359,11 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run property assertions on the sweep")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_plot = sub.add_parser("plot", help="emit a gnuplot script for a sweep CSV")
-    p_plot.add_argument("csv_path")
-    p_plot.add_argument("--output", help="write the script here instead of stdout")
-    p_plot.set_defaults(func=cmd_plot)
-
     p_packet = sub.add_parser("packet", help="scatter a wavepacket off the bilayer")
     p_packet.add_argument("--config", help="config file (key = value lines)")
     p_packet.add_argument("--sigma-um", type=float, default=3.0,
@@ -372,14 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="carrier kinetic energy in eV")
     p_packet.add_argument("--from", dest="incidence", choices=("left", "right"),
                           default="left")
-    p_packet.add_argument("--t-final-ps", type=float, default=None,
-                          help="override the planned run duration; like the "
-                               "snapshot times it counts steps of dt, so the packet "
-                               "lags the physical one by theta^2/4 (theta = "
-                               f"E dt/hbar, {PACKET_THETA:g} unless capped)")
-    p_packet.add_argument("--interior-tol", type=float, default=INTERIOR_TOL,
-                          help="override the interior-clearance guard "
-                               "(useful for mid-flight snapshots)")
     p_packet.add_argument("--snapshots", help="write field snapshots to this CSV")
     p_packet.add_argument("--snapshot-times-ps",
                           help="comma separated times (ps) to snapshot")

@@ -27,6 +27,9 @@ logger = logging.getLogger(__name__)
 # The near-cutoff reduction assumes omega_p^2/delta << delta, omega_c.
 # Above this ratio the truncation is dubious; we warn rather than refuse.
 REGIME_WARN_LEVEL = 0.1
+# The reduction is first order in the detuning from cutoff: the default sweep
+# ends at this omega/omega_c, and a packet carrier above it is refused.
+NEAR_CUTOFF_X_MAX = 1.10
 
 
 class ParameterError(ValueError):

@@ -51,7 +51,8 @@ from typing import Sequence
 import numpy as np
 
 from .helmholtz import SpectralSingularityError, amplitude_arrays
-from .medium import MediumParams, RegionKind, effective_mass, effective_potential
+from .medium import (NEAR_CUTOFF_X_MAX, MediumParams, RegionKind, effective_mass,
+                     effective_potential)
 from .models import approx_bilayer
 from .quantities import HBAR
 
@@ -60,8 +61,9 @@ logger = logging.getLogger(__name__)
 # Accuracy guard for a single step: the potential phase per step stays small.
 POTENTIAL_PHASE_GUARD = 0.1
 
-# Contamination thresholds (amplitude relative to the global peak); the
-# interior one is the default of scatter_packet's interior_tol.
+# Contamination thresholds (amplitude relative to the global peak): a run
+# fails if its field touches a wall, or if its largest amplitude inside the
+# medium at t_final exceeds INTERIOR_TOL of the peak.
 # Validated against the reference medium: subcritical ring-down radiation and
 # dispersive grid precursors set a floor near 1e-9; packets that actually
 # touch a wall blow through 1e-6 within a few hundred steps.
@@ -446,20 +448,19 @@ def require_record_times(record_times: Sequence[float]) -> None:
 
 
 def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid,
-                   t_final: float, *, interior_tol: float = INTERIOR_TOL,
-                   record_times: Sequence[float] = ()) -> ScatterResult:
+                   t_final: float, *, record_times: Sequence[float] = ()) -> ScatterResult:
     """Scatter a Gaussian packet off the gain/loss bilayer.
 
     Returns the transmitted and reflected norm fractions at t_final together
     with the stationary-model spectral averages they should approach.  The
-    run is rejected if the field touches a wall (enlarge the grid) or if a
-    dominant share of it is still inside the medium (lengthen t_final, or
-    note that above the amplification threshold the medium never clears).
+    run is rejected if the field touches a wall (enlarge the grid), if its
+    norm overflows, or if its largest amplitude inside the medium exceeds
+    :data:`INTERIOR_TOL` of the peak (lengthen t_final, or note that above
+    the amplification threshold the medium never clears).
     ``record_times`` requests intermediate snapshots (nearest step); the
     final state is always kept, once.
     """
     _require_positive("t_final", t_final)
-    _require_positive("interior_tol", interior_tol)
     require_record_times(record_times)
     state = initial_gaussian(spec, grid, params)
     ratio = spec.bandwidth_ratio(params)
@@ -485,18 +486,23 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
                     f"exceeds {BOUNDARY_TOL:.1e}; enlarge the grid or stop earlier")
         if step in wanted:
             recorded.append(WavepacketState(psi=psi.copy(), t=step * dt, grid=grid))
-    absq = np.abs(psi) ** 2
+    dz = grid.dz
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        absq = np.abs(psi) ** 2
+        transmitted = float(np.sum(absq[z > params.region_length]) * dz)
+        reflected = float(np.sum(absq[z < -params.region_length]) * dz)
+        interior_norm = float(np.sum(absq[inside]) * dz)
+    if not math.isfinite(transmitted + reflected + interior_norm):
+        raise IncompleteScatterError(
+            "the field's norm overflows at t_final: the medium's growing modes "
+            "have taken over")
     peak = math.sqrt(float(absq.max()))
     interior_amp = math.sqrt(float(absq[inside].max())) / peak
-    if interior_amp > interior_tol:
+    if interior_amp > INTERIOR_TOL:
         raise IncompleteScatterError(
             f"interior amplitude is {interior_amp:.2f} of the peak at t_final; "
             "the medium has not cleared (lengthen t_final; if the gain section "
             "is above its amplification threshold it never will)")
-    dz = grid.dz
-    transmitted = float(np.sum(absq[z > params.region_length]) * dz)
-    reflected = float(np.sum(absq[z < -params.region_length]) * dz)
-    interior_norm = float(np.sum(absq[inside]) * dz)
     prediction = transmission_prediction(params, spec)
     if spec.carrier_k < 0:
         transmitted, reflected = reflected, transmitted
@@ -538,9 +544,17 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     fringes and biases the fractions at the few-per-mil level.  Everything
     is overridable by constructing :class:`WavepacketSpec` and
     :class:`SpatialGrid` directly.
+
+    A carrier above omega/omega_c = 1 + E / hbar omega_c =
+    ``NEAR_CUTOFF_X_MAX``, outside the near-cutoff regime, is rejected.
     """
     _require_positive("sigma", sigma)
     _require_positive("carrier energy", energy)
+    x = 1.0 + energy / (HBAR * params.omega_c)
+    if x > NEAR_CUTOFF_X_MAX:
+        raise ValueError(f"carrier at omega/omega_c = {x:.10g} is above "
+                         f"{NEAR_CUTOFF_X_MAX:g}, outside the near-cutoff regime of "
+                         "the reduced model")
     mass = effective_mass(params)
     k0 = math.sqrt(2.0 * mass * energy) / HBAR
     if not sigma * k0 > 4.3:

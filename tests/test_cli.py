@@ -337,6 +337,15 @@ class TestSweepCommand:
         assert set(stages) == {"config", "sweep", "csv"}
         assert all(seconds >= 0.0 for seconds in stages.values())
 
+    def test_plot_script_series(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert run_cli("sweep", "--sweep", "1.003:1.01:3", "--plot", "--output", str(out)) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {out}.gp\n")
+        script = (tmp_path / "p.csv.gp").read_text()
+        assert script.count("with lines") == 2
+        assert script.count("with points") == 2
+        assert script == render_plot_script(str(out))
+
     @pytest.mark.parametrize("passing", [True, False])
     def test_manifest_times_checks(self, tmp_path, capsys, monkeypatch, passing):
         # the manifest is written after the checks, whether or not they pass
@@ -352,44 +361,20 @@ class TestSweepCommand:
         assert all(seconds >= 0.0 for seconds in stages.values())
 
 
-class TestPlotCommand:
-    def test_script_series(self, tmp_path, capsys):
-        out = tmp_path / "p.csv"
-        run_cli("sweep", "--sweep", "1.003:1.01:3", "--output", str(out))
-        capsys.readouterr()
-        assert run_cli("plot", str(out)) == 0
-        script = capsys.readouterr().out
-        assert script.count("with lines") == 2
-        assert script.count("with points") == 2
-        assert script == render_plot_script(str(out))
-
-    def test_regenerated_csv_same_script(self, tmp_path):
-        out = tmp_path / "p.csv"
-        gp1, gp2 = tmp_path / "1.gp", tmp_path / "2.gp"
-        run_cli("sweep", "--sweep", "1.003:1.01:3", "--output", str(out))
-        run_cli("plot", str(out), "--output", str(gp1))
-        run_cli("sweep", "--sweep", "1.003:1.01:3", "--output", str(out))
-        run_cli("plot", str(out), "--output", str(gp2))
-        assert read(gp1) == read(gp2)
-
-    def test_empty_csv_rejected(self, tmp_path, capsys):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        assert run_cli("plot", str(empty)) == 2
-        header_only = tmp_path / "header.csv"
-        header_only.write_text(CSV_HEADER + "\n")
-        assert run_cli("plot", str(header_only)) == 2
-
-    def test_wrong_header_rejected(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b,c\n1,2,3\n")
-        assert run_cli("plot", str(bad)) == 2
-
-
 class TestPacketCommand:
-    def test_defaults_match_prediction(self, capsys):
-        assert run_cli("packet") == 0
-        out, err = capsys.readouterr()
+    @pytest.fixture(scope="class")
+    def default_outputs(self):
+        """(stdout, stderr) of the default packet run from each side."""
+        outputs = {}
+        for side in ("left", "right"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                assert run_cli("packet", "--from", side) == 0
+            outputs[side] = out.getvalue(), err.getvalue()
+        return outputs
+
+    def test_defaults_match_prediction(self, default_outputs):
+        out, err = default_outputs["left"]
         assert "warning" not in err  # both fractions exceed the interior residual
         match = re.search(r"transmitted fraction: .*deviation ([0-9.]+)%", out)
         assert match and float(match.group(1)) <= 2.0
@@ -397,15 +382,19 @@ class TestPacketCommand:
 
     @pytest.fixture(scope="class")
     def medium_off_output(self, tmp_path_factory):
-        cfg = tmp_path_factory.mktemp("off") / "off.cfg"
+        """(stdout, stderr, snapshot CSV) of the sigma = 2.5 um run with the
+        medium off, snapshots at 0.02 ps and at the end."""
+        folder = tmp_path_factory.mktemp("off")
+        cfg, snap = folder / "off.cfg", folder / "snap.csv"
         cfg.write_text("hbar_omegap_ev = 1e-12\n")
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            assert run_cli("packet", "--config", str(cfg), "--sigma-um", "2.5") == 0
-        return out.getvalue(), err.getvalue()
+            assert run_cli("packet", "--config", str(cfg), "--sigma-um", "2.5",
+                           "--snapshots", str(snap), "--snapshot-times-ps", "0.02") == 0
+        return out.getvalue(), err.getvalue(), snap
 
     def test_medium_off_transmits_everything(self, medium_off_output):
-        out, err = medium_off_output
+        out, err, _ = medium_off_output
         # the interior residual is far below the printed resolution, so no
         # fraction is reported as unsettled
         assert "warning" not in err
@@ -420,34 +409,23 @@ class TestPacketCommand:
         assert line.endswith("deviation n/a)")
         assert all(float(p) <= 100.0 for p in re.findall(r"([0-9.]+)%", line))
 
-    def test_incidence_sides_straddle_unity(self, tmp_path, capsys):
-        # sub-threshold pumping, low carrier: the gain-first run gains norm,
-        # the absorber-first run loses it (checked mid-flight)
-        cfg = tmp_path / "sub.cfg"
-        cfg.write_text("hbar_omegap_ev = 0.1\n")
-        totals = {}
-        for side in ("left", "right"):
-            assert run_cli("packet", "--config", str(cfg), "--energy-ev", "0.02",
-                           "--sigma-um", "4", "--from", side,
-                           "--t-final-ps", "1.5", "--interior-tol", "1.0") == 0
-            out, err = capsys.readouterr()
-            totals[side] = float(re.search(r"total norm:\s+([0-9.]+)", out).group(1))
-            # mid-flight, most of the norm is inside the medium: neither
-            # outgoing fraction is settled, and each gets one stderr line
-            printed = {name: float(re.search(rf"{name}:\s+([0-9.]+)", out).group(1))
-                       for name in ("transmitted fraction", "reflected fraction",
-                                    "interior residual")}
-            warnings = err.splitlines()
-            assert len(warnings) == 2
-            for name, line in zip(("transmitted", "reflected"), warnings):
-                match = re.fullmatch(rf"warning: {name} fraction (\S+) is below the "
-                                     r"interior residual (\S+); it is not settled", line)
-                assert match
-                assert float(match.group(1)) == pytest.approx(
-                    printed[f"{name} fraction"], rel=5e-3, abs=5e-7)
-                assert float(match.group(2)) == pytest.approx(
-                    printed["interior residual"], rel=5e-3)
+    def test_incidence_sides_straddle_unity(self, default_outputs):
+        # the gain-first run gains norm, the absorber-first run loses it; its
+        # reflected fraction is below the interior residual, not settled, and
+        # gets the one stderr line
+        totals = {side: float(re.search(r"total norm:\s+([0-9.]+)", out).group(1))
+                  for side, (out, _) in default_outputs.items()}
         assert totals["left"] > 1.0 > totals["right"]
+        out, err = default_outputs["right"]
+        printed = {name: float(re.search(rf"{name}:\s+([0-9.]+)", out).group(1))
+                   for name in ("reflected fraction", "interior residual")}
+        match = re.fullmatch(r"warning: reflected fraction (\S+) is below the "
+                             r"interior residual (\S+); it is not settled\n", err)
+        assert match
+        assert float(match.group(1)) == pytest.approx(printed["reflected fraction"],
+                                                      rel=5e-3, abs=5e-7)
+        assert float(match.group(2)) == pytest.approx(printed["interior residual"],
+                                                      rel=5e-3)
 
     def test_snapshots_written(self, tmp_path, capsys):
         cfg = tmp_path / "off.cfg"
@@ -462,19 +440,12 @@ class TestPacketCommand:
         times = {line.split(",")[0] for line in lines[1:]}
         assert len(times) == 2  # requested time plus the final state
 
-    def test_snapshot_digits_match_elementwise_format(self, tmp_path, capsys):
-        # the batched writer against f"{x:.15g}" per element on a short run
-        cfg = tmp_path / "off.cfg"
-        cfg.write_text("hbar_omegap_ev = 1e-12\n")
-        snap = tmp_path / "snap.csv"
-        assert run_cli("packet", "--config", str(cfg), "--sigma-um", "2.5",
-                       "--t-final-ps", "0.05", "--interior-tol", "1.0",
-                       "--snapshots", str(snap), "--snapshot-times-ps", "0.02") == 0
-        capsys.readouterr()
-        params = from_config(load_config(str(cfg)))
+    def test_snapshot_digits_match_elementwise_format(self, medium_off_output):
+        # the batched writer against f"{x:.15g}" per element
+        params = from_config(Config(hbar_omegap_ev=1e-12))
         plan = plan_packet_run(params, sigma=2.5 * 1e-6, energy=0.2 * E_CHARGE)
-        result = scatter_packet(params, plan.spec, plan.grid, 0.05 * 1e-12,
-                                record_times=(0.02 * 1e-12,), interior_tol=1.0)
+        result = scatter_packet(params, plan.spec, plan.grid, plan.t_final,
+                                record_times=(0.02 * 1e-12,))
         expected = ["t,z,re_psi,im_psi,abs2_psi\n"]
         for state in result.states:
             z = state.grid.z
@@ -483,21 +454,18 @@ class TestPacketCommand:
                 expected.append(f"{state.t:.15g},{z[i]:.15g},{p.real:.15g},"
                                 f"{p.imag:.15g},{abs(p) ** 2:.15g}\n")
         assert len(result.states) == 2
-        assert snap.read_bytes() == "".join(expected).encode()
+        assert medium_off_output[2].read_bytes() == "".join(expected).encode()
 
     def test_bad_packet_parameters_exit_2(self, capsys):
         assert run_cli("packet", "--energy-ev", "-0.1") == 2
         capsys.readouterr()
 
     @pytest.mark.parametrize("option, value, message", [
-        ("--t-final-ps", "inf", "t_final must be finite and positive, got inf"),
-        ("--t-final-ps", "-1", "t_final must be finite and positive, got -1e-12"),
         ("--snapshot-times-ps", "0.1,inf",
          "record time must be finite and non-negative, got inf"),
         ("--snapshot-times-ps", "-0.1",
          "record time must be finite and non-negative, got -1e-13"),
         ("--energy-ev", "inf", "carrier energy must be finite and positive, got inf"),
-        ("--interior-tol", "nan", "interior_tol must be finite and positive, got nan"),
         ("--sigma-um", "inf", "sigma must be finite and positive, got inf"),
         ("--sigma-um", "nan", "sigma must be finite and positive, got nan"),
     ])
@@ -546,6 +514,40 @@ class TestPacketCommand:
         assert capsys.readouterr().err == (
             "error: --snapshot-times-ps needs --snapshots: the requested states "
             "would not be written\n")
+
+    def test_carrier_above_near_cutoff_regime_exits_2(self, monkeypatch, capsys):
+        # 1e4 eV is omega/omega_c = 2001 on the default medium: refused at plan time
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", no_steps)
+        assert run_cli("packet", "--energy-ev", "1e4") == 2
+        assert capsys.readouterr().err == (
+            "error: carrier at omega/omega_c = 2001 is above 1.1, outside the "
+            "near-cutoff regime of the reduced model\n")
+
+    def test_overflowing_field_exits_2(self, monkeypatch, capsys):
+        # a field whose |psi|^2 overflows prints no inf fraction: it fails closed
+        def overflowing(psi, potential, mass, dz, dt, n_steps):
+            yield n_steps, psi * 1e200
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", overflowing)
+        assert run_cli("packet") == 2
+        out, err = capsys.readouterr()
+        assert "inf" not in out
+        assert err == ("error: the field's norm overflows at t_final: the medium's "
+                       "growing modes have taken over\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("plot", "x.csv"), "invalid choice: 'plot'"),
+        (("packet", "--t-final-ps", "1"), "unrecognized arguments: --t-final-ps 1"),
+        (("packet", "--interior-tol", "1"), "unrecognized arguments: --interior-tol 1")])
+    def test_removed_command_and_options_exit_2(self, capsys, argv, message):
+        # packet runs its plan, and sweep --plot writes the plot script
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -308,7 +308,7 @@ class TestFactoredStepper:
             return made[-1]
 
         monkeypatch.setattr(tp, "initial_gaussian", kept_initial_gaussian)
-        scatter_packet(params, spec, grid, 5 * grid.dt, interior_tol=1.0)
+        scatter_packet(params, spec, grid, 5 * grid.dt)
         assert np.array_equal(made[0].psi, before)
 
     @pytest.mark.parametrize("every", [1, 4])
@@ -500,6 +500,16 @@ class TestScatter:
         with pytest.raises(ValueError, match=r"over the 1e\+11 point-step limit"):
             plan_packet_run(params, sigma=sigma, energy=0.2 * E_CHARGE)
 
+    @pytest.mark.parametrize("energy_ev, x", [(0.5000001, "1.10000002"), (1e4, "2001")])
+    def test_plan_above_near_cutoff_regime_rejected(self, params, monkeypatch, energy_ev, x):
+        # x = 1 + E / hbar omega_c above 1.10 (0.5 eV here, which still plans)
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(tp, "SpatialGrid", no_grid)
+        with pytest.raises(ValueError, match=rf"omega/omega_c = {x} is above 1\.1,"):
+            plan_packet_run(params, sigma=3e-6, energy=energy_ev * E_CHARGE)
+
     def test_plan_just_above_time_budget_limit(self, params):
         plan = plan_packet_run(params, sigma=0.61e-6, energy=0.2 * E_CHARGE)
         assert 4.3 < plan.spec.sigma * plan.spec.carrier_k < 4.4
@@ -566,24 +576,36 @@ class TestScatter:
         with pytest.raises(IncompleteScatterError):
             scatter_packet(params, plan.spec, plan.grid, 0.35e-12)
 
-    def test_same_fields_as_propagate(self, params):
+    def test_same_fields_as_propagate(self, params, default_packet_run):
         # scatter_packet and propagate consume the same step loop: on the same
         # grid, potential and step count their fields agree bit for bit
-        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
-        spec = WavepacketSpec(center=-32e-6, sigma=2e-6,
-                              carrier_k=carrier_for_energy(params, 0.2))
-        result = scatter_packet(params, spec, grid, 2000 * grid.dt, interior_tol=1.0,
-                                record_times=(1000 * grid.dt,))
+        plan, result = default_packet_run
+        grid = plan.grid
         potential = potential_on_grid(params, grid)
         mass = effective_mass(params)
-        # the 2,000-step final continues the 1,000-step one
-        half = propagate(initial_gaussian(spec, grid, params), potential, mass,
-                         grid.dt, 1000)
-        finals = [half, propagate(half, potential, mass, grid.dt, 1000)]
-        assert [s.t for s in result.states] == [s.t for s in finals]
+        # the final state continues the 0.4 ps snapshot
+        steps = [round(s.t / grid.dt) for s in result.states]
+        snapshot = propagate(initial_gaussian(plan.spec, grid, params), potential, mass,
+                             grid.dt, steps[0])
+        finals = [snapshot, propagate(snapshot, potential, mass, grid.dt,
+                                      steps[1] - steps[0])]
+        assert steps == [round(s.t / grid.dt) for s in finals]
+        assert result.states[0].t == snapshot.t
         assert np.array_equal(result.states[0].psi, finals[0].psi)
         assert np.array_equal(result.states[-1].psi, finals[-1].psi)
-        assert norm(finals[-1]) > 2.0  # the packet has entered the gain section
+        assert norm(snapshot) > 2.0  # the packet has entered the gain section
+
+    @pytest.mark.parametrize("t_final", [math.inf, math.nan, -1e-12, 0.0])
+    def test_t_final_must_be_finite_and_positive(self, params, monkeypatch, t_final):
+        # rejected before any step
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(tp, "_march", no_steps)
+        plan = plan_packet_run(params, sigma=3e-6, energy=0.2 * E_CHARGE)
+        with pytest.raises(ValueError, match=f"^t_final must be finite and positive, "
+                                             f"got {t_final:g}$"):
+            scatter_packet(params, plan.spec, plan.grid, t_final)
 
     def test_guard_rejects_large_dt(self, params):
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-12)
@@ -622,7 +644,7 @@ class TestScatter:
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        result = scatter_packet(params, spec, grid, 150 * grid.dt, interior_tol=1.0,
+        result = scatter_packet(params, spec, grid, 150 * grid.dt,
                                 record_times=(50 * grid.dt, 150 * grid.dt, 1e-12))
         assert [round(s.t / grid.dt) for s in result.states] == [50, 150]
 
