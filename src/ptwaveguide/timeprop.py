@@ -2,22 +2,27 @@
 
 i*hbar dpsi/dt = -(hbar^2/2m) d^2psi/dz^2 + V(z) psi, with the piecewise
 imaginary gain/loss potential and the auxiliary mass from :mod:`medium`.
-Crank-Nicolson stepping on a uniform grid with hard-wall boundaries: the
-implicit midpoint rule handles the non-Hermitian potential stably and is
-exactly norm-preserving in the Hermitian limit.  Wavepacket scattering runs
-validate the correspondence with the stationary amplitudes.
+Fourth-order Pade stepping on a uniform grid with hard-wall boundaries: the
+diagonal Pade (2,2) approximant of the propagator handles the non-Hermitian
+potential stably and is exactly norm-preserving in the Hermitian limit.
+Wavepacket scattering runs validate the correspondence with the stationary
+amplitudes.
 
-A step is the Cayley transform (1 - iH dt/2hbar) / (1 + iH dt/2hbar) of the
-lattice Hamiltonian H, so it shares H's eigenfunctions for any dt: once the
+With K = iH dt/hbar and H the lattice Hamiltonian, a step is
+(1 - K/2 + K^2/12) / (1 + K/2 + K^2/12), a rational function of H like the
+Crank-Nicolson step, so it shares H's eigenfunctions for any dt: once the
 medium has drained, the outgoing fractions depend on the grid, not on the
-time step.  dt sets the timing only: with theta = E dt / hbar the carrier's
-phase per step, the scheme's group velocity is v / (1 + theta^2/4).
+time step.  dt sets the timing only: with theta = E dt / hbar, the carrier
+turns by phi(theta) = 2 atan((theta/2) / (1 - theta^2/12)) per step, and the
+scheme's group velocity is v phi'(theta) = v (1 + theta^2/12) /
+(1 + theta^2/12 + theta^4/144), whose error goes as theta^4.
 :func:`plan_packet_run` therefore sizes dt by the carrier
-(:data:`PACKET_THETA`) and stretches its time budget by that factor.
+(:data:`PACKET_THETA`) and stretches its time budget by 1/phi'(theta).
 
 One step loop, :func:`_march`, checks dt, builds the operators and LU-factors
-the constant tridiagonal LHS once (LAPACK zgttrf), then yields the field
-after each step; a step is one zgttrs solve and allocates nothing.  The
+the two constant tridiagonal factors I + aK of the step's denominator once
+each (LAPACK zgttrf), then yields the field after each step; a step is two
+in-place zgttrs solves and allocates nothing.  The
 yielded field is one of two reused buffers, valid until the next step.
 The two LAPACK routines come from scipy's compiled extension
 ``scipy.linalg._flapack``, loaded directly (:func:`_flapack`): importing
@@ -74,19 +79,26 @@ CHECK_EVERY = 200
 
 # The run recipe of plan_packet_run: carrier phase per time step
 # (theta = E dt / hbar), grid points per carrier wavelength, and the packet's
-# start clearance from the medium in widths.  theta = 0.3 keeps the fractions
-# of the default runs within 4e-6 of a 10x finer step; at 0.45 the reference
-# medium's sigma = 6 um run leaves 2.05 of its norm inside, against 0.74.
-PACKET_THETA = 0.3
+# start clearance from the medium in widths.  theta = 1.2 keeps the
+# transmitted fractions of the default runs, and the left run's reflected
+# one, within 1e-6 relative of a 10x finer step; the reference medium's
+# sigma = 6 um run, which its growing modes dominate, leaves 0.54 of its
+# norm inside against 0.32.  At 0.2 eV the guard's cap binds at 1.25.
+PACKET_THETA = 1.2
 POINTS_PER_WAVELENGTH = 80.0
 PLACEMENT_SIGMAS = 7.0
-# Largest plan, in grid points times time steps.  As sigma * k0 falls to 4.3
-# the time budget, and with it the grid, grows without bound; near that
-# limit the cap keeps a plan under ~2e6 points at 0.2 eV (~30 MB per complex
-# field).  It rejects widths below 0.606 um at 0.2 eV (sigma * k0 < 4.34;
-# 1.8e6 points x 55,013 steps at the limit) and admits 0.61 um (1.07e6
-# points x 32,488 steps, 3.5e10 point-steps).
-MAX_POINT_STEPS = 10 ** 11
+# The step's two shifts, a = 1/4 +- i/(4 sqrt 3): the roots of
+# (1 + a1 K)(1 + a2 K) = 1 + K/2 + K^2/12, the denominator of the diagonal
+# Pade (2,2) approximant of exp(-K) (van Dijk & Toyama, Phys. Rev. E 75,
+# 036707 (2007)).
+PADE_SHIFTS = (complex(0.25, 0.25 / math.sqrt(3.0)), complex(0.25, -0.25 / math.sqrt(3.0)))
+# Largest plan, in tridiagonal solves times grid points: a step is two
+# solves.  As sigma * k0 falls to 4.3 the time budget, and with it the grid,
+# grows without bound; near that limit the cap keeps a plan under ~2e6
+# points at 0.2 eV (~30 MB per complex field).  It rejects widths below
+# 0.606 um at 0.2 eV (sigma * k0 < 4.34; 1.8e6 points x 13,298 steps at the
+# limit) and admits 0.61 um (1.07e6 points x 8,045 steps, 1.7e10 point-solves).
+MAX_POINT_SOLVES = 5 * 10 ** 10
 
 # transmission_prediction samples the packet spectrum at this many
 # wavenumbers, spanning this many spectral standard deviations each side of k0.
@@ -233,14 +245,14 @@ def _require_finite(name: str, value: float):
         raise ValueError(f"{name} must be finite, got {value:g}")
 
 
-def _cn_operators(potential: np.ndarray, mass: float, dz: float, dt: float):
-    """Tridiagonal LHS as (sub-, main, super-diagonal), and the RHS main
-    diagonal and off-diagonal value, of one implicit midpoint step."""
-    gamma = 1j * HBAR * dt / (4.0 * mass * dz * dz)
-    vfac = 1j * dt / (2.0 * HBAR) * potential
+def _lhs_bands(potential: np.ndarray, mass: float, dz: float, c: complex):
+    """Sub-, main and super-diagonal of I + i c H / hbar, with H the lattice
+    Hamiltonian and c a complex time."""
+    gamma = 1j * HBAR * c / (2.0 * mass * dz * dz)
+    main = potential * (1j * c / HBAR)
+    main += 1.0 + 2.0 * gamma
     lower = np.full(potential.size - 1, -gamma, dtype=complex)
-    lhs = (lower, 1.0 + 2.0 * gamma + vfac, lower.copy())
-    return lhs, 1.0 - 2.0 * gamma - vfac, gamma
+    return lower, main, lower.copy()
 
 
 def _check_guard(potential: np.ndarray, dt: float):
@@ -282,43 +294,46 @@ def _flapack():
 
 def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
            dt: float, n_steps: int):
-    """Yield (step, psi) after each of n_steps implicit midpoint steps.
+    """Yield (step, psi) after each of n_steps Pade (2,2) steps.
 
-    The constant LHS is checked and LU-factored once (zgttrf); each step
-    builds the RHS, checks it and is one zgttrs solve, both read off
-    :func:`_flapack` at the first step.  A step allocates
-    nothing: the caller's psi is copied once, then two field buffers take
-    turns as the current field and the RHS/solution, so the yielded array is
-    overwritten by the next step.  Copy it to keep it.
+    With K = i H dt / hbar, a step is (1 - a1 K)(1 - a2 K) / (1 + a1 K)(1 + a2 K)
+    = (1 - K/2 + K^2/12) / (1 + K/2 + K^2/12), taken as two substeps
+    psi <- 2 (I + a K)^-1 psi - psi, one per shift a of :data:`PADE_SHIFTS`.
+    Each tridiagonal I + a K is checked and LU-factored once (zgttrf); each
+    substep checks its right-hand side 2 psi and is one zgttrs solve, both read
+    off :func:`_flapack` at the first step.  A step allocates nothing: the
+    caller's psi is copied once, then two field buffers take turns as the
+    current field and the RHS/solution, so the yielded array is overwritten
+    by the next step.  Copy it to keep it.
     """
     lapack = _flapack()
     zgttrf, zgttrs = lapack.zgttrf, lapack.zgttrs
     _check_guard(potential, dt)
-    lhs, rhs_main, gamma = _cn_operators(potential, mass, dz, dt)
-    for band in lhs:
-        np.asarray_chkfinite(band)
-    # in place: the diagonals are needed only as their LU factors
-    dl, d, du, du2, ipiv, info = zgttrf(*lhs, overwrite_dl=1, overwrite_d=1,
-                                        overwrite_du=1)
-    if info > 0:  # pragma: no cover - cannot occur under the guard
-        raise RuntimeError(f"singular Crank-Nicolson system: zero pivot {info}")
+    factors = []
+    for shift in PADE_SHIFTS:
+        bands = _lhs_bands(potential, mass, dz, shift * dt)
+        for band in bands:
+            np.asarray_chkfinite(band)
+        # in place: the diagonals are needed only as their LU factors
+        *lu, info = zgttrf(*bands, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info > 0:  # pragma: no cover - cannot occur under the guard
+            raise RuntimeError(f"singular Pade step system: zero pivot {info}")
+        factors.append(lu)
     cur = np.array(psi, dtype=complex)
     nxt = np.empty_like(cur)
-    term = np.empty_like(cur)
     # isfinite on the float view tests real and imaginary parts, as on complex
     finite = np.empty(2 * cur.size, dtype=bool)
     for step in range(1, n_steps + 1):
-        np.multiply(rhs_main, cur, out=nxt)
-        np.multiply(gamma, cur, out=term)
-        nxt[1:] += term[:-1]
-        nxt[:-1] += term[1:]
-        if not np.isfinite(nxt.view(float), out=finite).all():
-            raise ValueError("array must not contain infs or NaNs")
-        # contiguous, so the solution overwrites the RHS in place
-        nxt, _ = zgttrs(dl, d, du, du2, ipiv, nxt, overwrite_b=1)
-        nxt[0] = 0.0
-        nxt[-1] = 0.0
-        cur, nxt = nxt, cur
+        for lu in factors:
+            np.add(cur, cur, out=nxt)
+            if not np.isfinite(nxt.view(float), out=finite).all():
+                raise ValueError("array must not contain infs or NaNs")
+            # contiguous, so the solution overwrites the RHS in place
+            nxt, _ = zgttrs(*lu, nxt, overwrite_b=1)
+            nxt -= cur
+            nxt[0] = 0.0
+            nxt[-1] = 0.0
+            cur, nxt = nxt, cur
         yield step, cur
 
 
@@ -340,7 +355,8 @@ def norm_balance_residual(state: WavepacketState, potential: np.ndarray,
     state.  Central time differences at interior states; the defect rate is
     scaled by the norm and by the characteristic balance rate (the largest
     |flux| per unit norm, floored at 1/duration so the Hermitian case is
-    still well-defined).  Second-order accurate stepping makes this O(dt^2).
+    still well-defined).  Only the central time difference is O(dt^2): the
+    step itself is fourth-order accurate.
     """
     if n_steps < 2:
         raise ValueError("need at least 2 steps (3 states)")
@@ -348,11 +364,12 @@ def norm_balance_residual(state: WavepacketState, potential: np.ndarray,
     im_v = np.imag(potential)
     norms = np.empty(n_steps + 1)
     fluxes = np.empty(n_steps + 1)
+    absq = np.empty(state.psi.shape)
     for k, psi in itertools.chain([(0, state.psi)],
                                   _march(state.psi, potential, mass, dz, dt, n_steps)):
-        absq = np.abs(psi) ** 2
+        np.square(np.abs(psi, out=absq), out=absq)
         norms[k] = float(np.sum(absq) * dz)
-        fluxes[k] = (2.0 / HBAR) * float(np.sum(im_v * absq) * dz)
+        fluxes[k] = (2.0 / HBAR) * float(np.dot(im_v, absq) * dz)
     rate_scale = max(float(np.max(np.abs(fluxes) / norms)), 1.0 / (n_steps * dt))
     dndt = (norms[2:] - norms[:-2]) / (2.0 * dt)
     return float(np.max(np.abs(dndt - fluxes[1:-1]) / norms[1:-1])) / rate_scale
@@ -535,9 +552,10 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     sigma * k0 > 4.3, and a plan below that is rejected.  The time step
     turns the carrier by ``PACKET_THETA``, dt = theta hbar / E, capped at
     half of ``POTENTIAL_PHASE_GUARD`` hbar / |V|max; the planned t_final is
-    the budget times 1 + theta^2/4 (theta as realized), because the scheme
-    moves the packet that much slower than v.  A plan whose grid points
-    times steps exceed ``MAX_POINT_STEPS`` is rejected.  Wall clearances
+    the budget times (1 + theta^2/12 + theta^4/144) / (1 + theta^2/12)
+    (theta as realized), because the scheme moves the packet that much
+    slower than v.  A plan whose grid points times solves, two per step,
+    exceed ``MAX_POINT_SOLVES`` is rejected.  Wall clearances
     are 10.5 dispersed widths plus margin.  The grid step is snapped so that
     all three region boundaries fall exactly on grid points: otherwise the
     effective layer lengths shift by O(dz), which moves the interference
@@ -599,15 +617,16 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     vmax = max(abs(effective_potential(kind, params)) for kind in RegionKind)
     if vmax > 0:
         dt = min(dt, 0.5 * POTENTIAL_PHASE_GUARD * HBAR / vmax)
-    # the scheme's group velocity is v / (1 + theta^2/4): the packet reaches
-    # the places the grid was sized for that much later
-    theta = energy * dt / HBAR
-    t_final *= 1.0 + theta * theta / 4.0
+    # the scheme's group velocity is v phi'(theta), phi(theta) =
+    # 2 atan((theta/2) / (1 - theta^2/12)) the carrier's phase per step: the
+    # packet reaches the places the grid was sized for 1/phi' times later
+    theta2 = (energy * dt / HBAR) ** 2
+    t_final *= (1.0 + theta2 / 12.0 + theta2 * theta2 / 144.0) / (1.0 + theta2 / 12.0)
     n_steps = max(1, int(round(t_final / dt)))
-    if n_points * n_steps > MAX_POINT_STEPS:
+    if 2 * n_points * n_steps > MAX_POINT_SOLVES:
         raise ValueError(f"sigma*k0 = {sigma * k0:.3g} plans {n_points} points x {n_steps} "
-                         f"steps, over the {MAX_POINT_STEPS:.0e} point-step limit: the "
-                         "budget diverges as sigma*k0 falls to 4.3")
+                         f"steps of 2 solves, over the {MAX_POINT_SOLVES:.0e} point-solve "
+                         "limit: the budget diverges as sigma*k0 falls to 4.3")
     grid = SpatialGrid(z_min=z_min, z_max=z_max, n_points=n_points, dt=dt)
     return PacketRunPlan(
         spec=WavepacketSpec(center=center, sigma=sigma, carrier_k=carrier),

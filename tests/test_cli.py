@@ -494,7 +494,7 @@ class TestPacketCommand:
 
     def test_oversized_packet_plan_exits_2(self, monkeypatch, capsys):
         # sigma*k0 = 4.33 has a time budget, but its grid and step count are
-        # over the point-step limit
+        # over the point-solve limit
         def no_steps(*args):
             raise AssertionError("stepped")
 
@@ -502,8 +502,8 @@ class TestPacketCommand:
         assert run_cli("packet", "--sigma-um", "0.604") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: sigma*k0 = 4.33 plans ")
-        assert err.endswith(" steps, over the 1e+11 point-step limit: the budget "
-                            "diverges as sigma*k0 falls to 4.3\n")
+        assert err.endswith(" steps of 2 solves, over the 5e+10 point-solve limit: the "
+                            "budget diverges as sigma*k0 falls to 4.3\n")
 
     def test_snapshot_times_need_snapshots_file(self, monkeypatch, capsys):
         def no_steps(*args):

@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
+import scipy.sparse
 from scipy.linalg import _flapack as flapack
 
 import ptwaveguide.timeprop as tp
 from ptwaveguide.helmholtz import SpectralSingularityError, amplitude_arrays
-from ptwaveguide.medium import RegionKind, effective_mass, effective_potential, region_at
+from ptwaveguide.medium import (RegionKind, effective_mass, effective_potential, from_config,
+                                region_at)
 from ptwaveguide.models import approx_bilayer
-from ptwaveguide.quantities import E_CHARGE, HBAR
+from ptwaveguide.quantities import E_CHARGE, HBAR, Config
 from ptwaveguide.timeprop import (PREDICTION_HALF_WIDTH, PREDICTION_POINTS,
                                   PRINTED_RESOLUTION, BoundaryContaminationError,
                                   IncompleteScatterError, PlacementError,
@@ -32,26 +34,52 @@ def carrier_for_energy(params, energy_ev: float) -> float:
     return math.sqrt(2.0 * effective_mass(params) * energy_ev * E_CHARGE) / HBAR
 
 
+def pade_stretch(theta):
+    """1/phi'(theta), phi(theta) = 2 atan((theta/2) / (1 - theta^2/12)) the
+    Pade (2,2) step's phase for the carrier's theta = E dt / hbar."""
+    return (1.0 + theta ** 2 / 12.0 + theta ** 4 / 144.0) / (1.0 + theta ** 2 / 12.0)
+
+
 def banded_steps(psi, potential, mass, dz, dt, n_steps):
-    """Reference stepper: the implicit midpoint rule with a full banded
-    solve (scipy.linalg.solve_banded) per step; returns every state."""
-    gamma = 1j * HBAR * dt / (4.0 * mass * dz * dz)
-    vfac = 1j * dt / (2.0 * HBAR) * potential
-    lhs = np.zeros((3, potential.size), dtype=complex)
-    lhs[0, 1:] = -gamma
-    lhs[1, :] = 1.0 + 2.0 * gamma + vfac
-    lhs[2, :-1] = -gamma
-    rhs_main = 1.0 - 2.0 * gamma - vfac
+    """Reference stepper: the Pade (2,2) step as two substeps
+    psi <- 2 (I + a K)^-1 psi - psi, K = i H dt / hbar, each a full banded
+    solve (scipy.linalg.solve_banded); returns every state."""
+    lhs = []
+    for a in tp.PADE_SHIFTS:
+        c = a * dt
+        gamma = 1j * HBAR * c / (2.0 * mass * dz * dz)
+        bands = np.zeros((3, potential.size), dtype=complex)
+        bands[0, 1:] = -gamma
+        bands[1, :] = potential * (1j * c / HBAR) + (1.0 + 2.0 * gamma)
+        bands[2, :-1] = -gamma
+        lhs.append(bands)
     states = []
     for _ in range(n_steps):
-        rhs = rhs_main * psi
-        rhs[1:] += gamma * psi[:-1]
-        rhs[:-1] += gamma * psi[1:]
-        psi = scipy.linalg.solve_banded((1, 1), lhs, rhs)
-        psi[0] = 0.0
-        psi[-1] = 0.0
+        for bands in lhs:
+            psi = scipy.linalg.solve_banded((1, 1), bands, psi + psi) - psi
+            psi[0] = 0.0
+            psi[-1] = 0.0
         states.append(psi)
     return states
+
+
+def unfactored_steps(psi, potential, mass, dz, dt, n_steps):
+    """Independent stepper: (I + K/2 + K^2/12) psi' = (I - K/2 + K^2/12) psi
+    with K = i H dt / hbar a sparse matrix and K^2 its product, one
+    pentadiagonal solve per step; returns the final state."""
+    n = potential.size
+    off = np.full(n - 1, -HBAR * HBAR / (2.0 * mass * dz * dz))
+    k = 1j * dt / HBAR * scipy.sparse.diags(
+        [off, HBAR * HBAR / (mass * dz * dz) + potential, off], [-1, 0, 1], format="csr")
+    k2 = k @ k
+    eye = scipy.sparse.identity(n, format="csr")
+    lhs, rhs = eye + k / 2 + k2 / 12, eye - k / 2 + k2 / 12
+    bands = np.zeros((5, n), dtype=complex)
+    for d in range(-2, 3):
+        bands[2 - d, max(d, 0):n + min(d, 0)] = lhs.diagonal(d)
+    for _ in range(n_steps):
+        psi = scipy.linalg.solve_banded((2, 2), bands, rhs @ psi)
+    return psi
 
 
 @pytest.fixture
@@ -158,8 +186,8 @@ class TestCrankNicolson:
 
     @pytest.mark.parametrize("sign", [-1.0, +1.0])
     def test_uniform_imaginary_potential(self, params, sign):
-        # norm follows exp(-+ 2|V|t/hbar); the CN deviation is the kinetic
-        # cross term (E dt / 2 hbar)^2 per unit rate, quartering with dt/2
+        # norm follows exp(-+ 2|V|t/hbar); the step's deviation is fourth
+        # order in E dt / hbar (6e-9 at 1e-16 s), falling 16-fold with dt/2
         grid_dt = {1e-16: None, 5e-17: None}
         vmag = 0.008 * E_CHARGE
         mass = effective_mass(params)
@@ -214,13 +242,31 @@ class TestFactoredStepper:
         assert len(fields) == 300
         assert all(np.array_equal(got, want) for got, want in zip(fields, expected))
 
+    @pytest.mark.parametrize("direction", [+1.0, -1.0])
+    def test_matches_unfactored_step(self, params, direction):
+        # the two shifted substeps against one solve of the (2,2) Pade step
+        # itself, on the step of the default plan (theta = 1.2), for a packet
+        # straddling the gain/absorber interface and clear of the walls
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1.2 * HBAR / (0.2 * E_CHARGE))
+        z = grid.z
+        psi = np.exp(-z ** 2 / (4.0 * (4e-6) ** 2)
+                     + 1j * direction * carrier_for_energy(params, 0.2) * z)
+        potential = potential_on_grid(params, grid)
+        mass = effective_mass(params)
+        for _, got in _march(psi, potential, mass, grid.dz, grid.dt, 50):
+            pass
+        want = unfactored_steps(psi, potential, mass, grid.dz, grid.dt, 50)
+        assert np.abs(got).max() > 0.1
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_one_factorization_per_run(self, params, lapack_calls):
+        # one factorization per shift; one solve per shift and step
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
         propagate(initial_gaussian(spec, grid, params), potential_on_grid(params, grid),
                   effective_mass(params), grid.dt, 7)
-        assert lapack_calls == {"zgttrf": 1, "zgttrs": 7}
+        assert lapack_calls == {"zgttrf": 2, "zgttrs": 14}
 
     def test_lapack_functions_are_scipys(self):
         # the stepper's routines are the very objects scipy.linalg.lapack
@@ -267,7 +313,7 @@ class TestFactoredStepper:
                        grid.dz, grid.dt, 3)
         with pytest.raises(ValueError, match="infs or NaNs"), np.errstate(invalid="ignore"):
             next(steps)
-        assert lapack_calls == {"zgttrf": 1, "zgttrs": 0}
+        assert lapack_calls == {"zgttrf": 2, "zgttrs": 0}
 
     def test_steps_allocate_nothing(self, params):
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
@@ -361,14 +407,15 @@ class TestNormBalance:
         residuals = {dt: self._residual(params, dt, int(round(8e-14 / dt)), n=5000)
                      for dt in (2e-16, 1e-16)}
         assert residuals[1e-16] <= 1e-6
-        # second-order stepping: halving dt divides the residual by ~4
+        # the residual's central difference is second order: halving dt
+        # divides it by ~4
         assert 3.0 <= residuals[2e-16] / residuals[1e-16] <= 5.0
 
     def test_uniform_imaginary_consistent(self, params):
         vmag = 0.008 * E_CHARGE
         potential = np.full(3000, -1j * vmag, dtype=complex)
         residual = self._residual(params, 1e-16, 300, potential=potential)
-        # dominated by the kinetic cross term (E dt / 2 hbar)^2-scale
+        # dominated by the residual's central difference, O(dt^2) (7e-7)
         assert residual <= 1e-3
         assert self._residual(params, 5e-17, 600, potential=potential) <= 0.3 * residual
 
@@ -382,7 +429,8 @@ class TestNormBalance:
     def test_keeps_scalars_not_states(self, params):
         # criterion 10's grid over 801 states: a trajectory of them would
         # take 801 fields; the residual keeps two floats per state, and the
-        # march's operators, LU factors and buffers take about 9 fields
+        # march's two LU factorizations, its buffers and the residual's
+        # |psi|^2 take about 11 fields
         state, potential = self._start(params, 1e-16, n=5000)
         mass = effective_mass(params)
         tracemalloc.start()
@@ -491,13 +539,13 @@ class TestScatter:
     @pytest.mark.parametrize("sigma_k0", [4.3 * (1 + 1e-9), 4.33])
     def test_plan_over_point_step_limit_rejected(self, params, monkeypatch, sigma_k0):
         # just above sigma * k0 = 4.3 the budget is finite but huge (4.33 is
-        # 0.604 um at 0.2 eV, 2.5e6 points x 7.7e4 steps): no grid is built
+        # 0.604 um at 0.2 eV, 2.5e6 points x 1.9e4 steps): no grid is built
         def no_grid(*args, **kwargs):
             raise AssertionError("grid built")
 
         monkeypatch.setattr(tp, "SpatialGrid", no_grid)
         sigma = sigma_k0 / carrier_for_energy(params, 0.2)
-        with pytest.raises(ValueError, match=r"over the 1e\+11 point-step limit"):
+        with pytest.raises(ValueError, match=r"over the 5e\+10 point-solve limit"):
             plan_packet_run(params, sigma=sigma, energy=0.2 * E_CHARGE)
 
     @pytest.mark.parametrize("energy_ev, x", [(0.5000001, "1.10000002"), (1e4, "2001")])
@@ -518,22 +566,22 @@ class TestScatter:
     @pytest.mark.parametrize("sigma, energy_ev", [(0.61e-6, 0.2), (1e-6, 0.1), (2e-6, 0.02)])
     def test_plan_budget_is_fixed_point(self, params, sigma, energy_ev):
         # t = t_cross + 8.6 sigma(t) / v holds for the physical budget, the
-        # planned t_final over the scheme's slowdown 1 + theta^2/4; planned
-        # only: these runs would be long (32,488 steps at 0.61 um)
+        # planned t_final over the scheme's slowdown 1/phi'(theta); planned
+        # only: these runs would be long (8,045 steps at 0.61 um)
         plan = plan_packet_run(params, sigma=sigma, energy=energy_ev * E_CHARGE)
         theta = energy_ev * E_CHARGE * plan.grid.dt / HBAR
         mass = effective_mass(params)
         v = HBAR * abs(plan.spec.carrier_k) / mass
         t_cross = (abs(plan.spec.center) + params.region_length) / v
         spread_rate = HBAR / (2.0 * mass * sigma ** 2)
-        t = plan.t_final / (1.0 + theta ** 2 / 4.0)
+        t = plan.t_final / pade_stretch(theta)
         budget = t_cross + 8.6 * sigma * math.sqrt(1.0 + (spread_rate * t) ** 2) / v
         assert abs(budget - t) <= 1e-12 * t
         if sigma == 0.61e-6:
-            assert round(plan.t_final / plan.grid.dt) == 32_488
+            assert round(plan.t_final / plan.grid.dt) == 8_045
 
     @pytest.mark.parametrize("medium, capped", [
-        ("params", {0.02, 0.03}), ("subcritical_params", set()),
+        ("params", {0.02, 0.03, 0.05, 0.1}), ("subcritical_params", {0.02, 0.03}),
         ("hermitian_params", set())])
     def test_planned_dt_from_carrier(self, request, medium, capped):
         # dt = theta hbar / E, unless that step would turn the strongest
@@ -555,6 +603,47 @@ class TestScatter:
                                                          rel=1e-12)
         assert seen == capped
 
+    @pytest.mark.parametrize("theta", [1.2, 0.3])
+    def test_plan_stretch_is_inverse_phase_slope(self, params, theta):
+        # the planned t_final over the physical budget (iterated here to its
+        # fixed point) is 1/phi'(theta), phi the phase per step of the two
+        # factored substeps at the carrier, differentiated numerically;
+        # theta = 1.2 is the 0.2 eV carrier's, and 0.3 the guard's cap for
+        # a carrier of 6 |V|max
+        energy = (0.2 * E_CHARGE if theta == 1.2
+                  else 6.0 * abs(effective_potential(RegionKind.GAIN, params)))
+        plan = plan_packet_run(params, sigma=3e-6, energy=energy)
+        assert energy * plan.grid.dt / HBAR == pytest.approx(theta, rel=1e-12)
+        mass = effective_mass(params)
+        v = HBAR * abs(plan.spec.carrier_k) / mass
+        t_cross = (abs(plan.spec.center) + params.region_length) / v
+        spread_rate = HBAR / (2.0 * mass * 3e-6 ** 2)
+        budget = t_cross
+        for _ in range(100):
+            budget = t_cross + 8.6 * 3e-6 * math.sqrt(1.0 + (spread_rate * budget) ** 2) / v
+
+        def phase(th):
+            factor = 1.0
+            for a in tp.PADE_SHIFTS:
+                factor *= 2.0 / (1.0 + a * 1j * th) - 1.0
+            return -np.angle(factor)
+
+        h = 1e-4
+        slope = (phase(theta + h) - phase(theta - h)) / (2.0 * h)
+        assert plan.t_final / budget == pytest.approx(1.0 / slope, rel=1e-8)
+
+    def test_low_carrier_right_run_matches_fine_step(self):
+        # `packet --config <hbar_omegap_ev = 0.1> --from right --energy-ev 0.02`:
+        # T is 1.031589 with a 1e-16 s step; a Crank-Nicolson step of
+        # theta = 0.3 misses it by 6e-4, its late outflow below the carrier
+        # arriving too early.  The medium is the CLI's: its region length
+        # 19.7 * 1e-6 differs from 19.7e-6 in the last bit, which moves
+        # boundary points of the grid
+        medium = from_config(Config(hbar_omegap_ev=0.1))
+        plan = plan_packet_run(medium, sigma=3e-6, energy=0.02 * E_CHARGE, from_left=False)
+        result = scatter_packet(medium, plan.spec, plan.grid, plan.t_final)
+        assert result.transmitted == pytest.approx(1.031589, abs=1e-5)
+
     def test_planned_dt_matches_fine_step(self, subcritical_params):
         # a draining plan (absorber first, regions shortened to 5 um): the
         # carrier-sized step gives the fractions of a 1e-16 s step run to the
@@ -566,7 +655,7 @@ class TestScatter:
         assert theta == pytest.approx(tp.PACKET_THETA, rel=1e-12)
         coarse = scatter_packet(short, plan.spec, plan.grid, plan.t_final)
         fine = scatter_packet(short, plan.spec, replace(plan.grid, dt=1e-16),
-                              plan.t_final / (1.0 + theta ** 2 / 4.0))
+                              plan.t_final / pade_stretch(theta))
         assert coarse.transmitted == pytest.approx(fine.transmitted, rel=1e-5)
         assert coarse.reflected == pytest.approx(fine.reflected, rel=1e-5, abs=1e-6)
         assert coarse.interior_norm <= fine.interior_norm
