@@ -12,7 +12,6 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import chain
-from math import log10
 from time import perf_counter
 from typing import Iterator
 
@@ -58,21 +57,14 @@ _MODEL_CHOICES = {
 }
 
 
-def _log10(s: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    # math.log10 on Python floats: numpy's log10 differs from it in the last
-    # ulp for about a quarter of inputs.  Rows that are not ok print no number.
-    out = np.ones_like(s)
-    out[ok] = [log10(v) for v in s[ok].tolist()]
-    return out
-
-
 def _model_values(col: ModelColumns, lo: int, hi: int, ok: np.ndarray) -> list[np.ndarray]:
     """The 10 distinct numeric columns of one model's rows lo..hi, in the
     order of :data:`_CSV_FIELDS`."""
     t, r_left, r_right = col.t[lo:hi], col.r_left[lo:hi], col.r_right[lo:hi]
     s_left, s_right = col.s_left[lo:hi], col.s_right[lo:hi]
+    # rows that are not ok print no number: log10 of 1 in their place
     return [t.real, t.imag, r_left.real, r_left.imag, r_right.real, r_right.imag,
-            s_left, s_right, _log10(s_left, ok), _log10(s_right, ok)]
+            s_left, s_right, *(np.log10(np.where(ok, s, 1.0)) for s in (s_left, s_right))]
 
 
 def csv_chunks(table: SweepTable) -> Iterator[bytes]:
@@ -112,15 +104,13 @@ def write_snapshots(path: str, states) -> None:
             t = b"%.15g," % state.t
             for lo in range(0, state.psi.size, _SNAPSHOT_BLOCK):
                 psi = state.psi[lo:lo + _SNAPSHOT_BLOCK]
-                # |psi|^2 as hypot, then Python's float ** (libm pow): the
-                # digits of abs(p) ** 2 on a numpy complex scalar
-                abs2 = np.array([a ** 2 for a in np.hypot(psi.real, psi.imag).tolist()])
                 # z is rendered again for each state: the run's z text held
                 # through the whole write (22 bytes a point) would raise
                 # peak RSS more than the writer's blocks do
                 z = g15_fields(state.grid.z[lo:lo + _SNAPSHOT_BLOCK])
                 fh.write(join_rows([t, z, b",", g15_fields(psi.real),
-                                    b",", g15_fields(psi.imag), b",", g15_fields(abs2),
+                                    b",", g15_fields(psi.imag), b",",
+                                    g15_fields(psi.real ** 2 + psi.imag ** 2),
                                     b"\n"], (psi.size,)))
 
 

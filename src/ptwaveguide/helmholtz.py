@@ -131,16 +131,15 @@ def amplitude_arrays(k_outer, layers: Sequence[tuple]):
 
 def flux_sums(t, r_left, r_right):
     """(|t|^2 + |r_left|^2, |t|^2 + |r_right|^2), elementwise over arrays;
-    both are 1 for unitary scattering."""
-    t, r_left, r_right = np.broadcast_arrays(
-        *(np.asarray(a, dtype=complex) for a in (t, r_left, r_right)))
-    # Python's abs(complex) ** 2 per element (hypot, then libm pow): numpy's
-    # complex abs and its square each differ from those in the last ulp, and
-    # the sweep CSV prints every digit
-    t2 = [a ** 2 for a in np.hypot(t.real, t.imag).ravel().tolist()]
-    return tuple(np.array([a + b ** 2 for a, b in zip(
-        t2, np.hypot(r.real, r.imag).ravel().tolist())]).reshape(t.shape)
-        for r in (r_left, r_right))
+    both are 1 for unitary scattering.
+
+    Each |z|^2 is Re(z)^2 + Im(z)^2 in float64: correctly rounded more often
+    than numpy's complex abs squared.  An overflow gives inf, not an error.
+    """
+    t, r_left, r_right = (np.asarray(a, dtype=complex) for a in (t, r_left, r_right))
+    with np.errstate(over="ignore"):
+        t2 = t.real ** 2 + t.imag ** 2
+        return tuple(t2 + (r.real ** 2 + r.imag ** 2) for r in (r_left, r_right))
 
 
 # The oracle's integrator: scipy's embedded 5(4) Runge-Kutta pair and its

@@ -92,27 +92,6 @@ class MediumParams:
         return max(self.regime_ratio_damping, self.regime_ratio_cutoff)
 
 
-def region_sign(z: float, params: MediumParams) -> int:
-    """Sign of the resonant permittivity term at position z.
-
-    -1 (gain) on (-l, 0), +1 (absorbing) on (0, l), 0 (vacuum) outside.
-    Boundary points take the value of the region to their right; the
-    solvers consume layer lists, so the convention is unobservable.
-    """
-    l = params.region_length
-    if z < -l:
-        return 0
-    if z < 0:
-        return -1
-    if z < l:
-        return 1
-    return 0
-
-
-def region_at(z: float, params: MediumParams) -> RegionKind:
-    return RegionKind(region_sign(z, params))
-
-
 def permittivity(kind: RegionKind, omega, params: MediumParams):
     """Single-resonance Lorentz relative permittivity.
 

@@ -192,11 +192,11 @@ def norm(state: WavepacketState) -> float:
 def potential_on_grid(params: MediumParams, grid: SpatialGrid) -> np.ndarray:
     """Effective potential sampled on the grid (complex, joules).
 
-    A point exactly on a region boundary takes the region to its right, as
-    in :func:`medium.region_sign`.  But the grid is a ``linspace``: a boundary
-    that :func:`plan_packet_run` snaps onto the grid misses its point by
-    roundoff, on either side, so that point does not reliably take the region
-    to its right.
+    Gain fills [-l, 0), the absorber [0, l) and vacuum the rest: a point
+    exactly on a region boundary takes the region to its right.  But the
+    grid is a ``linspace``: a boundary that :func:`plan_packet_run` snaps
+    onto the grid misses its point by roundoff, on either side, so that
+    point does not reliably take the region to its right.
     """
     z = grid.z
     l = params.region_length

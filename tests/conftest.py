@@ -1,45 +1,34 @@
+from dataclasses import replace
+
 import pytest
 
 from ptwaveguide.helmholtz import amplitude_arrays
-from ptwaveguide.medium import MediumParams
-from ptwaveguide.quantities import E_CHARGE, ev_to_angular
+from ptwaveguide.medium import from_config
+from ptwaveguide.quantities import E_CHARGE, Config
 from ptwaveguide.timeprop import plan_packet_run, scatter_packet
 
 
 @pytest.fixture(scope="session")
 def params():
-    """Reference medium: 5 eV resonance tuned to the cutoff, 0.2 eV plasma
-    frequency, 1.25 eV damping, 19.7 um regions."""
-    return MediumParams(
-        omega0=ev_to_angular(5.0),
-        omega_p=ev_to_angular(0.2),
-        delta=ev_to_angular(1.25),
-        region_length=19.7e-6,
-    )
+    """Reference medium, built as the CLI builds it from the default config:
+    5 eV resonance tuned to the cutoff, 0.2 eV plasma frequency, 1.25 eV
+    damping, 19.7 um regions."""
+    return from_config(Config())
 
 
 @pytest.fixture(scope="session")
-def hermitian_params():
+def hermitian_params(params):
     """Same geometry with the resonant term switched off (unitary control)."""
-    return MediumParams(
-        omega0=ev_to_angular(5.0),
-        omega_p=0.0,
-        delta=ev_to_angular(1.25),
-        region_length=19.7e-6,
-    )
+    return replace(params, omega_p=0.0)
 
 
 @pytest.fixture(scope="session")
 def subcritical_params():
-    """Weaker pumping (0.1 eV plasma frequency): short time-domain runs at
-    low carriers converge too.  It is not shown to be below its
-    amplification threshold at every frequency."""
-    return MediumParams(
-        omega0=ev_to_angular(5.0),
-        omega_p=ev_to_angular(0.1),
-        delta=ev_to_angular(1.25),
-        region_length=19.7e-6,
-    )
+    """Weaker pumping (0.1 eV plasma frequency), as the CLI builds it from a
+    config of ``hbar_omegap_ev = 0.1``: short time-domain runs at low
+    carriers converge too.  It is not shown to be below its amplification
+    threshold at every frequency."""
+    return from_config(Config(hbar_omegap_ev=0.1))
 
 
 @pytest.fixture(scope="session")

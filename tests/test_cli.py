@@ -2,11 +2,11 @@ import argparse
 import glob
 import io
 import json
-import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -18,7 +18,7 @@ from ptwaveguide.cli import CSV_HEADER, main, render_plot_script
 from ptwaveguide.medium import from_config
 from ptwaveguide.models import ModelColumns, ModelKind, SweepTable, sweep, sweep_grid
 from ptwaveguide.quantities import CONFIG_KEYS, E_CHARGE, Config, load_config
-from ptwaveguide.timeprop import plan_packet_run, scatter_packet
+from ptwaveguide.timeprop import WavepacketState, plan_packet_run, scatter_packet
 
 
 def run_cli(*argv):
@@ -89,6 +89,16 @@ class TestRowStatus:
             in capsys.readouterr().out
         # the file is written block by block: the same text as the chunks joined
         assert out.read_text() == b"".join(cli.csv_chunks(table)).decode()
+
+    def test_finite_overflow_is_nonfinite(self):
+        # |t|^2 of a finite t = 1e200 overflows: the row is nonfinite, with
+        # no exception and no warning, and the ordinary row stays ok
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            columns = ModelColumns.from_amplitudes(
+                np.array([1e200 + 0j, 0.5 + 0.5j]), np.array([0j, 0.1j]),
+                np.array([0j, 0.2 + 0j]), np.array([False, False]))
+        assert columns.status.tolist() == ["nonfinite", "ok"]
 
     def test_check_fails_on_nonfinite(self, table, params):
         failures = cli.run_checks(table, params)
@@ -178,20 +188,44 @@ class TestSweepCommand:
                 assert len(mantissa.lstrip("0")) >= 12 or float(value) == 0
 
     def test_csv_digits_match_elementwise_format(self, params):
-        # the columnar render against the per-row formula it replaced: Python
-        # complex parts and flux sums abs(t) ** 2 + abs(r) ** 2, each field
-        # as f"{x:.15g}"
+        # the columnar render against a per-row formula: Python complex parts
+        # and flux sums |t|^2 + |r|^2 with |z|^2 = Re^2 + Im^2, summed in
+        # flux_sums' order, numpy's log10 of them, each field as f"{x:.15g}".
+        # Squares are x*x: Python's float ** calls libm pow, which can differ
+        # from numpy's square in the last ulp
         table = sweep(params, 1.0005, 1.10, 400)
         expected = [CSV_HEADER]
         for i, x in enumerate(table.omega_over_omegac.tolist()):
             for model, col in table.models.items():
                 t, rl, rr = complex(col.t[i]), complex(col.r_left[i]), complex(col.r_right[i])
-                s_left, s_right = abs(t) ** 2 + abs(rl) ** 2, abs(t) ** 2 + abs(rr) ** 2
+                t2 = t.real * t.real + t.imag * t.imag
+                s_left = t2 + (rl.real * rl.real + rl.imag * rl.imag)
+                s_right = t2 + (rr.real * rr.real + rr.imag * rr.imag)
                 fields = (x, t.real, t.imag, rl.real, rl.imag, t.real, t.imag, rr.real,
-                          rr.imag, s_left, s_right, math.log10(s_left), math.log10(s_right))
+                          rr.imag, s_left, s_right, float(np.log10(s_left)),
+                          float(np.log10(s_right)))
                 expected.append(f"{x:.15g},{model.value},"
                                 + ",".join(f"{v:.15g}" for v in fields[1:]) + ",ok")
         assert b"".join(cli.csv_chunks(table)).decode() == "\n".join(expected) + "\n"
+
+    def test_csv_text_does_not_depend_on_block_size(self, params, default_packet_run,
+                                                    tmp_path, monkeypatch):
+        # numpy gives an element the same bits wherever it falls in a block:
+        # one sweep row per block and 7 snapshot points per block write the
+        # bytes of the default blocks.  The snapshots are every 16th point of
+        # the default run's two states, on a grid of as many points
+        table = sweep(params, 1.0005, 1.10, 400)
+        states = [WavepacketState(s.psi[::16], s.t, replace(s.grid, n_points=s.psi[::16].size))
+                  for s in default_packet_run[1].states]
+        cli.write_snapshots(str(tmp_path / "default.csv"), states)
+        default = b"".join(cli.csv_chunks(table))
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", 37)
+        monkeypatch.setattr(cli, "_SNAPSHOT_BLOCK", 7)
+        chunks = list(cli.csv_chunks(table))
+        assert len(chunks) == 1 + 400
+        assert b"".join(chunks) == default
+        cli.write_snapshots(str(tmp_path / "small.csv"), states)
+        assert (tmp_path / "small.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
     def test_models_filter(self, tmp_path):
         out = tmp_path / "approx.csv"
@@ -450,9 +484,9 @@ class TestPacketCommand:
         for state in result.states:
             z = state.grid.z
             for i in range(state.psi.size):
-                p = state.psi[i]
+                p = complex(state.psi[i])
                 expected.append(f"{state.t:.15g},{z[i]:.15g},{p.real:.15g},"
-                                f"{p.imag:.15g},{abs(p) ** 2:.15g}\n")
+                                f"{p.imag:.15g},{p.real * p.real + p.imag * p.imag:.15g}\n")
         assert len(result.states) == 2
         assert medium_off_output[2].read_bytes() == "".join(expected).encode()
 

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from ptwaveguide.medium import (MediumParams, ParameterError, RegionKind,
                                 effective_mass, effective_potential,
                                 k_squared_approx, k_squared_exact, permittivity,
-                                raw_pt_defect, region_at, region_sign)
+                                raw_pt_defect)
 from ptwaveguide.quantities import C, E_CHARGE, HBAR, ev_to_angular
+from ptwaveguide.timeprop import SpatialGrid, potential_on_grid
 
 # Gain/loss wavenumber scale at cutoff for the reference medium,
 # omega_c * omega_p^2 / (2 c^2 delta), frozen from a direct evaluation.
@@ -52,23 +54,30 @@ class TestParams:
 
 
 class TestRegionProfile:
-    def test_region_values(self, params):
-        l = params.region_length
-        assert region_sign(-l / 2, params) == -1
-        assert region_sign(+l / 2, params) == +1
-        assert region_sign(2 * l, params) == 0
-        assert region_sign(-2 * l, params) == 0
+    # a power-of-two region length L puts -L, 0 and L exactly on the points
+    # 64, 128 and 192 of 257 on [-2L, 2L]
+    L = 2.0 ** -15
 
-    def test_right_continuous_boundaries(self, params):
-        l = params.region_length
-        assert region_sign(-l, params) == -1
-        assert region_sign(0.0, params) == +1
-        assert region_sign(l, params) == 0
+    @pytest.fixture(scope="class")
+    def signs(self, params):
+        """The grid and the sign of the resonant term at each of its points,
+        read off the potential: +i|V| is gain (-1), -i|V| absorbing (+1)."""
+        grid = SpatialGrid(-2 * self.L, 2 * self.L, 257, 1e-16)
+        potential = potential_on_grid(replace(params, region_length=self.L), grid)
+        return grid, -np.sign(potential.imag).astype(int)
 
-    def test_region_kinds(self, params):
-        assert region_at(-params.region_length / 2, params) is RegionKind.GAIN
-        assert region_at(+params.region_length / 2, params) is RegionKind.ABSORBING
-        assert region_at(1.0, params) is RegionKind.VACUUM
+    def test_region_values(self, signs):
+        _, sign = signs
+        expected = np.repeat([0, -1, +1, 0], [64, 64, 64, 65])
+        assert np.array_equal(sign, expected)
+
+    def test_right_continuous_boundaries(self, signs):
+        grid, sign = signs
+        assert grid.z[[64, 128, 192]].tolist() == [-self.L, 0.0, self.L]
+        assert sign[[64, 128, 192]].tolist() == [-1, +1, 0]
+        assert sign[[63, 127, 191]].tolist() == [0, -1, +1]
+
+    def test_region_kinds(self):
         assert RegionKind.GAIN.sign == -1
         assert RegionKind.ABSORBING.sign == +1
         assert RegionKind.VACUUM.sign == 0
@@ -94,13 +103,11 @@ class TestPermittivity:
             permittivity(RegionKind.GAIN, 0.0, params)
 
     @given(st.floats(min_value=1e-3, max_value=2.0))
-    def test_sign_convention(self, frac):
+    def test_sign_convention(self, params, frac):
         # Im eps > 0 absorbing, < 0 gain, over (0, 2 omega0)
-        p = MediumParams(ev_to_angular(5.0), ev_to_angular(0.2),
-                         ev_to_angular(1.25), 19.7e-6)
-        omega = frac * p.omega0
-        assert permittivity(RegionKind.ABSORBING, omega, p).imag > 0
-        assert permittivity(RegionKind.GAIN, omega, p).imag < 0
+        omega = frac * params.omega0
+        assert permittivity(RegionKind.ABSORBING, omega, params).imag > 0
+        assert permittivity(RegionKind.GAIN, omega, params).imag < 0
 
 
 class TestWavenumbers:
@@ -137,12 +144,10 @@ class TestWavenumbers:
         assert k2.imag == pytest.approx(K_CUTOFF, rel=1e-3)
 
     @given(st.floats(min_value=-0.1, max_value=0.1))
-    def test_truncation_is_mirror_conjugate(self, frac):
-        p = MediumParams(ev_to_angular(5.0), ev_to_angular(0.2),
-                         ev_to_angular(1.25), 19.7e-6)
-        detuning = frac * p.omega_c
-        g = k_squared_approx(RegionKind.GAIN, detuning, p)
-        a = k_squared_approx(RegionKind.ABSORBING, detuning, p)
+    def test_truncation_is_mirror_conjugate(self, params, frac):
+        detuning = frac * params.omega_c
+        g = k_squared_approx(RegionKind.GAIN, detuning, params)
+        a = k_squared_approx(RegionKind.ABSORBING, detuning, params)
         assert g == a.conjugate()  # bitwise, by construction
 
     def test_raw_mirror_defect_zero_at_cutoff(self, params):

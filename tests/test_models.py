@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptwaveguide.helmholtz import amplitude_arrays, flux_sums, ode_amplitudes
-from ptwaveguide.medium import MediumParams, RegionKind, effective_mass, \
-    effective_potential, k_squared_approx
+from ptwaveguide.medium import RegionKind, effective_mass, effective_potential, \
+    k_squared_approx
 from ptwaveguide.models import (STATUS_OK, BelowCutoffError, ModelKind,
                                 approx_bilayer, bilayer, evaluate_row,
                                 exact_bilayer, pt_defect, sweep, sweep_grid)
-from ptwaveguide.quantities import HBAR, ev_to_angular
+from ptwaveguide.quantities import HBAR
 
 # Regression pins: log10 flux sums of both models on the reference medium,
 # frozen after cross-validating the transfer-matrix engine against the
@@ -208,11 +208,9 @@ class TestSweep:
 
     @given(st.floats(min_value=1.0002, max_value=1.1))
     @settings(max_examples=40, deadline=None)
-    def test_approx_generalized_unitarity_everywhere(self, x):
-        p = MediumParams(ev_to_angular(5.0), ev_to_angular(0.2),
-                         ev_to_angular(1.25), 19.7e-6)
+    def test_approx_generalized_unitarity_everywhere(self, params, x):
         t, r_left, _, r_right = kernel_amplitudes(
-            *approx_bilayer(p, (x - 1.0) * p.omega_c))
+            *approx_bilayer(params, (x - 1.0) * params.omega_c))
         cross = r_left.conjugate() * r_right
         assert abs(abs(t) ** 2 + cross - 1.0) <= 1e-8
         assert abs(cross.imag) <= 1e-8

@@ -16,10 +16,9 @@ from scipy.linalg import _flapack as flapack
 
 import ptwaveguide.timeprop as tp
 from ptwaveguide.helmholtz import SpectralSingularityError, amplitude_arrays
-from ptwaveguide.medium import (RegionKind, effective_mass, effective_potential, from_config,
-                                region_at)
+from ptwaveguide.medium import RegionKind, effective_mass, effective_potential
 from ptwaveguide.models import approx_bilayer
-from ptwaveguide.quantities import E_CHARGE, HBAR, Config
+from ptwaveguide.quantities import E_CHARGE, HBAR
 from ptwaveguide.timeprop import (PREDICTION_HALF_WIDTH, PREDICTION_POINTS,
                                   PRINTED_RESOLUTION, BoundaryContaminationError,
                                   IncompleteScatterError, PlacementError,
@@ -205,13 +204,16 @@ class TestCrankNicolson:
         assert grid_dt[5e-17] < 0.3 * grid_dt[1e-16]
 
     def test_potential_matches_pointwise_regions(self, params):
-        # a power-of-two region length puts -l, 0 and l exactly on grid points
+        # a power-of-two region length puts -l, 0 and l exactly on the points
+        # 64, 128 and 192; each boundary point takes the region to its right
         l = 2.0 ** -15
         params = replace(params, region_length=l)
         grid = SpatialGrid(-2 * l, 2 * l, 257, 1e-16)
-        expected = [effective_potential(region_at(z, params), params) for z in grid.z]
+        kinds = ([RegionKind.VACUUM] * 64 + [RegionKind.GAIN] * 64
+                 + [RegionKind.ABSORBING] * 64 + [RegionKind.VACUUM] * 65)
+        expected = [effective_potential(kind, params) for kind in kinds]
         potential = potential_on_grid(params, grid)
-        assert np.any(grid.z == -l) and np.any(grid.z == 0) and np.any(grid.z == l)
+        assert grid.z[[64, 128, 192]].tolist() == [-l, 0.0, l]
         assert np.array_equal(potential, np.array(expected, dtype=complex))
 
     def test_guard_rejects_large_dt(self, params):
@@ -632,16 +634,14 @@ class TestScatter:
         slope = (phase(theta + h) - phase(theta - h)) / (2.0 * h)
         assert plan.t_final / budget == pytest.approx(1.0 / slope, rel=1e-8)
 
-    def test_low_carrier_right_run_matches_fine_step(self):
+    def test_low_carrier_right_run_matches_fine_step(self, subcritical_params):
         # `packet --config <hbar_omegap_ev = 0.1> --from right --energy-ev 0.02`:
         # T is 1.031589 with a 1e-16 s step; a Crank-Nicolson step of
         # theta = 0.3 misses it by 6e-4, its late outflow below the carrier
-        # arriving too early.  The medium is the CLI's: its region length
-        # 19.7 * 1e-6 differs from 19.7e-6 in the last bit, which moves
-        # boundary points of the grid
-        medium = from_config(Config(hbar_omegap_ev=0.1))
-        plan = plan_packet_run(medium, sigma=3e-6, energy=0.02 * E_CHARGE, from_left=False)
-        result = scatter_packet(medium, plan.spec, plan.grid, plan.t_final)
+        # arriving too early
+        plan = plan_packet_run(subcritical_params, sigma=3e-6, energy=0.02 * E_CHARGE,
+                               from_left=False)
+        result = scatter_packet(subcritical_params, plan.spec, plan.grid, plan.t_final)
         assert result.transmitted == pytest.approx(1.031589, abs=1e-5)
 
     def test_planned_dt_matches_fine_step(self, subcritical_params):
