@@ -50,6 +50,10 @@ _SNAPSHOT_BLOCK = 1024
 # sweep --sweep: the default omega/omega_c grid (start, stop, points)
 SWEEP_WINDOW = (1.0005, NEAR_CUTOFF_X_MAX, 400)
 
+# sweep prints the models' worst log10 agreement below this omega/omega_c,
+# the window in which acceptance criterion 8 holds the reduced model to 0.05
+AGREEMENT_X_MAX = 1.0158
+
 _MODEL_CHOICES = {
     "exact": (ModelKind.EXACT,),
     "approx": (ModelKind.APPROXIMATE,),
@@ -102,12 +106,13 @@ def write_snapshots(path: str, states) -> None:
         fh.write(b"t,z,re_psi,im_psi,abs2_psi\n")
         for state in states:
             t = b"%.15g," % state.t
+            grid_z = state.grid.z
             for lo in range(0, state.psi.size, _SNAPSHOT_BLOCK):
                 psi = state.psi[lo:lo + _SNAPSHOT_BLOCK]
                 # z is rendered again for each state: the run's z text held
                 # through the whole write (22 bytes a point) would raise
                 # peak RSS more than the writer's blocks do
-                z = g15_fields(state.grid.z[lo:lo + _SNAPSHOT_BLOCK])
+                z = g15_fields(grid_z[lo:lo + _SNAPSHOT_BLOCK])
                 fh.write(join_rows([t, z, b",", g15_fields(psi.real),
                                     b",", g15_fields(psi.imag), b",",
                                     g15_fields(psi.real ** 2 + psi.imag ** 2),
@@ -168,6 +173,35 @@ def write_manifest(path: str, config: Config, window: tuple[float, float, int],
         fh.write("\n")
 
 
+def _asymmetric(col: ModelColumns) -> np.ndarray:
+    """s_left > 1 > s_right on each row: the side met first dominates."""
+    return (col.s_left > 1.0) & (col.s_right < 1.0)
+
+
+def figure_lines(table: SweepTable) -> list[str]:
+    """The comparison figure's two numbers, of a table of both models: the
+    omega/omega_c up to which every grid point is asymmetric in both, and
+    the worst log10 model-agreement metric below :data:`AGREEMENT_X_MAX`.
+    A row that is not ok in either model breaks the asymmetry and is left
+    out of the agreement."""
+    x = table.omega_over_omegac
+    exact, approx = table.models[ModelKind.EXACT], table.models[ModelKind.APPROXIMATE]
+    ok = (exact.status == STATUS_OK) & (approx.status == STATUS_OK)
+    broken = np.flatnonzero(~(ok & _asymmetric(exact) & _asymmetric(approx)))
+    if broken.size and broken[0] == 0:
+        asymmetry = f"fails at the first grid point, omega/omega_c = {x[0]:.4f}"
+    else:
+        edge = x[broken[0] - 1] if broken.size else x[-1]
+        asymmetry = f"holds on every grid point up to omega/omega_c = {edge:.4f} (both models)"
+    low = ok & (x < AGREEMENT_X_MAX)
+    log_exact = np.log10(np.concatenate([exact.s_left[low], exact.s_right[low]]))
+    log_approx = np.log10(np.concatenate([approx.s_left[low], approx.s_right[low]]))
+    metric = np.abs(log_exact - log_approx) / np.maximum(1.0, np.abs(log_exact))
+    return [f"s_left > 1 > s_right {asymmetry}",
+            f"worst log10 model-agreement metric below {AGREEMENT_X_MAX}: "
+            + (f"{metric.max():.4f}" if metric.size else "n/a")]
+
+
 def run_checks(table: SweepTable, params: MediumParams) -> list[str]:
     """Property assertions on the sweep table; returns failure messages,
     ordered by frequency, then model, then check.  The medium-off control
@@ -192,8 +226,7 @@ def run_checks(table: SweepTable, params: MediumParams) -> list[str]:
             resid = np.abs(np.abs(t) ** 2 + col.r_left.conjugate() * col.r_right - 1.0)
             flag(0, j, 2, ok & (resid > 1e-8),
                  lambda i: f"generalized unitarity residual {resid[i]:.2e} at x={x[i]}")
-        asymmetric = (col.s_left > 1.0) & (col.s_right < 1.0)
-        flag(0, j, 3, ok & (table.omega_over_omegac <= 1.019) & ~asymmetric,
+        flag(0, j, 3, ok & (table.omega_over_omegac <= 1.019) & ~_asymmetric(col),
              lambda i: f"low-energy asymmetry violated at x={x[i]} ({name}): "
                        f"s_left={float(col.s_left[i])}, s_right={float(col.s_right[i])}")
     # Hermitian control: switching the resonant term off must give unit sums.
@@ -255,6 +288,8 @@ def cmd_sweep(args) -> int:
     print(f"wrote {args.output}: {len(x)} frequencies x "
           f"{len(models)} model(s), rows {counts}")
     print(f"max mirror-conjugation defect of the exact profile: {max_defect:.6g}")
+    if args.models == "both":
+        print("\n".join(figure_lines(table)))
     if args.plot:
         plot_path = args.output + ".gp"
         with open(plot_path, "w", encoding="utf-8", newline="\n") as fh:

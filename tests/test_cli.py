@@ -1,9 +1,9 @@
 import argparse
-import glob
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -18,7 +18,8 @@ from ptwaveguide.cli import CSV_HEADER, main, render_plot_script
 from ptwaveguide.medium import from_config
 from ptwaveguide.models import ModelColumns, ModelKind, SweepTable, sweep, sweep_grid
 from ptwaveguide.quantities import CONFIG_KEYS, E_CHARGE, Config, load_config
-from ptwaveguide.timeprop import WavepacketState, plan_packet_run, scatter_packet
+from ptwaveguide.timeprop import (SpatialGrid, WavepacketState, plan_packet_run,
+                                  scatter_packet)
 
 
 def run_cli(*argv):
@@ -227,6 +228,17 @@ class TestSweepCommand:
         cli.write_snapshots(str(tmp_path / "small.csv"), states)
         assert (tmp_path / "small.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
+    def test_snapshot_writer_builds_z_once_per_state(self, tmp_path, monkeypatch):
+        # two states of three blocks each: the grid's z is built once a state
+        grid = SpatialGrid(-1.0, 1.0, 3 * cli._SNAPSHOT_BLOCK, 1e-16)
+        states = [WavepacketState(np.full(grid.n_points, 0.5 + 0.5j), t, grid)
+                  for t in (0.0, 1e-13)]
+        built = []
+        z = SpatialGrid.z.fget
+        monkeypatch.setattr(SpatialGrid, "z", property(lambda g: built.append(g) or z(g)))
+        cli.write_snapshots(str(tmp_path / "s.csv"), states)
+        assert len(built) == 2
+
     def test_models_filter(self, tmp_path):
         out = tmp_path / "approx.csv"
         run_cli("sweep", "--sweep", "1.003:1.01:4", "--models", "approx",
@@ -379,6 +391,56 @@ class TestSweepCommand:
         assert script.count("with lines") == 2
         assert script.count("with points") == 2
         assert script == render_plot_script(str(out))
+
+    FIGURE = ["s_left > 1 > s_right holds on every grid point up to omega/omega_c = 1.0207 "
+              "(both models)", "worst log10 model-agreement metric below 1.0158: 0.0483"]
+
+    def test_default_sweep_prints_figure(self, tmp_path, capsys):
+        # README's figure command: the two numbers follow the mirror-defect
+        # line, and the plot script's line comes last
+        out = tmp_path / "figure_sweep.csv"
+        assert run_cli("sweep", "--plot", "--output", str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("max mirror-conjugation defect of the exact profile: ")
+        assert lines[2:] == self.FIGURE + [f"wrote {out}.gp"]
+
+    @pytest.mark.parametrize("window, asymmetry", [
+        ("1.03:1.1:40", "fails at the first grid point, omega/omega_c = 1.0300"),
+        ("1.02:1.1:9", "holds on every grid point up to omega/omega_c = 1.0200 (both models)")])
+    def test_figure_outside_default_window(self, tmp_path, capsys, window, asymmetry):
+        # no grid point lies below 1.0158, so there is no agreement to report
+        assert run_cli("sweep", "--sweep", window, "--output", str(tmp_path / "w.csv")) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            f"s_left > 1 > s_right {asymmetry}",
+            "worst log10 model-agreement metric below 1.0158: n/a"]
+
+    @pytest.mark.parametrize("fields", [
+        ("t", "r_left", "r_right", "s_left", "s_right", "status"), ("status",)],
+        ids=["singular row", "status only"])
+    def test_figure_leaves_out_rows_not_ok(self, params, tmp_path, capsys, monkeypatch,
+                                           fields):
+        # the default sweep's worst-agreement row (x = 1.01496, 0.0483) made
+        # singular in the exact model, or only marked so with its sums kept:
+        # the asymmetry ends on the point below it, and the worst agreement
+        # is the next-worst row's
+        table = sweep(params, *cli.SWEEP_WINDOW)
+        i = 58
+        assert f"{table.omega_over_omegac[i]:.5f}" == "1.01496"
+        singular = _singular_table(table.omega_over_omegac[i:i + 1]).models[ModelKind.EXACT]
+        for field in fields:
+            table = _inject(table, ModelKind.EXACT, field, i, getattr(singular, field)[0])
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: table)
+        assert run_cli("sweep", "--output", str(tmp_path / "s.csv")) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "s_left > 1 > s_right holds on every grid point up to omega/omega_c = 1.0147 "
+            "(both models)", "worst log10 model-agreement metric below 1.0158: 0.0464"]
+
+    @pytest.mark.parametrize("models", ["exact", "approx"])
+    def test_one_model_prints_no_figure(self, tmp_path, capsys, models):
+        assert run_cli("sweep", "--models", models, "--output", str(tmp_path / "m.csv")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("max mirror-conjugation defect of the exact profile: ")
 
     @pytest.mark.parametrize("passing", [True, False])
     def test_manifest_times_checks(self, tmp_path, capsys, monkeypatch, passing):
@@ -587,12 +649,12 @@ class TestPacketCommand:
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_python(*argv, cwd=None):
+def run_python(*argv):
     """A fresh interpreter with this checkout's package first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                                       env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True,
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
 
 
@@ -655,26 +717,6 @@ def test_import_builds_no_render_tables():
     assert run_python("-c", code).stdout.strip() == "0"
 
 
-def test_sweep_figure_script(tmp_path):
-    # every script runs here, each given one output path, so none goes unrun;
-    # the figure script runs the default sweep command with --plot
-    scripts = sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py")))
-    assert scripts
-    stdout = {}
-    for script in scripts:
-        name = os.path.splitext(os.path.basename(script))[0]
-        stdout[name] = run_python(script, str(tmp_path / f"{name}.csv"), cwd=tmp_path).stdout
-    figure = tmp_path / "sweep_figure.csv"
-    assert run_cli("sweep", "--output", str(tmp_path / "sweep.csv")) == 0
-    assert figure.read_bytes() == (tmp_path / "sweep.csv").read_bytes()
-    assert (tmp_path / "sweep_figure.csv.gp").read_text() == render_plot_script(str(figure))
-    manifest = json.loads((tmp_path / "sweep_figure.csv.manifest.json").read_text())
-    assert set(manifest["stage_seconds"]) == {"config", "sweep", "csv"}
-    assert "s_left > 1 > s_right holds on every grid point up to omega/omega_c = " \
-        in stdout["sweep_figure"]
-    assert "worst log10 model-agreement metric below 1.0158: " in stdout["sweep_figure"]
-
-
 def test_readme_matches_parser_and_config():
     # the README's command-line synopsis names exactly each subcommand's
     # options, and its config block exactly the config keys and defaults
@@ -694,3 +736,15 @@ def test_readme_matches_parser_and_config():
     assert sorted(key for key, _ in listed) == sorted(CONFIG_KEYS)
     assert {key: float(value) for key, value in listed} == \
         {key: getattr(Config(), key) for key in CONFIG_KEYS}
+
+
+def test_readme_reproduction_commands_parse():
+    # every command of README's "Reproducing" block parses with today's parser
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Reproducing", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("ptwaveguide ")]
+    assert len(commands) == 3
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
