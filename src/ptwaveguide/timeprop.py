@@ -21,9 +21,13 @@ scheme's group velocity is v phi'(theta) = v (1 + theta^2/12) /
 
 One step loop, :func:`_march`, checks dt, builds the operators and LU-factors
 the two constant tridiagonal factors I + aK of the step's denominator once
-each (LAPACK zgttrf), then yields the field after each step; a step is two
-in-place zgttrs solves and allocates nothing.  The
-yielded field is one of two reused buffers, valid until the next step.
+each (LAPACK zgttrf), then yields the field after each step.  A step takes
+the rational function in partial fractions, 1 + c [(I + a1 K)^-1 -
+(I + a2 K)^-1]: its two in-place zgttrs solves share one right-hand side and
+are independent, so one runs on a worker thread while the other runs on the
+caller's, and a step allocates nothing.  The march reads the caller's field
+without copying it; the yielded field is one of three reused buffers, valid
+until the next step.
 The two LAPACK routines come from scipy's compiled extension
 ``scipy.linalg._flapack``, loaded directly (:func:`_flapack`): importing
 ``scipy.linalg`` would cost each packet run 0.3-0.5 s and about 23 MB of
@@ -42,6 +46,7 @@ recipe.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.machinery
 import importlib.util
 import itertools
@@ -50,6 +55,7 @@ import math
 import operator
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,6 +98,8 @@ PLACEMENT_SIGMAS = 7.0
 # Pade (2,2) approximant of exp(-K) (van Dijk & Toyama, Phys. Rev. E 75,
 # 036707 (2007)).
 PADE_SHIFTS = (complex(0.25, 0.25 / math.sqrt(3.0)), complex(0.25, -0.25 / math.sqrt(3.0)))
+# c = 1 / (a1 - a2): the step is 1 + c [(I + a1 K)^-1 - (I + a2 K)^-1].
+PADE_RESIDUE = 1.0 / (PADE_SHIFTS[0] - PADE_SHIFTS[1])
 # Largest plan, in tridiagonal solves times grid points: a step is two
 # solves.  As sigma * k0 falls to 4.3 the time budget, and with it the grid,
 # grows without bound; near that limit the cap keeps a plan under ~2e6
@@ -270,6 +278,13 @@ def _flapack():
     extension file found in scipy's directory (``find_spec`` imports nothing)
     is loaded under its own name and registered, so a later
     ``import scipy.linalg`` reuses the same module and function objects.
+
+    Side effect: the extension's OpenBLAS starts with one thread unless
+    ``OPENBLAS_NUM_THREADS`` is set.  The variable is set to 1 while the
+    extension loads and then removed again, so the environment is left as it
+    was found.  With the default pool, its thread spins for about 0.13 s
+    after the load on the core that the march's worker thread needs; the
+    stepper calls no threaded BLAS.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
@@ -286,10 +301,69 @@ def _flapack():
     else:
         raise ImportError(f"no scipy LAPACK extension _flapack.* in {folder}")
     loader = importlib.machinery.ExtensionFileLoader(name, path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    # module_from_spec dlopens the extension and its OpenBLAS, which sizes
+    # its thread pool from the environment there
+    unset = "OPENBLAS_NUM_THREADS" not in os.environ
+    if unset:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    finally:
+        if unset:
+            del os.environ["OPENBLAS_NUM_THREADS"]
     loader.exec_module(module)
     sys.modules[name] = module
     return module
+
+
+class _Worker:
+    """A thread that makes the calls handed to it, one at a time.
+
+    :meth:`call` starts fn(*args, **kwargs) on the thread and returns at once;
+    :meth:`wait` blocks until that call has returned, then returns its value
+    or re-raises its exception.  Each call is waited for before the next
+    call and before :meth:`close`, which ends the thread.
+    """
+
+    def __init__(self):
+        # two locks held in turn: the caller releases `_posted` to start a
+        # call, the thread releases `_returned` when the call is done
+        self._posted = threading.Lock()
+        self._returned = threading.Lock()
+        self._posted.acquire()
+        self._returned.acquire()
+        self._job = None
+        self._outcome = None
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            self._posted.acquire()
+            if self._job is None:
+                return
+            fn, args, kwargs = self._job
+            try:
+                self._outcome = (fn(*args, **kwargs), None)
+            except BaseException as exc:  # re-raised by wait, in the caller's thread
+                self._outcome = (None, exc)
+            self._returned.release()
+
+    def call(self, fn, *args, **kwargs):
+        self._job = (fn, args, kwargs)
+        self._posted.release()
+
+    def wait(self):
+        self._returned.acquire()
+        (value, error), self._outcome = self._outcome, None
+        if error is not None:
+            raise error
+        return value
+
+    def close(self):
+        self._job = None
+        self._posted.release()
+        self._thread.join()
 
 
 def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
@@ -297,14 +371,17 @@ def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
     """Yield (step, psi) after each of n_steps Pade (2,2) steps.
 
     With K = i H dt / hbar, a step is (1 - a1 K)(1 - a2 K) / (1 + a1 K)(1 + a2 K)
-    = (1 - K/2 + K^2/12) / (1 + K/2 + K^2/12), taken as two substeps
-    psi <- 2 (I + a K)^-1 psi - psi, one per shift a of :data:`PADE_SHIFTS`.
-    Each tridiagonal I + a K is checked and LU-factored once (zgttrf); each
-    substep checks its right-hand side 2 psi and is one zgttrs solve, both read
-    off :func:`_flapack` at the first step.  A step allocates nothing: the
-    caller's psi is copied once, then two field buffers take turns as the
-    current field and the RHS/solution, so the yielded array is overwritten
-    by the next step.  Copy it to keep it.
+    = (1 - K/2 + K^2/12) / (1 + K/2 + K^2/12), taken in partial fractions:
+    psi <- (y1 - y2) + psi with (I + a K) y = c psi for each shift a of
+    :data:`PADE_SHIFTS`, c = :data:`PADE_RESIDUE`.  Each tridiagonal I + a K
+    is checked and LU-factored once (zgttrf).  A step checks that its field
+    is finite, then makes two independent zgttrs solves, both read off
+    :func:`_flapack` at the first step: zgttrs releases the GIL, so one runs
+    on a worker thread that lives as long as the march while the other runs
+    here.  A step allocates nothing: the caller's psi is read, not copied,
+    and three field buffers take turns as the current field and the two
+    right-hand sides/solutions, so a yielded array is overwritten by a later
+    step.  Copy it to keep it.
     """
     lapack = _flapack()
     zgttrf, zgttrs = lapack.zgttrf, lapack.zgttrs
@@ -319,22 +396,34 @@ def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
         if info > 0:  # pragma: no cover - cannot occur under the guard
             raise RuntimeError(f"singular Pade step system: zero pivot {info}")
         factors.append(lu)
-    cur = np.array(psi, dtype=complex)
-    nxt = np.empty_like(cur)
-    # isfinite on the float view tests real and imaginary parts, as on complex
-    finite = np.empty(2 * cur.size, dtype=bool)
-    for step in range(1, n_steps + 1):
-        for lu in factors:
-            np.add(cur, cur, out=nxt)
-            if not np.isfinite(nxt.view(float), out=finite).all():
+    # freed here if the caller keeps no reference, as scatter_packet does not
+    del potential
+    lu1, lu2 = factors
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    buffers = [np.empty_like(psi) for _ in range(3)]
+    with contextlib.closing(_Worker()) as worker:
+        for step in range(1, n_steps + 1):
+            # NaN propagates through both reductions, and +-inf shows in one
+            parts = psi.view(float)
+            if not (math.isfinite(np.maximum.reduce(parts))
+                    and math.isfinite(np.minimum.reduce(parts))):
                 raise ValueError("array must not contain infs or NaNs")
-            # contiguous, so the solution overwrites the RHS in place
-            nxt, _ = zgttrs(*lu, nxt, overwrite_b=1)
-            nxt -= cur
-            nxt[0] = 0.0
-            nxt[-1] = 0.0
-            cur, nxt = nxt, cur
-        yield step, cur
+            # neither buffer holds psi; contiguous, so each solution
+            # overwrites its right-hand side in place
+            y1, y2 = buffers[step % 3], buffers[(step + 1) % 3]
+            np.multiply(psi, PADE_RESIDUE, out=y1)
+            np.copyto(y2, y1)
+            worker.call(zgttrs, *lu1, y1, overwrite_b=1)
+            try:
+                y2, _ = zgttrs(*lu2, y2, overwrite_b=1)
+            finally:
+                y1, _ = worker.wait()
+            y1 -= y2
+            y1 += psi
+            y1[0] = 0.0
+            y1[-1] = 0.0
+            psi = y1
+            yield step, psi
 
 
 def propagate(state: WavepacketState, potential: np.ndarray, mass: float,
@@ -364,12 +453,14 @@ def norm_balance_residual(state: WavepacketState, potential: np.ndarray,
     im_v = np.imag(potential)
     norms = np.empty(n_steps + 1)
     fluxes = np.empty(n_steps + 1)
-    absq = np.empty(state.psi.shape)
-    for k, psi in itertools.chain([(0, state.psi)],
-                                  _march(state.psi, potential, mass, dz, dt, n_steps)):
-        np.square(np.abs(psi, out=absq), out=absq)
-        norms[k] = float(np.sum(absq) * dz)
-        fluxes[k] = (2.0 / HBAR) * float(np.dot(im_v, absq) * dz)
+    psi0 = np.ascontiguousarray(state.psi, dtype=complex)
+    # sums over the real and imaginary parts: no |psi|^2 array
+    for k, psi in itertools.chain([(0, psi0)], _march(psi0, potential, mass, dz, dt, n_steps)):
+        parts = psi.view(float)
+        norms[k] = float(np.dot(parts, parts) * dz)
+        flux = (np.einsum("i,i,i->", im_v, psi.real, psi.real)
+                + np.einsum("i,i,i->", im_v, psi.imag, psi.imag))
+        fluxes[k] = (2.0 / HBAR) * float(flux * dz)
     rate_scale = max(float(np.max(np.abs(fluxes) / norms)), 1.0 / (n_steps * dt))
     dndt = (norms[2:] - norms[:-2]) / (2.0 * dt)
     return float(np.max(np.abs(dndt - fluxes[1:-1]) / norms[1:-1])) / rate_scale
@@ -479,31 +570,34 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     """
     _require_positive("t_final", t_final)
     require_record_times(record_times)
-    state = initial_gaussian(spec, grid, params)
+    dt = grid.dt
+    n_steps = max(1, int(round(t_final / dt)))
+    # the march holds the only references to the initial field and the
+    # potential, and drops each once it has read it
+    steps = _march(initial_gaussian(spec, grid, params).psi, potential_on_grid(params, grid),
+                   effective_mass(params), grid.dz, dt, n_steps)
     ratio = spec.bandwidth_ratio(params)
     if ratio > 0.1:
         logger.warning("packet bandwidth ratio Omega/delta = %.3g is not narrow-band", ratio)
-    potential = potential_on_grid(params, grid)
-    mass = effective_mass(params)
-    dt = grid.dt
-    n_steps = max(1, int(round(t_final / dt)))
-    z = grid.z
-    inside = (z >= -params.region_length) & (z <= params.region_length)
     # the final state is kept anyway: a time that rounds to t_final or past
     # it adds nothing
     wanted = {max(1, int(round(t / dt))) for t in record_times if t < t_final} - {n_steps}
     recorded: list[WavepacketState] = []
-    for step, psi in _march(state.psi, potential, mass, grid.dz, dt, n_steps):
-        if step % CHECK_EVERY == 0 or step == n_steps:
-            peak = float(np.abs(psi).max())
-            edge = max(float(np.abs(psi[:5]).max()), float(np.abs(psi[-5:]).max()))
-            if edge / peak > BOUNDARY_TOL:
-                raise BoundaryContaminationError(
-                    f"boundary amplitude {edge / peak:.2e} of peak at step {step} "
-                    f"exceeds {BOUNDARY_TOL:.1e}; enlarge the grid or stop earlier")
-        if step in wanted:
-            recorded.append(WavepacketState(psi=psi.copy(), t=step * dt, grid=grid))
+    # closed on a raise, so that its worker thread ends with the run
+    with contextlib.closing(steps):
+        for step, psi in steps:
+            if step % CHECK_EVERY == 0 or step == n_steps:
+                peak = float(np.abs(psi).max())
+                edge = max(float(np.abs(psi[:5]).max()), float(np.abs(psi[-5:]).max()))
+                if edge / peak > BOUNDARY_TOL:
+                    raise BoundaryContaminationError(
+                        f"boundary amplitude {edge / peak:.2e} of peak at step {step} "
+                        f"exceeds {BOUNDARY_TOL:.1e}; enlarge the grid or stop earlier")
+            if step in wanted:
+                recorded.append(WavepacketState(psi=psi.copy(), t=step * dt, grid=grid))
     dz = grid.dz
+    z = grid.z
+    inside = (z >= -params.region_length) & (z <= params.region_length)
     with np.errstate(over="ignore"):  # an overflow is rejected just below
         absq = np.abs(psi) ** 2
         transmitted = float(np.sum(absq[z > params.region_length]) * dz)

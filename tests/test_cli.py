@@ -710,6 +710,34 @@ def test_stepper_lapack_shared_with_later_scipy_import():
     assert run_python("-c", code).stdout.strip() == "[0.0, 1.0]"
 
 
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_lapack_load_leaves_openblas_threads_as_found(preset):
+    # a fresh interpreter, where the extension is not loaded yet: its OpenBLAS
+    # is loaded with OPENBLAS_NUM_THREADS=1 unless the variable is set, and
+    # the environment is left as it was found
+    code = f"""if True:
+        import importlib.machinery, os, sys
+        from ptwaveguide.timeprop import _flapack
+        os.environ.pop('OPENBLAS_NUM_THREADS', None)
+        if {preset!r} is not None:
+            os.environ['OPENBLAS_NUM_THREADS'] = {preset!r}
+        seen = []
+        create = importlib.machinery.ExtensionFileLoader.create_module
+
+        def recording(self, spec):
+            seen.append(f"{{spec.name}}:{{os.environ.get('OPENBLAS_NUM_THREADS')}}")
+            return create(self, spec)
+
+        importlib.machinery.ExtensionFileLoader.create_module = recording
+        assert 'scipy.linalg._flapack' not in sys.modules
+        _flapack()
+        print(seen[0], os.environ.get('OPENBLAS_NUM_THREADS'))
+    """
+    during = preset or "1"
+    assert run_python("-c", code).stdout.split() == [f"scipy.linalg._flapack:{during}",
+                                                     str(preset)]
+
+
 def test_import_builds_no_render_tables():
     # the CSV renderer's tables are built on first use, not by importing the CLI
     code = ("import ptwaveguide.cli, ptwaveguide.csvtext as c; "

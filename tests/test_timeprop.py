@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -40,9 +41,11 @@ def pade_stretch(theta):
 
 
 def banded_steps(psi, potential, mass, dz, dt, n_steps):
-    """Reference stepper: the Pade (2,2) step as two substeps
-    psi <- 2 (I + a K)^-1 psi - psi, K = i H dt / hbar, each a full banded
-    solve (scipy.linalg.solve_banded); returns every state."""
+    """Reference stepper: the Pade (2,2) step in partial fractions,
+    psi <- (y0 - y1) + psi with (I + a K) y = c psi for each shift a,
+    c = 1 / (a1 - a2) and K = i H dt / hbar, each a full banded solve
+    (scipy.linalg.solve_banded); returns every state."""
+    residue = 1.0 / (tp.PADE_SHIFTS[0] - tp.PADE_SHIFTS[1])
     lhs = []
     for a in tp.PADE_SHIFTS:
         c = a * dt
@@ -54,10 +57,11 @@ def banded_steps(psi, potential, mass, dz, dt, n_steps):
         lhs.append(bands)
     states = []
     for _ in range(n_steps):
-        for bands in lhs:
-            psi = scipy.linalg.solve_banded((1, 1), bands, psi + psi) - psi
-            psi[0] = 0.0
-            psi[-1] = 0.0
+        y0, y1 = (scipy.linalg.solve_banded((1, 1), bands, psi * residue)
+                  for bands in lhs)
+        psi = (y0 - y1) + psi
+        psi[0] = 0.0
+        psi[-1] = 0.0
         states.append(psi)
     return states
 
@@ -84,13 +88,15 @@ def unfactored_steps(psi, potential, mass, dz, dt, n_steps):
 @pytest.fixture
 def lapack_calls(monkeypatch):
     """Count the stepper's zgttrf and zgttrs calls, on the LAPACK extension
-    module it reads them from."""
+    module it reads them from; the march calls zgttrs from two threads."""
     calls = {"zgttrf": 0, "zgttrs": 0}
+    lock = threading.Lock()
     for name in calls:
         original = getattr(flapack, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+            with lock:
+                calls[_name] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(flapack, name, counted)
@@ -317,6 +323,119 @@ class TestFactoredStepper:
             next(steps)
         assert lapack_calls == {"zgttrf": 2, "zgttrs": 0}
 
+    @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                       complex(np.inf, 0.0), complex(0.0, np.inf),
+                                       complex(-np.inf, 0.0), complex(0.0, -np.inf)],
+                             ids=["nan-real", "nan-imag", "inf-real", "inf-imag",
+                                  "-inf-real", "-inf-imag"])
+    def test_nonfinite_field_rejected_before_solves(self, params, lapack_calls, value):
+        # a field that turns non-finite between steps, in either part, is
+        # rejected before the next step's solves
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
+                              carrier_k=carrier_for_energy(params, 0.2))
+        steps = _march(initial_gaussian(spec, grid, params).psi,
+                       potential_on_grid(params, grid), effective_mass(params),
+                       grid.dz, grid.dt, 3)
+        _, field = next(steps)
+        field[1500] = value
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            next(steps)
+        assert lapack_calls == {"zgttrf": 2, "zgttrs": 2}
+
+    def test_no_thread_outlives_a_march(self, params):
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
+                              carrier_k=carrier_for_energy(params, 0.2))
+        state = initial_gaussian(spec, grid, params)
+        potential = potential_on_grid(params, grid)
+        mass = effective_mass(params)
+        before = set(threading.enumerate())
+        # run to its end
+        propagate(state, potential, mass, grid.dt, 3)
+        assert set(threading.enumerate()) == before
+        # closed after its first step, its one worker running until then
+        steps = _march(state.psi, potential, mass, grid.dz, grid.dt, 3)
+        next(steps)
+        assert len(set(threading.enumerate()) - before) == 1
+        steps.close()
+        assert set(threading.enumerate()) == before
+        # a NaN field raises inside the march
+        bad = state.psi.copy()
+        bad[1500] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            propagate(replace(state, psi=bad), potential, mass, grid.dt, 3)
+        assert set(threading.enumerate()) == before
+        # the run raises mid-march; its traceback, which holds scatter_packet's
+        # frame, is still alive here
+        with pytest.raises(BoundaryContaminationError) as raised:
+            scatter_packet(params, spec, SpatialGrid(-60e-6, 2e-6, 2000, 1e-16), 1.0e-12)
+        assert raised.value.__traceback__ is not None
+        assert set(threading.enumerate()) == before
+
+    def test_worker_error_reraised_in_caller(self, params, monkeypatch):
+        # a solve that fails on the worker's thread raises in the thread that
+        # runs the march, which ends without hanging or leaving a thread
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
+                              carrier_k=carrier_for_energy(params, 0.2))
+        state = initial_gaussian(spec, grid, params)
+        potential = potential_on_grid(params, grid)
+        original = flapack.zgttrs
+
+        def failing_off_runner(*args, **kwargs):
+            if threading.current_thread() is not runner:
+                raise RuntimeError("worker solve failed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flapack, "zgttrs", failing_off_runner)
+        raised = []
+
+        def run():
+            try:
+                propagate(state, potential, effective_mass(params), grid.dt, 3)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        # a daemon, so that a hung march fails this test but not the session
+        runner = threading.Thread(target=run, daemon=True)
+        before = set(threading.enumerate())
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert raised == ["worker solve failed"]
+        assert set(threading.enumerate()) == before
+
+    def test_concurrent_marches_match_serial(self, params):
+        # three marches at once, six threads on two cores, with the
+        # interpreter switching threads as often as it can: each gives the
+        # field of the same march run alone, bit for bit
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        potential = potential_on_grid(params, grid)
+        mass = effective_mass(params)
+        starts = [initial_gaussian(WavepacketSpec(center=center, sigma=2e-6,
+                                                  carrier_k=carrier_for_energy(params, 0.2)),
+                                   grid, params) for center in (-40e-6, -45e-6, -50e-6)]
+        alone = [propagate(start, potential, mass, grid.dt, 50).psi for start in starts]
+        together = [None] * len(starts)
+
+        def run(i):
+            together[i] = propagate(starts[i], potential, mass, grid.dt, 50).psi
+
+        threads = [threading.Thread(target=run, args=(i,), daemon=True)
+                   for i in range(len(starts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(np.array_equal(got, want) for got, want in zip(together, alone))
+
     def test_steps_allocate_nothing(self, params):
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
@@ -431,8 +550,8 @@ class TestNormBalance:
     def test_keeps_scalars_not_states(self, params):
         # criterion 10's grid over 801 states: a trajectory of them would
         # take 801 fields; the residual keeps two floats per state, and the
-        # march's two LU factorizations, its buffers and the residual's
-        # |psi|^2 take about 11 fields
+        # march's two LU factorizations and its three buffers take about 12
+        # fields
         state, potential = self._start(params, 1e-16, n=5000)
         mass = effective_mass(params)
         tracemalloc.start()
