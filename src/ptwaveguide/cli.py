@@ -283,7 +283,7 @@ def cmd_sweep(args) -> int:
     write_manifest(args.output + ".manifest.json", config, window, params, table,
                    stage_seconds)
     x, by_status = table.omega_over_omegac, table.status_counts()
-    max_defect = float(np.max(pt_defect(ModelKind.EXACT, params, x * params.omega_c)))
+    max_defect = float(np.max(pt_defect(params, x * params.omega_c)))
     counts = ", ".join(f"{n} {status}" for status, n in by_status.items())
     print(f"wrote {args.output}: {len(x)} frequencies x "
           f"{len(models)} model(s), rows {counts}")

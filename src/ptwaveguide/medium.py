@@ -140,17 +140,6 @@ def effective_mass(params: MediumParams) -> float:
     return HBAR * params.omega_c / C ** 2
 
 
-def raw_pt_defect(omega, params: MediumParams):
-    """|k2(gain) - conj(k2(absorbing))| for the dispersive model, 1/m^2.
-
-    Vanishes at omega = omega_c = omega0 (the resonance makes the two
-    regions exact complex conjugates) and grows with detuning.
-    """
-    g = k_squared_exact(RegionKind.GAIN, omega, params)
-    a = k_squared_exact(RegionKind.ABSORBING, omega, params)
-    return abs(g - a.conjugate())
-
-
 def from_config(config) -> MediumParams:
     """The medium of a run configuration, in SI: the four numbers of
     :class:`quantities.Config` converted from eV and um.  The slab width is

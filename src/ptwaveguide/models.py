@@ -18,8 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .helmholtz import amplitude_arrays, flux_sums
-from .medium import (MediumParams, RegionKind, k_squared_approx,
-                     k_squared_exact, raw_pt_defect)
+from .medium import MediumParams, RegionKind, k_squared_approx, k_squared_exact
 from .quantities import C
 
 STATUS_OK = "ok"
@@ -77,14 +76,17 @@ def bilayer(model: ModelKind, params: MediumParams, omega):
     return approx_bilayer(params, omega - params.omega_c)
 
 
-def pt_defect(model: ModelKind, params: MediumParams, omega):
-    """Deviation of the profile from k^2(-z) = conj(k^2(z)), dimensionless.
+def pt_defect(params: MediumParams, omega):
+    """Deviation of the dispersive profile from k^2(-z) = conj(k^2(z)),
+    dimensionless.
 
-    Maximum over mirrored position pairs of |k^2(-z) - conj(k^2(z))|, scaled
-    by the gain/loss wavenumber magnitude at cutoff (the strength of the
-    non-Hermitian term, a frequency-independent yardstick).  Exactly zero
-    for the approximate model; zero at cutoff and growing with detuning for
-    the exact one.  ``omega`` may be an array.
+    |k^2(gain) - conj(k^2(absorbing))| of the exact model, the maximum over
+    mirrored position pairs, scaled by the gain/loss wavenumber magnitude at
+    cutoff (the strength of the non-Hermitian term, a frequency-independent
+    yardstick).  Zero at omega = omega_c = omega0, where the resonance makes
+    the two regions exact complex conjugates, and growing with detuning; the
+    approximate profile is mirror-conjugate by construction.  ``omega`` may
+    be an array.
     """
     if np.any(omega < params.omega_c):
         raise BelowCutoffError(
@@ -92,14 +94,9 @@ def pt_defect(model: ModelKind, params: MediumParams, omega):
     scale = abs(k_squared_approx(RegionKind.ABSORBING, 0.0, params))
     if scale == 0.0:
         return 0.0
-    if model is ModelKind.APPROXIMATE:
-        detuning = omega - params.omega_c
-        g = k_squared_approx(RegionKind.GAIN, detuning, params)
-        a = k_squared_approx(RegionKind.ABSORBING, detuning, params)
-        defect = abs(g - a.conjugate())
-    else:
-        defect = raw_pt_defect(omega, params)
-    return defect / scale
+    g = k_squared_exact(RegionKind.GAIN, omega, params)
+    a = k_squared_exact(RegionKind.ABSORBING, omega, params)
+    return abs(g - a.conjugate()) / scale
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,7 @@ The two LAPACK routines come from scipy's compiled extension
 ``scipy.linalg`` would cost each packet run 0.3-0.5 s and about 23 MB of
 memory for modules the stepper never calls.  They are the very objects
 ``scipy.linalg.lapack`` exports, so the fields are bit-identical.
-:func:`propagate` returns the final state, :func:`norm_balance_residual` keeps
-a norm and a flux per step, and :func:`scatter_packet` checks the walls and
+The march's one consumer, :func:`scatter_packet`, checks the walls and
 keeps copies of its snapshots.
 
 Caution: for strong pumping the gain section can exceed its amplification
@@ -49,7 +48,6 @@ from __future__ import annotations
 import contextlib
 import importlib.machinery
 import importlib.util
-import itertools
 import logging
 import math
 import operator
@@ -190,11 +188,6 @@ class WavepacketState:
     psi: np.ndarray
     t: float
     grid: SpatialGrid
-
-
-def norm(state: WavepacketState) -> float:
-    """Discrete L2 norm squared, sum |psi|^2 dz."""
-    return float(np.sum(np.abs(state.psi) ** 2) * state.grid.dz)
 
 
 def potential_on_grid(params: MediumParams, grid: SpatialGrid) -> np.ndarray:
@@ -424,46 +417,6 @@ def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
             y1[-1] = 0.0
             psi = y1
             yield step, psi
-
-
-def propagate(state: WavepacketState, potential: np.ndarray, mass: float,
-              dt: float, n_steps: int) -> WavepacketState:
-    """March n_steps from state; return the final state."""
-    psi = np.asarray(state.psi, dtype=complex)
-    for _, psi in _march(psi, potential, mass, state.grid.dz, dt, n_steps):
-        pass
-    return WavepacketState(psi=psi, t=state.t + n_steps * dt, grid=state.grid)
-
-
-def norm_balance_residual(state: WavepacketState, potential: np.ndarray,
-                          mass: float, dt: float, n_steps: int) -> float:
-    """Worst violation of d/dt(norm) = (2/hbar) * sum Im(V) |psi|^2 dz over
-    n_steps from state.
-
-    The march keeps two numbers per state, its norm and its flux, not the
-    state.  Central time differences at interior states; the defect rate is
-    scaled by the norm and by the characteristic balance rate (the largest
-    |flux| per unit norm, floored at 1/duration so the Hermitian case is
-    still well-defined).  Only the central time difference is O(dt^2): the
-    step itself is fourth-order accurate.
-    """
-    if n_steps < 2:
-        raise ValueError("need at least 2 steps (3 states)")
-    dz = state.grid.dz
-    im_v = np.imag(potential)
-    norms = np.empty(n_steps + 1)
-    fluxes = np.empty(n_steps + 1)
-    psi0 = np.ascontiguousarray(state.psi, dtype=complex)
-    # sums over the real and imaginary parts: no |psi|^2 array
-    for k, psi in itertools.chain([(0, psi0)], _march(psi0, potential, mass, dz, dt, n_steps)):
-        parts = psi.view(float)
-        norms[k] = float(np.dot(parts, parts) * dz)
-        flux = (np.einsum("i,i,i->", im_v, psi.real, psi.real)
-                + np.einsum("i,i,i->", im_v, psi.imag, psi.imag))
-        fluxes[k] = (2.0 / HBAR) * float(flux * dz)
-    rate_scale = max(float(np.max(np.abs(fluxes) / norms)), 1.0 / (n_steps * dt))
-    dndt = (norms[2:] - norms[:-2]) / (2.0 * dt)
-    return float(np.max(np.abs(dndt - fluxes[1:-1]) / norms[1:-1])) / rate_scale
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,16 @@ import math
 import numpy as np
 import pytest
 from conftest import kernel_amplitudes, max_relative_difference
+from oracles import norm_balance_residual, ode_amplitudes
 
 from ptwaveguide.cli import main as cli_main
-from ptwaveguide.helmholtz import amplitude_arrays, ode_amplitudes
+from ptwaveguide.helmholtz import amplitude_arrays
 from ptwaveguide.medium import RegionKind, k_squared_approx, k_squared_exact
 from ptwaveguide.models import (ModelKind, bilayer, exact_bilayer, pt_defect,
                                 sweep, sweep_grid)
 from ptwaveguide.quantities import E_CHARGE, HBAR, angular_to_ev, cutoff_frequency
 from ptwaveguide.timeprop import (SpatialGrid, WavepacketSpec, initial_gaussian,
-                                  norm_balance_residual, plan_packet_run,
-                                  potential_on_grid, scatter_packet)
+                                  plan_packet_run, potential_on_grid, scatter_packet)
 from ptwaveguide.medium import effective_mass
 
 SWEEP_START, SWEEP_STOP, SWEEP_POINTS = 1.0005, 1.10, 400
@@ -154,8 +154,8 @@ def test_criterion_08_approximation_window(capsys, reference_sweep):
 
 
 def test_criterion_09_mirror_defect_monotone(capsys, params):
-    at_cutoff = pt_defect(ModelKind.EXACT, params, params.omega_c)
-    samples = [pt_defect(ModelKind.EXACT, params, x * params.omega_c)
+    at_cutoff = pt_defect(params, params.omega_c)
+    samples = [pt_defect(params, x * params.omega_c)
                for x in (1.01, 1.05, 1.10)]
     ok = at_cutoff <= 1e-12 and samples[0] < samples[1] < samples[2]
     report(capsys, 9, f"dispersive-profile mirror defect {at_cutoff:.1e} at "

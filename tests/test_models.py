@@ -5,8 +5,9 @@ import pytest
 from conftest import kernel_amplitudes, max_relative_difference
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ode_amplitudes
 
-from ptwaveguide.helmholtz import amplitude_arrays, flux_sums, ode_amplitudes
+from ptwaveguide.helmholtz import amplitude_arrays, flux_sums
 from ptwaveguide.medium import RegionKind, effective_mass, effective_potential, \
     k_squared_approx
 from ptwaveguide.models import (STATUS_OK, BelowCutoffError, ModelKind,
@@ -79,22 +80,17 @@ class TestStacks:
 
 
 class TestPtDefect:
-    def test_approx_exactly_zero(self, params):
-        for frac in (1e-4, 0.01, 0.09):
-            omega = (1.0 + frac) * params.omega_c
-            assert pt_defect(ModelKind.APPROXIMATE, params, omega) == 0.0
-
     def test_exact_zero_at_cutoff(self, params):
-        assert pt_defect(ModelKind.EXACT, params, params.omega_c) <= 1e-12
+        assert pt_defect(params, params.omega_c) <= 1e-12
 
     def test_exact_increasing_samples(self, params):
-        vals = [pt_defect(ModelKind.EXACT, params, x * params.omega_c)
+        vals = [pt_defect(params, x * params.omega_c)
                 for x in (1.01, 1.05, 1.10)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_below_cutoff_rejected(self, params):
         with pytest.raises(BelowCutoffError):
-            pt_defect(ModelKind.EXACT, params, 0.99 * params.omega_c)
+            pt_defect(params, 0.99 * params.omega_c)
 
 
 class TestSweep:
