@@ -310,8 +310,12 @@ def cmd_packet(args) -> int:
     plan = plan_packet_run(params, sigma=args.sigma_um * 1e-6,
                            energy=args.energy_ev * E_CHARGE,
                            from_left=(args.incidence == "left"))
-    record = tuple(float(t) * 1e-12 for t in args.snapshot_times_ps.split(",")) \
-        if args.snapshot_times_ps else ()
+    text = args.snapshot_times_ps
+    try:
+        record = tuple(float(t) * 1e-12 for t in text.split(",")) if text else ()
+    except ValueError:
+        raise ValueError(f"--snapshot-times-ps expects comma separated numbers, "
+                         f"got {text!r}") from None
     require_record_times(record)
     if record and not args.snapshots:
         raise ValueError("--snapshot-times-ps needs --snapshots: the requested states "

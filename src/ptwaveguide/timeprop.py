@@ -24,15 +24,16 @@ the two constant tridiagonal factors I + aK of the step's denominator once
 each (LAPACK zgttrf), then yields the field after each step.  A step takes
 the rational function in partial fractions, 1 + c [(I + a1 K)^-1 -
 (I + a2 K)^-1]: its two in-place zgttrs solves share one right-hand side and
-are independent, so one runs on a worker thread while the other runs on the
-caller's, and a step allocates nothing.  The march reads the caller's field
-without copying it; the yielded field is one of three reused buffers, valid
-until the next step.
+are independent, so one runs on the single worker of a standard-library
+ThreadPoolExecutor while the other runs on the caller's thread, and a step
+allocates no array.  The march reads the caller's field without copying it;
+the yielded field is one of three reused buffers, valid until the next step.
 The two LAPACK routines come from scipy's compiled extension
-``scipy.linalg._flapack``, loaded directly (:func:`_flapack`): importing
-``scipy.linalg`` would cost each packet run 0.3-0.5 s and about 23 MB of
-memory for modules the stepper never calls.  They are the very objects
-``scipy.linalg.lapack`` exports, so the fields are bit-identical.
+``scipy.linalg._flapack``, which :func:`_flapack` finds with the import
+system's file finder and loads on its own: importing ``scipy.linalg`` would
+cost each packet run 0.3-0.5 s and about 23 MB of memory for modules the
+stepper never calls.  They are the very objects ``scipy.linalg.lapack``
+exports, so the fields are bit-identical.
 The march's one consumer, :func:`scatter_packet`, checks the walls and
 keeps copies of its snapshots.
 
@@ -53,7 +54,6 @@ import math
 import operator
 import os
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -268,15 +268,15 @@ def _flapack():
     """scipy's compiled LAPACK extension, without scipy.linalg's __init__.
 
     The module already in ``sys.modules`` if there is one; otherwise the
-    extension file found in scipy's directory (``find_spec`` imports nothing)
-    is loaded under its own name and registered, so a later
+    extension that a FileFinder finds in scipy's directory (``find_spec``
+    imports nothing) is loaded under its own name and registered, so a later
     ``import scipy.linalg`` reuses the same module and function objects.
 
     Side effect: the extension's OpenBLAS starts with one thread unless
     ``OPENBLAS_NUM_THREADS`` is set.  The variable is set to 1 while the
     extension loads and then removed again, so the environment is left as it
     was found.  With the default pool, its thread spins for about 0.13 s
-    after the load on the core that the march's worker thread needs; the
+    after the load on the core that the march's second solve needs; the
     stepper calls no threaded BLAS.
     """
     name = "scipy.linalg._flapack"
@@ -287,76 +287,23 @@ def _flapack():
     if scipy_spec is None:
         raise ImportError("scipy is not installed")
     folder = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_flapack" + suffix)
-        if os.path.isfile(path):
-            break
-    else:
+    loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(folder, loaders).find_spec(name)
+    if spec is None:
         raise ImportError(f"no scipy LAPACK extension _flapack.* in {folder}")
-    loader = importlib.machinery.ExtensionFileLoader(name, path)
     # module_from_spec dlopens the extension and its OpenBLAS, which sizes
     # its thread pool from the environment there
     unset = "OPENBLAS_NUM_THREADS" not in os.environ
     if unset:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        module = importlib.util.module_from_spec(spec)
     finally:
         if unset:
             del os.environ["OPENBLAS_NUM_THREADS"]
-    loader.exec_module(module)
+    spec.loader.exec_module(module)
     sys.modules[name] = module
     return module
-
-
-class _Worker:
-    """A thread that makes the calls handed to it, one at a time.
-
-    :meth:`call` starts fn(*args, **kwargs) on the thread and returns at once;
-    :meth:`wait` blocks until that call has returned, then returns its value
-    or re-raises its exception.  Each call is waited for before the next
-    call and before :meth:`close`, which ends the thread.
-    """
-
-    def __init__(self):
-        # two locks held in turn: the caller releases `_posted` to start a
-        # call, the thread releases `_returned` when the call is done
-        self._posted = threading.Lock()
-        self._returned = threading.Lock()
-        self._posted.acquire()
-        self._returned.acquire()
-        self._job = None
-        self._outcome = None
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while True:
-            self._posted.acquire()
-            if self._job is None:
-                return
-            fn, args, kwargs = self._job
-            try:
-                self._outcome = (fn(*args, **kwargs), None)
-            except BaseException as exc:  # re-raised by wait, in the caller's thread
-                self._outcome = (None, exc)
-            self._returned.release()
-
-    def call(self, fn, *args, **kwargs):
-        self._job = (fn, args, kwargs)
-        self._posted.release()
-
-    def wait(self):
-        self._returned.acquire()
-        (value, error), self._outcome = self._outcome, None
-        if error is not None:
-            raise error
-        return value
-
-    def close(self):
-        self._job = None
-        self._posted.release()
-        self._thread.join()
 
 
 def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
@@ -370,12 +317,16 @@ def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
     is checked and LU-factored once (zgttrf).  A step checks that its field
     is finite, then makes two independent zgttrs solves, both read off
     :func:`_flapack` at the first step: zgttrs releases the GIL, so one runs
-    on a worker thread that lives as long as the march while the other runs
-    here.  A step allocates nothing: the caller's psi is read, not copied,
-    and three field buffers take turns as the current field and the two
-    right-hand sides/solutions, so a yielded array is overwritten by a later
-    step.  Copy it to keep it.
+    on the one worker of a ThreadPoolExecutor that the march shuts down when
+    it ends, while the other runs here.  A step allocates no array: the
+    caller's psi is read, not copied, and three field buffers take turns as
+    the current field and the two right-hand sides/solutions, so a yielded
+    array is overwritten by a later step.  Copy it to keep it.
     """
+    # loaded at the first step, like the LAPACK extension, so that importing
+    # the CLI or running a sweep does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
     lapack = _flapack()
     zgttrf, zgttrs = lapack.zgttrf, lapack.zgttrs
     _check_guard(potential, dt)
@@ -394,7 +345,7 @@ def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
     lu1, lu2 = factors
     psi = np.ascontiguousarray(psi, dtype=complex)
     buffers = [np.empty_like(psi) for _ in range(3)]
-    with contextlib.closing(_Worker()) as worker:
+    with ThreadPoolExecutor(max_workers=1) as worker:
         for step in range(1, n_steps + 1):
             # NaN propagates through both reductions, and +-inf shows in one
             parts = psi.view(float)
@@ -406,11 +357,11 @@ def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
             y1, y2 = buffers[step % 3], buffers[(step + 1) % 3]
             np.multiply(psi, PADE_RESIDUE, out=y1)
             np.copyto(y2, y1)
-            worker.call(zgttrs, *lu1, y1, overwrite_b=1)
+            solved = worker.submit(zgttrs, *lu1, y1, overwrite_b=1)
             try:
                 y2, _ = zgttrs(*lu2, y2, overwrite_b=1)
             finally:
-                y1, _ = worker.wait()
+                y1, _ = solved.result()
             y1 -= y2
             y1 += psi
             y1[0] = 0.0
@@ -536,7 +487,7 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     # it adds nothing
     wanted = {max(1, int(round(t / dt))) for t in record_times if t < t_final} - {n_steps}
     recorded: list[WavepacketState] = []
-    # closed on a raise, so that its worker thread ends with the run
+    # closed on a raise, so that its executor shuts down with the run
     with contextlib.closing(steps):
         for step, psi in steps:
             if step % CHECK_EVERY == 0 or step == n_steps:

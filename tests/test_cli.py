@@ -561,6 +561,8 @@ class TestPacketCommand:
          "record time must be finite and non-negative, got inf"),
         ("--snapshot-times-ps", "-0.1",
          "record time must be finite and non-negative, got -1e-13"),
+        ("--snapshot-times-ps", "0.1,,",
+         "--snapshot-times-ps expects comma separated numbers, got '0.1,,'"),
         ("--energy-ev", "inf", "carrier energy must be finite and positive, got inf"),
         ("--sigma-um", "inf", "sigma must be finite and positive, got inf"),
         ("--sigma-um", "nan", "sigma must be finite and positive, got nan"),
@@ -659,10 +661,11 @@ def run_python(*argv):
 
 
 def test_import_leaves_scipy_unloaded():
-    # the time stepper loads scipy's LAPACK extension at its first step, and
-    # a sweep pays for none of scipy
-    code = "import sys, ptwaveguide.cli; print('scipy' in sys.modules)"
-    assert run_python("-c", code).stdout.strip() == "False"
+    # the time stepper loads scipy's LAPACK extension and its executor at its
+    # first step, and a sweep pays for neither
+    code = ("import sys, ptwaveguide.cli; "
+            "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)")
+    assert run_python("-c", code).stdout.split() == ["False", "False"]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")

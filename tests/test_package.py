@@ -32,7 +32,9 @@ def imported_modules(tree: ast.Module) -> set[str]:
 def test_package_holds_what_it_runs():
     # each public module-level function and class is read somewhere in the
     # package outside its own definition: code that only tests call lives in
-    # tests/oracles.py, and the package never imports scipy.integrate
+    # tests/oracles.py; the package never imports scipy.integrate, and never
+    # threading: the stepper's second solve runs on the standard library's
+    # executor, not on a hand-written thread handoff
     statements = [(module, stmt, read_names(stmt))
                   for module, tree in TREES.items() for stmt in tree.body]
     unused = sorted(
@@ -42,6 +44,7 @@ def test_package_holds_what_it_runs():
         and not any(stmt.name in names for _, other, names in statements
                     if other is not stmt))
     assert not unused, f"read nowhere else in the package: {', '.join(unused)}"
-    importing = sorted(module for module, tree in TREES.items()
-                       if "scipy.integrate" in imported_modules(tree))
-    assert not importing, f"import scipy.integrate: {', '.join(importing)}"
+    for banned in ("scipy.integrate", "threading"):
+        importing = sorted(module for module, tree in TREES.items()
+                           if banned in imported_modules(tree))
+        assert not importing, f"import {banned}: {', '.join(importing)}"
