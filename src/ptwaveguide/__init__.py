@@ -8,18 +8,3 @@ wavepacket propagation.
 """
 
 __version__ = "0.1.0"
-
-from .medium import MediumParams, RegionKind
-from .models import ModelKind, sweep
-from .quantities import Config, cutoff_frequency, ev_to_angular
-
-__all__ = [
-    "__version__",
-    "Config",
-    "MediumParams",
-    "ModelKind",
-    "RegionKind",
-    "cutoff_frequency",
-    "ev_to_angular",
-    "sweep",
-]

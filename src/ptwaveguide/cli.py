@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from itertools import chain
 from time import perf_counter
@@ -23,8 +23,8 @@ from .medium import NEAR_CUTOFF_X_MAX, MediumParams, from_config
 from .helmholtz import amplitude_arrays
 from .models import (STATUS_NONFINITE, STATUS_OK, ModelColumns, ModelKind,
                      SweepTable, bilayer, pt_defect, sweep)
-from .quantities import (E_CHARGE, Config, ConfigError, angular_to_ev,
-                         config_as_dict, ev_to_angular, load_config)
+from .quantities import (E_CHARGE, Config, ConfigError, angular_to_ev, ev_to_angular,
+                         load_config)
 from .timeprop import (BoundaryContaminationError, IncompleteScatterError,
                        deviation_percent, fractions_below_residual, plan_packet_run,
                        require_record_times, scatter_packet)
@@ -153,7 +153,7 @@ def write_manifest(path: str, config: Config, window: tuple[float, float, int],
         "tool": "ptwaveguide",
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config": config_as_dict(config),
+        "config": asdict(config),
         "sweep": {"start": window[0], "stop": window[1], "points": window[2]},
         "derived": {
             "omega_c_rad_s": params.omega_c,

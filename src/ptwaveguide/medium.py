@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quantities import C, HBAR, cutoff_frequency
+from .quantities import C, HBAR, ConfigValidationError, cutoff_frequency, ev_to_angular
 
 logger = logging.getLogger(__name__)
 
@@ -143,12 +143,44 @@ def effective_mass(params: MediumParams) -> float:
 def from_config(config) -> MediumParams:
     """The medium of a run configuration, in SI: the four numbers of
     :class:`quantities.Config` converted from eV and um.  The slab width is
-    not configured: :class:`MediumParams` derives it from the resonance."""
-    from .quantities import ev_to_angular
+    not configured: :class:`MediumParams` derives it from the resonance.
 
-    return MediumParams(
-        omega0=ev_to_angular(config.hbar_omega0_ev),
-        omega_p=ev_to_angular(config.hbar_omegap_ev),
-        delta=ev_to_angular(config.hbar_delta_ev),
-        region_length=config.region_length_um * 1e-6,
-    )
+    A medium outside the floating-point range fails here, before any kernel
+    runs, with a :class:`quantities.ConfigValidationError` naming its config
+    keys: an SI value, a product of two frequencies, a regime ratio or the
+    gain/loss wavenumber that is not finite and positive.  The kernels
+    square in Python floats, whose ``**`` raises OverflowError where numpy
+    gives inf, and a zero divisor raises ZeroDivisionError."""
+    omega0, omega_p, delta = (ev_to_angular(value) for value in (
+        config.hbar_omega0_ev, config.hbar_omegap_ev, config.hbar_delta_ev))
+    region_length = config.region_length_um * 1e-6
+    # in stages: each computes only with what the stages before it passed
+    _require_in_range(("hbar_omega0_ev", "omega0", omega0),
+                      ("hbar_omegap_ev", "omega_p", omega_p),
+                      ("hbar_delta_ev", "delta", delta),
+                      ("region_length_um", "region_length", region_length))
+    # as MediumParams derives it
+    omega_c = cutoff_frequency(C * math.pi / omega0)
+    _require_in_range(("hbar_omega0_ev", "omega0^2", omega0 * omega0),
+                      ("hbar_omega0_ev", "omega_c^2", omega_c * omega_c),
+                      ("hbar_omegap_ev", "omega_p^2", omega_p * omega_p),
+                      ("hbar_delta_ev, hbar_omega0_ev", "delta*omega_c", delta * omega_c))
+    _require_in_range(("hbar_omegap_ev, hbar_delta_ev", "omega_p^2/delta^2",
+                       (omega_p / delta) * (omega_p / delta)),
+                      ("hbar_omegap_ev, hbar_delta_ev, hbar_omega0_ev",
+                       "omega_p^2/(delta*omega_c)", omega_p * omega_p / (delta * omega_c)))
+    params = MediumParams(omega0=omega0, omega_p=omega_p, delta=delta,
+                          region_length=region_length)
+    _require_in_range(("hbar_omegap_ev, hbar_delta_ev, hbar_omega0_ev",
+                       "the reduced model's gain/loss k^2",
+                       abs(k_squared_approx(RegionKind.ABSORBING, 0.0, params))))
+    return params
+
+
+def _require_in_range(*quantities: tuple[str, str, float]):
+    """Reject the first (config keys, name, SI value) whose value is not
+    finite and positive."""
+    for keys, name, value in quantities:
+        if not 0 < value < math.inf:
+            raise ConfigValidationError(
+                keys, f"{name} = {value:g} in SI units is outside the floating-point range")

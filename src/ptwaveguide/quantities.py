@@ -80,7 +80,7 @@ class Config:
                 raise ConfigValidationError(key, "must be strictly positive")
 
 
-CONFIG_KEYS = ("hbar_omega0_ev", "hbar_omegap_ev", "hbar_delta_ev", "region_length_um")
+CONFIG_KEYS = tuple(f.name for f in fields(Config))
 
 
 def parse_config(text: str) -> Config:
@@ -116,7 +116,3 @@ def parse_config(text: str) -> Config:
 def load_config(path: str) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def config_as_dict(config: Config) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(config)}

@@ -26,8 +26,9 @@ the rational function in partial fractions, 1 + c [(I + a1 K)^-1 -
 (I + a2 K)^-1]: its two in-place zgttrs solves share one right-hand side and
 are independent, so one runs on the single worker of a standard-library
 ThreadPoolExecutor while the other runs on the caller's thread, and a step
-allocates no array.  The march reads the caller's field without copying it;
-the yielded field is one of three reused buffers, valid until the next step.
+allocates no array.  The march copies the caller's field once and updates
+that copy in place: every step yields the same array, overwritten by the
+next step.
 The two LAPACK routines come from scipy's compiled extension
 ``scipy.linalg._flapack``, which :func:`_flapack` finds with the import
 system's file finder and loads on its own: importing ``scipy.linalg`` would
@@ -174,13 +175,12 @@ class WavepacketSpec:
         if self.carrier_k == 0:
             raise ValueError("carrier_k must be nonzero")
 
-    def omega_spread(self, mass: float) -> float:
-        """Induced frequency bandwidth: group velocity times sqrt(2)/(2 sigma)."""
-        return (HBAR * abs(self.carrier_k) / mass) * math.sqrt(2.0) / (2.0 * self.sigma)
-
     def bandwidth_ratio(self, params: MediumParams) -> float:
-        """Omega_spread / delta; the narrow-band assumption wants this small."""
-        return self.omega_spread(effective_mass(params)) / params.delta
+        """Omega / delta, with Omega the induced frequency bandwidth: group
+        velocity times sqrt(2)/(2 sigma).  The narrow-band assumption wants
+        this small."""
+        velocity = HBAR * abs(self.carrier_k) / effective_mass(params)
+        return velocity * math.sqrt(2.0) / (2.0 * self.sigma) / params.delta
 
 
 @dataclass(frozen=True)
@@ -312,16 +312,17 @@ def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
 
     With K = i H dt / hbar, a step is (1 - a1 K)(1 - a2 K) / (1 + a1 K)(1 + a2 K)
     = (1 - K/2 + K^2/12) / (1 + K/2 + K^2/12), taken in partial fractions:
-    psi <- (y1 - y2) + psi with (I + a K) y = c psi for each shift a of
+    psi <- psi + (y1 - y2) with (I + a K) y = c psi for each shift a of
     :data:`PADE_SHIFTS`, c = :data:`PADE_RESIDUE`.  Each tridiagonal I + a K
     is checked and LU-factored once (zgttrf).  A step checks that its field
     is finite, then makes two independent zgttrs solves, both read off
     :func:`_flapack` at the first step: zgttrs releases the GIL, so one runs
     on the one worker of a ThreadPoolExecutor that the march shuts down when
     it ends, while the other runs here.  A step allocates no array: the
-    caller's psi is read, not copied, and three field buffers take turns as
-    the current field and the two right-hand sides/solutions, so a yielded
-    array is overwritten by a later step.  Copy it to keep it.
+    march copies the caller's psi once, leaving it untouched, and updates
+    that one field in place from two solution buffers, y1 and y2.  Every
+    step yields the same array, overwritten by the next step; copy it to
+    keep it.
     """
     # loaded at the first step, like the LAPACK extension, so that importing
     # the CLI or running a sweep does not pay for it
@@ -343,8 +344,10 @@ def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
     # freed here if the caller keeps no reference, as scatter_packet does not
     del potential
     lu1, lu2 = factors
-    psi = np.ascontiguousarray(psi, dtype=complex)
-    buffers = [np.empty_like(psi) for _ in range(3)]
+    # the march's own field: the caller's array is left as it was
+    psi = np.array(psi, dtype=complex)
+    # contiguous, so each solution overwrites its right-hand side in place
+    y1, y2 = np.empty_like(psi), np.empty_like(psi)
     with ThreadPoolExecutor(max_workers=1) as worker:
         for step in range(1, n_steps + 1):
             # NaN propagates through both reductions, and +-inf shows in one
@@ -352,9 +355,6 @@ def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
             if not (math.isfinite(np.maximum.reduce(parts))
                     and math.isfinite(np.minimum.reduce(parts))):
                 raise ValueError("array must not contain infs or NaNs")
-            # neither buffer holds psi; contiguous, so each solution
-            # overwrites its right-hand side in place
-            y1, y2 = buffers[step % 3], buffers[(step + 1) % 3]
             np.multiply(psi, PADE_RESIDUE, out=y1)
             np.copyto(y2, y1)
             solved = worker.submit(zgttrs, *lu1, y1, overwrite_b=1)
@@ -363,10 +363,9 @@ def _march(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
             finally:
                 y1, _ = solved.result()
             y1 -= y2
-            y1 += psi
-            y1[0] = 0.0
-            y1[-1] = 0.0
-            psi = y1
+            psi += y1
+            psi[0] = 0.0
+            psi[-1] = 0.0
             yield step, psi
 
 
@@ -477,7 +476,8 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     dt = grid.dt
     n_steps = max(1, int(round(t_final / dt)))
     # the march holds the only references to the initial field and the
-    # potential, and drops each once it has read it
+    # potential: it drops the field once it has copied it into the one it
+    # updates, and the potential once it has factored the step
     steps = _march(initial_gaussian(spec, grid, params).psi, potential_on_grid(params, grid),
                    effective_mass(params), grid.dz, dt, n_steps)
     ratio = spec.bandwidth_ratio(params)
@@ -598,8 +598,10 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     # snap dz so l is an exact multiple, then extend the ends in whole cells;
     # -l, 0 and +l all land on grid points
     dz = l / math.ceil(l * POINTS_PER_WAVELENGTH / wavelength)
-    cells_near = math.ceil((near_extent - l) / dz)
-    cells_far = math.ceil((far_extent - l) / dz)
+    # the counts stay floats until the point-solve cap below has passed: a
+    # plan far over it can count more points than a float converts to an int
+    cells_near = float(np.ceil((near_extent - l) / dz))
+    cells_far = float(np.ceil((far_extent - l) / dz))
     if from_left:
         z_min = -l - cells_near * dz
         z_max = l + cells_far * dz
@@ -608,7 +610,7 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
         z_min = -l - cells_far * dz
         z_max = l + cells_near * dz
         center, carrier = z0, -k0
-    n_points = int(round((z_max - z_min) / dz)) + 1
+    n_points = float(np.rint((z_max - z_min) / dz)) + 1.0
     # the carrier turns by theta per step, unless that step would turn the
     # potential by more than half the guard (slow carriers, strong media)
     dt = PACKET_THETA * HBAR / energy
@@ -620,12 +622,12 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     # packet reaches the places the grid was sized for 1/phi' times later
     theta2 = (energy * dt / HBAR) ** 2
     t_final *= (1.0 + theta2 / 12.0 + theta2 * theta2 / 144.0) / (1.0 + theta2 / 12.0)
-    n_steps = max(1, int(round(t_final / dt)))
-    if 2 * n_points * n_steps > MAX_POINT_SOLVES:
-        raise ValueError(f"sigma*k0 = {sigma * k0:.3g} plans {n_points} points x {n_steps} "
-                         f"steps of 2 solves, over the {MAX_POINT_SOLVES:.0e} point-solve "
-                         "limit: the budget diverges as sigma*k0 falls to 4.3")
-    grid = SpatialGrid(z_min=z_min, z_max=z_max, n_points=n_points, dt=dt)
+    n_steps = max(1.0, float(np.rint(t_final / dt)))
+    if not 2 * n_points * n_steps <= MAX_POINT_SOLVES:
+        raise ValueError(f"sigma*k0 = {sigma * k0:.3g} plans {n_points:.3g} points x "
+                         f"{n_steps:.3g} steps of 2 solves, over the {MAX_POINT_SOLVES:.0e} "
+                         "point-solve limit: the budget diverges as sigma*k0 falls to 4.3")
+    grid = SpatialGrid(z_min=z_min, z_max=z_max, n_points=int(n_points), dt=dt)
     return PacketRunPlan(
         spec=WavepacketSpec(center=center, sigma=sigma, carrier_k=carrier),
         grid=grid,

@@ -344,8 +344,18 @@ class TestSweepCommand:
                        "--output", str(out)) == 0
         assert "all sweep checks passed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("line", ["hbar_omegap_ev = nan", "sweep_stop = inf",
-                                      "region_length_um = inf"])
+    # the last seven are finite in eV but leave the floating-point range in
+    # SI units: as omega_p or omega0 squared, as omega_p^2/delta^2, as omega_p
+    # and omega0 themselves, in the reduced model's omega_c * omega_p^2 with
+    # every ratio finite, or as a delta * omega_c that underflows to zero
+    @pytest.mark.parametrize("line", [
+        "hbar_omegap_ev = nan", "sweep_stop = inf", "region_length_um = inf",
+        "hbar_omegap_ev = 1e200", "hbar_delta_ev = 1e-300", "hbar_omega0_ev = 1e140",
+        "hbar_omegap_ev = 1e300", "hbar_omega0_ev = 1e308",
+        pytest.param("hbar_omega0_ev = 6.6e134\nhbar_omegap_ev = 6.6e84\nhbar_delta_ev = 6.6e84",
+                     id="gain-loss-k2-overflows"),
+        pytest.param("hbar_omega0_ev = 6.6e-177\nhbar_omegap_ev = 6.6e-176\n"
+                     "hbar_delta_ev = 6.6e-179", id="cutoff-ratio-divisor-underflows")])
     def test_non_finite_config_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
@@ -602,6 +612,37 @@ class TestPacketCommand:
         assert err.startswith("error: sigma*k0 = 4.33 plans ")
         assert err.endswith(" steps of 2 solves, over the 5e+10 point-solve limit: the "
                             "budget diverges as sigma*k0 falls to 4.3\n")
+
+    @pytest.mark.parametrize("sigma_um, product", [("1e200", "7.17e+200"), ("1e308", "inf")])
+    def test_huge_packet_plan_exits_2_in_one_line(self, monkeypatch, capsys, sigma_um, product):
+        # counts far past the limit (infinite at 1e308) print in three digits
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", no_steps)
+        assert run_cli("packet", "--sigma-um", sigma_um) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: sigma\*k0 = {re.escape(product)} plans \S+ points x \S+ "
+                            r"steps of 2 solves, over the 5e\+10 point-solve limit: the budget "
+                            r"diverges as sigma\*k0 falls to 4\.3\n", err)
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("line", ["hbar_omegap_ev = 1e200", "hbar_delta_ev = 1e-300",
+                                      "hbar_omega0_ev = 1e140", "hbar_omegap_ev = 1e300",
+                                      "hbar_omega0_ev = 1e308"])
+    def test_out_of_range_medium_exits_2(self, tmp_path, monkeypatch, capsys, line):
+        # rejected by its key where the config becomes SI, before any step
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", no_steps)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        snapshots = tmp_path / "snaps.csv"
+        assert run_cli("packet", "--config", str(cfg), "--snapshots", str(snapshots)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and line.split()[0] in err
+        assert not snapshots.exists()
 
     def test_snapshot_times_need_snapshots_file(self, monkeypatch, capsys):
         def no_steps(*args):

@@ -179,7 +179,7 @@ class TestGaussian:
             initial_gaussian(WavepacketSpec(-36e-6, 2e-6, 1e6), grid, params)
 
 
-class TestCrankNicolson:
+class TestPadeStep:
     def test_free_single_step_norm(self, params):
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-50e-6, sigma=4e-6,
@@ -437,6 +437,18 @@ class TestFactoredStepper:
         assert not any(thread.is_alive() for thread in threads)
         assert all(np.array_equal(got, want) for got, want in zip(together, alone))
 
+    def test_yields_one_owned_field(self, params):
+        # every step updates and yields the same array, a copy of the caller's
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
+                              carrier_k=carrier_for_energy(params, 0.2))
+        psi = initial_gaussian(spec, grid, params).psi
+        fields = [field for _, field in _march(psi, potential_on_grid(params, grid),
+                                               effective_mass(params), grid.dz, grid.dt, 4)]
+        assert len(fields) == 4
+        assert all(field is fields[0] for field in fields)
+        assert not np.shares_memory(fields[0], psi)
+
     def test_steps_allocate_nothing(self, params):
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
@@ -481,7 +493,7 @@ class TestFactoredStepper:
 
     @pytest.mark.parametrize("every", [1, 4])
     def test_recorded_states_own_their_fields(self, params, every):
-        # the stepper yields a reused buffer; every kept state is its own copy
+        # the stepper yields the field it updates; every kept state is its own copy
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
@@ -551,8 +563,8 @@ class TestNormBalance:
     def test_keeps_scalars_not_states(self, params):
         # criterion 10's grid over 801 states: a trajectory of them would
         # take 801 fields; the residual keeps two floats per state, and the
-        # march's two LU factorizations and its three buffers take about 12
-        # fields
+        # march's two LU factorizations, its field and its two solution
+        # buffers take about 12 fields
         state, potential = self._start(params, 1e-16, n=5000)
         mass = effective_mass(params)
         # a short march first, so that first-use allocations (the LAPACK
