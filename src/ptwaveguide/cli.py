@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -20,14 +21,16 @@ import numpy as np
 from . import __version__
 from .csvtext import WIDTH, g15_fields, join_rows
 from .medium import NEAR_CUTOFF_X_MAX, MediumParams, from_config
-from .helmholtz import amplitude_arrays
+from .helmholtz import SpectralSingularityError, amplitude_arrays
 from .models import (STATUS_NONFINITE, STATUS_OK, ModelColumns, ModelKind,
                      SweepTable, bilayer, pt_defect, sweep)
 from .quantities import (E_CHARGE, Config, ConfigError, angular_to_ev, ev_to_angular,
                          load_config)
 from .timeprop import (BoundaryContaminationError, IncompleteScatterError,
                        deviation_percent, fractions_below_residual, plan_packet_run,
-                       require_record_times, scatter_packet)
+                       require_record_times, scatter_packet, transmission_prediction)
+
+logger = logging.getLogger(__name__)
 
 CSV_HEADER = ("omega_over_omegac,model,t_left_re,t_left_im,r_left_re,r_left_im,"
               "t_right_re,t_right_im,r_right_re,r_right_im,sum_left,sum_right,"
@@ -320,20 +323,25 @@ def cmd_packet(args) -> int:
     if record and not args.snapshots:
         raise ValueError("--snapshot-times-ps needs --snapshots: the requested states "
                          "would not be written")
+    # the stationary side first: a packet with no prediction fails before it steps
+    prediction = transmission_prediction(params, plan.spec)
+    ratio = plan.spec.bandwidth_ratio(params)
+    if ratio > 0.1:
+        logger.warning("packet bandwidth ratio Omega/delta = %.3g is not narrow-band", ratio)
     result = scatter_packet(params, plan.spec, plan.grid, plan.t_final, record_times=record)
     x_carrier = 1.0 + ev_to_angular(args.energy_ev) / params.omega_c
     print(f"carrier: {args.energy_ev:g} eV (omega/omega_c = {x_carrier:.4f}), "
           f"sigma = {args.sigma_um:g} um, incidence {args.incidence}")
-    print(f"bandwidth ratio Omega/delta = {result.bandwidth_ratio:.4f}")
+    print(f"bandwidth ratio Omega/delta = {ratio:.4f}")
     print(f"transmitted fraction: {result.transmitted:.6f} "
-          f"(stationary prediction {result.predicted_transmitted:.6f}, "
-          f"deviation {deviation_percent(result.transmitted, result.predicted_transmitted)})")
+          f"(stationary prediction {prediction.transmitted:.6f}, "
+          f"deviation {deviation_percent(result.transmitted, prediction.transmitted)})")
     print(f"reflected fraction:   {result.reflected:.6f} "
-          f"(stationary prediction {result.predicted_reflected:.6f}, "
-          f"deviation {deviation_percent(result.reflected, result.predicted_reflected)})")
+          f"(stationary prediction {prediction.reflected:.6f}, "
+          f"deviation {deviation_percent(result.reflected, prediction.reflected)})")
     print(f"interior residual:    {result.interior_norm:.6f}")
     print(f"total norm:           {result.total:.6f} "
-          f"(norm gain {result.norm_gain:+.6f})")
+          f"(norm gain {result.total - 1.0:+.6f})")
     for name in fractions_below_residual(result):
         print(f"warning: {name} fraction {getattr(result, name):.3g} is below the "
               f"interior residual {result.interior_norm:.3g}; it is not settled",
@@ -389,7 +397,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BoundaryContaminationError, IncompleteScatterError, ValueError) as exc:
+    except (BoundaryContaminationError, IncompleteScatterError, SpectralSingularityError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

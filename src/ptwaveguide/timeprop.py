@@ -50,7 +50,6 @@ from __future__ import annotations
 import contextlib
 import importlib.machinery
 import importlib.util
-import logging
 import math
 import operator
 import os
@@ -65,8 +64,6 @@ from .medium import (NEAR_CUTOFF_X_MAX, MediumParams, RegionKind, effective_mass
                      effective_potential)
 from .models import approx_bilayer
 from .quantities import HBAR
-
-logger = logging.getLogger(__name__)
 
 # Accuracy guard for a single step: the potential phase per step stays small.
 POTENTIAL_PHASE_GUARD = 0.1
@@ -383,7 +380,12 @@ def transmission_prediction(params: MediumParams, spec: WavepacketSpec
     packet's analytic Gaussian spectrum |A(k)|^2 ~ exp(-2 sigma^2 (k-k0)^2).
 
     The incidence side follows the carrier sign; each wavenumber maps to the
-    detuning hbar k^2 / (2m) of the equivalent stationary problem.
+    detuning hbar k^2 / (2m) of the equivalent stationary problem.  A
+    spectrum that meets a spectral singularity (m22 = 0) raises
+    :class:`SpectralSingularityError`; one over which the transfer-matrix
+    entries overflow, so that |t|^2 or |r|^2 is not finite, raises
+    ValueError.  It takes no time step: the CLI computes it before the run,
+    so that a packet without a prediction is refused before it steps.
     """
     mass = effective_mass(params)
     k0 = abs(spec.carrier_k)
@@ -393,14 +395,21 @@ def transmission_prediction(params: MediumParams, spec: WavepacketSpec
     if ks[0] <= 0:
         raise ValueError("packet spectrum reaches k <= 0; increase sigma or carrier")
     weights = np.exp(-2.0 * spec.sigma ** 2 * (ks - k0) ** 2)
-    t, r_left, r_right, singular = amplitude_arrays(
-        *approx_bilayer(params, HBAR * ks * ks / (2.0 * mass)))
-    bad = singular | ~np.isfinite(t)
-    if bad.any():
+    # an overflow is rejected just below, by the point it first reaches
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, r_left, r_right, singular = amplitude_arrays(
+            *approx_bilayer(params, HBAR * ks * ks / (2.0 * mass)))
+        t2 = np.abs(t) ** 2
+        r2 = np.abs(r_left if from_left else r_right) ** 2
+    if singular.any():
         raise SpectralSingularityError(
-            f"spectral singularity at k = {ks[bad][0]:.6e} inside the packet spectrum")
-    t2 = np.abs(t) ** 2
-    r2 = np.abs(r_left if from_left else r_right) ** 2
+            f"spectral singularity at k = {ks[singular][0]:.6e} inside the packet "
+            "spectrum: m22 = 0")
+    overflow = ~(np.isfinite(t2) & np.isfinite(r2))
+    if overflow.any():
+        raise ValueError(
+            f"the transfer-matrix entries overflow at k = {ks[overflow][0]:.6e} inside the "
+            "packet spectrum: the stationary prediction is not finite")
     w = np.trapezoid(weights, ks)
     return PacketPrediction(
         transmitted=float(np.trapezoid(weights * t2, ks) / w),
@@ -419,23 +428,19 @@ def deviation_percent(measured: float, predicted: float) -> str:
 
 @dataclass(frozen=True)
 class ScatterResult:
-    """Outcome of a wavepacket scattering run."""
+    """What a wavepacket scattering run measured: the outgoing norm fractions
+    and the norm still inside the medium at t_final, and the recorded states,
+    the final one last.  It holds no stationary prediction: compare it with
+    :func:`transmission_prediction` of the same packet."""
 
     transmitted: float
     reflected: float
     interior_norm: float
-    predicted_transmitted: float
-    predicted_reflected: float
-    bandwidth_ratio: float
     states: tuple[WavepacketState, ...]
 
     @property
     def total(self) -> float:
         return self.transmitted + self.reflected + self.interior_norm
-
-    @property
-    def norm_gain(self) -> float:
-        return self.total - 1.0
 
 
 def fractions_below_residual(result: ScatterResult) -> tuple[str, ...]:
@@ -462,12 +467,13 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
                    t_final: float, *, record_times: Sequence[float] = ()) -> ScatterResult:
     """Scatter a Gaussian packet off the gain/loss bilayer.
 
-    Returns the transmitted and reflected norm fractions at t_final together
-    with the stationary-model spectral averages they should approach.  The
-    run is rejected if the field touches a wall (enlarge the grid), if its
-    norm overflows, or if its largest amplitude inside the medium exceeds
-    :data:`INTERIOR_TOL` of the peak (lengthen t_final, or note that above
-    the amplification threshold the medium never clears).
+    Returns what the march measured: the transmitted and reflected norm
+    fractions at t_final, the norm left inside the medium, and the
+    snapshots; it evaluates nothing stationary.  The run is rejected if the
+    field touches a wall (enlarge the grid), if its norm overflows, or if its
+    largest amplitude inside the medium exceeds :data:`INTERIOR_TOL` of the
+    peak (lengthen t_final, or note that above the amplification threshold
+    the medium never clears).
     ``record_times`` requests intermediate snapshots (nearest step); the
     final state is always kept, once.
     """
@@ -480,9 +486,6 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     # updates, and the potential once it has factored the step
     steps = _march(initial_gaussian(spec, grid, params).psi, potential_on_grid(params, grid),
                    effective_mass(params), grid.dz, dt, n_steps)
-    ratio = spec.bandwidth_ratio(params)
-    if ratio > 0.1:
-        logger.warning("packet bandwidth ratio Omega/delta = %.3g is not narrow-band", ratio)
     # the final state is kept anyway: a time that rounds to t_final or past
     # it adds nothing
     wanted = {max(1, int(round(t / dt))) for t in record_times if t < t_final} - {n_steps}
@@ -518,16 +521,12 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
             f"interior amplitude is {interior_amp:.2f} of the peak at t_final; "
             "the medium has not cleared (lengthen t_final; if the gain section "
             "is above its amplification threshold it never will)")
-    prediction = transmission_prediction(params, spec)
     if spec.carrier_k < 0:
         transmitted, reflected = reflected, transmitted
     return ScatterResult(
         transmitted=transmitted,
         reflected=reflected,
         interior_norm=interior_norm,
-        predicted_transmitted=prediction.transmitted,
-        predicted_reflected=prediction.reflected,
-        bandwidth_ratio=ratio,
         states=(*recorded, WavepacketState(psi=psi, t=n_steps * dt, grid=grid)),
     )
 
@@ -539,6 +538,8 @@ class PacketRunPlan:
     t_final: float
 
 
+# numpy warnings off: a plan far over the point-solve cap overflows, and the cap rejects it
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def plan_packet_run(params: MediumParams, sigma: float, energy: float,
                     from_left: bool = True) -> PacketRunPlan:
     """Desk-scale run recipe validated against the reference medium.
@@ -553,7 +554,8 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     the budget times (1 + theta^2/12 + theta^4/144) / (1 + theta^2/12)
     (theta as realized), because the scheme moves the packet that much
     slower than v.  A plan whose grid points times solves, two per step,
-    exceed ``MAX_POINT_SOLVES`` is rejected.  Wall clearances
+    exceed ``MAX_POINT_SOLVES`` is rejected, and so is one whose counts
+    overflow the floating-point range.  Wall clearances
     are 10.5 dispersed widths plus margin.  The grid step is snapped so that
     all three region boundaries fall exactly on grid points: otherwise the
     effective layer lengths shift by O(dz), which moves the interference
@@ -577,7 +579,10 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
         raise ValueError(f"sigma*k0 = {sigma * k0:.3g} must exceed 4.3: the packet spreads "
                          "faster than it clears the medium, so no time budget exists")
     v = HBAR * k0 / mass
-    l = params.region_length
+    # numpy scalars from here on: where a plan overflows they give inf or
+    # nan, and Python's floats would raise.  They round +, -, *, / and ** as
+    # Python's floats do, so a plan within the cap is bit-identical.
+    l = np.float64(params.region_length)
     z0 = l + PLACEMENT_SIGMAS * sigma
     t_near = (z0 - l) / v
     t_cross = (z0 + l) / v
@@ -597,7 +602,8 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     wavelength = 2.0 * math.pi / k0
     # snap dz so l is an exact multiple, then extend the ends in whole cells;
     # -l, 0 and +l all land on grid points
-    dz = l / math.ceil(l * POINTS_PER_WAVELENGTH / wavelength)
+    cells_medium = np.ceil(l * POINTS_PER_WAVELENGTH / wavelength)
+    dz = l / cells_medium
     # the counts stay floats until the point-solve cap below has passed: a
     # plan far over it can count more points than a float converts to an int
     cells_near = float(np.ceil((near_extent - l) / dz))
@@ -610,7 +616,8 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
         z_min = -l - cells_far * dz
         z_max = l + cells_near * dz
         center, carrier = z0, -k0
-    n_points = float(np.rint((z_max - z_min) / dz)) + 1.0
+    # the medium's 2 cells_medium cells, the ends' cells, and one point more
+    n_points = float(cells_near + cells_far + 2.0 * cells_medium) + 1.0
     # the carrier turns by theta per step, unless that step would turn the
     # potential by more than half the guard (slow carriers, strong media)
     dt = PACKET_THETA * HBAR / energy
@@ -626,10 +633,10 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     if not 2 * n_points * n_steps <= MAX_POINT_SOLVES:
         raise ValueError(f"sigma*k0 = {sigma * k0:.3g} plans {n_points:.3g} points x "
                          f"{n_steps:.3g} steps of 2 solves, over the {MAX_POINT_SOLVES:.0e} "
-                         "point-solve limit: the budget diverges as sigma*k0 falls to 4.3")
-    grid = SpatialGrid(z_min=z_min, z_max=z_max, n_points=int(n_points), dt=dt)
+                         "point-solve limit")
+    grid = SpatialGrid(z_min=float(z_min), z_max=float(z_max), n_points=int(n_points), dt=dt)
     return PacketRunPlan(
-        spec=WavepacketSpec(center=center, sigma=sigma, carrier_k=carrier),
+        spec=WavepacketSpec(center=float(center), sigma=sigma, carrier_k=carrier),
         grid=grid,
-        t_final=t_final,
+        t_final=float(t_final),
     )

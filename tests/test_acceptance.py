@@ -18,7 +18,8 @@ from ptwaveguide.models import (ModelKind, bilayer, exact_bilayer, pt_defect,
                                 sweep, sweep_grid)
 from ptwaveguide.quantities import E_CHARGE, HBAR, angular_to_ev, cutoff_frequency
 from ptwaveguide.timeprop import (SpatialGrid, WavepacketSpec, initial_gaussian,
-                                  plan_packet_run, potential_on_grid, scatter_packet)
+                                  plan_packet_run, potential_on_grid, scatter_packet,
+                                  transmission_prediction)
 from ptwaveguide.medium import effective_mass
 
 SWEEP_START, SWEEP_STOP, SWEEP_POINTS = 1.0005, 1.10, 400
@@ -169,14 +170,13 @@ def test_criterion_10_time_frequency_correspondence(capsys, params,
     devs = {}
     for sigma in (3e-6, 6e-6):
         if sigma == 3e-6:
-            result = default_packet_run[1]
+            plan, result = default_packet_run
+            ratio = plan.spec.bandwidth_ratio(params)
         else:
             plan = plan_packet_run(params, sigma=sigma, energy=0.2 * E_CHARGE)
             result = scatter_packet(params, plan.spec, plan.grid, plan.t_final)
-        devs[sigma] = abs(result.transmitted - result.predicted_transmitted) \
-            / result.predicted_transmitted
-        if sigma == 3e-6:
-            ratio = result.bandwidth_ratio
+        predicted = transmission_prediction(params, plan.spec).transmitted
+        devs[sigma] = abs(result.transmitted - predicted) / predicted
     residuals = {}
     mass = effective_mass(params)
     for dt in (2e-16, 1e-16):

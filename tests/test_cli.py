@@ -15,6 +15,7 @@ import pytest
 
 import ptwaveguide.cli as cli
 from ptwaveguide.cli import CSV_HEADER, main, render_plot_script
+from ptwaveguide.helmholtz import SpectralSingularityError
 from ptwaveguide.medium import from_config
 from ptwaveguide.models import ModelColumns, ModelKind, SweepTable, sweep, sweep_grid
 from ptwaveguide.quantities import CONFIG_KEYS, E_CHARGE, Config, load_config
@@ -610,8 +611,7 @@ class TestPacketCommand:
         assert run_cli("packet", "--sigma-um", "0.604") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: sigma*k0 = 4.33 plans ")
-        assert err.endswith(" steps of 2 solves, over the 5e+10 point-solve limit: the "
-                            "budget diverges as sigma*k0 falls to 4.3\n")
+        assert err.endswith(" steps of 2 solves, over the 5e+10 point-solve limit\n")
 
     @pytest.mark.parametrize("sigma_um, product", [("1e200", "7.17e+200"), ("1e308", "inf")])
     def test_huge_packet_plan_exits_2_in_one_line(self, monkeypatch, capsys, sigma_um, product):
@@ -623,9 +623,68 @@ class TestPacketCommand:
         assert run_cli("packet", "--sigma-um", sigma_um) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(rf"error: sigma\*k0 = {re.escape(product)} plans \S+ points x \S+ "
-                            r"steps of 2 solves, over the 5e\+10 point-solve limit: the budget "
-                            r"diverges as sigma\*k0 falls to 4\.3\n", err)
+                            r"steps of 2 solves, over the 5e\+10 point-solve limit\n", err)
         assert len(err) < 200
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("length_um, counts", [
+        ("1e4", "5.68e+06 points x 7.57e+04"),
+        # the time budget and the grid overflow the float range: inf counts
+        ("1e200", "inf points x inf"), ("1e307", "inf points x inf")])
+    def test_long_medium_plan_exits_2_in_one_line(self, tmp_path, monkeypatch, capsys,
+                                                  length_um, counts):
+        # a long medium plans a packet over the point-solve limit, at a sigma*k0
+        # far from 4.3; numpy's overflow warnings are errors here
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", no_steps)
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(f"region_length_um = {length_um}\n")
+        assert run_cli("packet", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            f"error: sigma*k0 = 21.5 plans {counts} steps of 2 solves, over the 5e+10 "
+            "point-solve limit\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_packet_without_prediction_exits_2_before_stepping(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # the transfer-matrix entries of a 400 um medium overflow across this
+        # packet's spectrum: no stationary prediction, so no run; numpy's
+        # overflow warnings are errors here
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", no_steps)
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("region_length_um = 400\n")
+        assert run_cli("packet", "--config", str(cfg), "--energy-ev", "0.005",
+                       "--sigma-um", "10") == 2
+        assert capsys.readouterr().err == (
+            "error: the transfer-matrix entries overflow at k = 7.331790e+05 inside the "
+            "packet spectrum: the stationary prediction is not finite\n")
+
+    def test_spectral_singularity_exits_2(self, monkeypatch, capsys):
+        def singular(params, spec):
+            raise SpectralSingularityError("spectral singularity at k = 1e6")
+
+        monkeypatch.setattr(cli, "transmission_prediction", singular)
+        assert run_cli("packet") == 2
+        assert capsys.readouterr().err == "error: spectral singularity at k = 1e6\n"
+
+    def test_broadband_packet_warns_before_stepping(self, tmp_path, monkeypatch, caplog):
+        # hbar_delta_ev = 0.1 makes the default packet's Omega/delta 0.132
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", no_steps)
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text("hbar_delta_ev = 0.1\n")
+        with caplog.at_level("WARNING", logger="ptwaveguide.cli"), \
+                pytest.raises(AssertionError, match="stepped"):
+            run_cli("packet", "--config", str(cfg))
+        assert caplog.messages[-1] == (
+            "packet bandwidth ratio Omega/delta = 0.132 is not narrow-band")
 
     @pytest.mark.parametrize("line", ["hbar_omegap_ev = 1e200", "hbar_delta_ev = 1e-300",
                                       "hbar_omega0_ev = 1e140", "hbar_omegap_ev = 1e300",
