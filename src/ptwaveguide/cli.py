@@ -42,13 +42,16 @@ _CSV_FIELDS = ("t_re", "t_im", "r_left_re", "r_left_im", "r_right_re", "r_right_
                "sum_left", "sum_right", "log10_sum_left", "log10_sum_right")
 _CSV_ORDER = (0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 8, 9)
 
-# Values per renderer call.  The sweep renders a block of frequencies in one
-# call; the snapshot writer renders each column of a block of points alone,
-# as it runs at the end of a packet run, on top of its peak RSS.  Writing 11
-# states of 22,235 points raises peak RSS by ~0.3 MB at 1024 points per
-# block, ~0.7 MB at 2048, ~4 MB at 8192 and ~11 MB a whole state at once.
+# Values per renderer call.  g15_fields takes ~120 ns a value in calls of
+# 1,024 values and ~86-89 ns from 3,072 on (2-core x86_64), and peaks at ~410
+# bytes a value.  The sweep renders a block of frequencies in one call; the
+# snapshot writer a block of points' three fields (6,144 values), next to one
+# grid's z text (22 bytes a point).  It runs at the end of a packet run, on
+# top of its peak RSS: writing 11 states of 22,235 points, the CLI's own peak
+# RSS is ~41.8 MB; 1,024 points per block lower it by under 0.1 MB and cost
+# 6-9 ms a run.
 _SWEEP_BLOCK = 8192
-_SNAPSHOT_BLOCK = 1024
+_SNAPSHOT_BLOCK = 2048
 
 # sweep --sweep: the default omega/omega_c grid (start, stop, points)
 SWEEP_WINDOW = (1.0005, NEAR_CUTOFF_X_MAX, 400)
@@ -103,23 +106,35 @@ def csv_chunks(table: SweepTable) -> Iterator[bytes]:
         yield join_rows(cells, (hi - lo, len(columns)))
 
 
+def _z_text(grid) -> np.ndarray:
+    """(n_points, WIDTH) fields of the grid's z, rendered block by block."""
+    z = grid.z
+    text = np.empty((z.size, WIDTH), np.uint8)
+    for lo in range(0, z.size, _SNAPSHOT_BLOCK):
+        text[lo:lo + _SNAPSHOT_BLOCK] = g15_fields(z[lo:lo + _SNAPSHOT_BLOCK])
+    return text
+
+
 def write_snapshots(path: str, states) -> None:
     """Snapshot CSV: one line per state and grid point, each field as '%.15g'."""
     with open(path, "wb") as fh:
         fh.write(b"t,z,re_psi,im_psi,abs2_psi\n")
+        grid = None
         for state in states:
+            # z's text is kept while the states on its grid are written.
+            # Grids are told apart by identity: equal grids can still print
+            # differently (z_max = -0.0 or 0.0)
+            if state.grid is not grid:
+                grid = state.grid
+                z_text = _z_text(grid)
             t = b"%.15g," % state.t
-            grid_z = state.grid.z
             for lo in range(0, state.psi.size, _SNAPSHOT_BLOCK):
                 psi = state.psi[lo:lo + _SNAPSHOT_BLOCK]
-                # z is rendered again for each state: the run's z text held
-                # through the whole write (22 bytes a point) would raise
-                # peak RSS more than the writer's blocks do
-                z = g15_fields(grid_z[lo:lo + _SNAPSHOT_BLOCK])
-                fh.write(join_rows([t, z, b",", g15_fields(psi.real),
-                                    b",", g15_fields(psi.imag), b",",
-                                    g15_fields(psi.real ** 2 + psi.imag ** 2),
-                                    b"\n"], (psi.size,)))
+                fields = g15_fields(np.concatenate(
+                    [psi.real, psi.imag, psi.real ** 2 + psi.imag ** 2]))
+                real, imag, abs2 = fields.reshape(3, psi.size, WIDTH)
+                fh.write(join_rows([t, z_text[lo:lo + psi.size], b",", real, b",", imag, b",",
+                                    abs2, b"\n"], (psi.size,)))
 
 
 def render_plot_script(csv_path: str) -> str:

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -229,16 +230,67 @@ class TestSweepCommand:
         cli.write_snapshots(str(tmp_path / "small.csv"), states)
         assert (tmp_path / "small.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
-    def test_snapshot_writer_builds_z_once_per_state(self, tmp_path, monkeypatch):
-        # two states of three blocks each: the grid's z is built once a state
+    def test_snapshot_writer_builds_z_once_per_grid(self, tmp_path, monkeypatch):
+        # states of three blocks each: the grid's z is built once per grid,
+        # and again when a state on another grid follows
         grid = SpatialGrid(-1.0, 1.0, 3 * cli._SNAPSHOT_BLOCK, 1e-16)
-        states = [WavepacketState(np.full(grid.n_points, 0.5 + 0.5j), t, grid)
-                  for t in (0.0, 1e-13)]
+        other = SpatialGrid(-2.0, 1.0, 3 * cli._SNAPSHOT_BLOCK, 1e-16)
+        psi = np.full(grid.n_points, 0.5 + 0.5j)
         built = []
         z = SpatialGrid.z.fget
         monkeypatch.setattr(SpatialGrid, "z", property(lambda g: built.append(g) or z(g)))
+        cli.write_snapshots(str(tmp_path / "one.csv"),
+                            [WavepacketState(psi, t, grid) for t in (0.0, 1e-13)])
+        assert built == [grid]
+        built.clear()
+        cli.write_snapshots(str(tmp_path / "two.csv"),
+                            [WavepacketState(psi, t, g) for t, g in ((0.0, grid), (1e-13, other))])
+        assert built == [grid, other]
+
+    def test_snapshot_z_follows_each_state_grid(self, tmp_path):
+        # states on grids A, A, B, A, then on a grid equal to A whose z ends
+        # at -0.0 instead of 0.0; no point count is a multiple of the block.
+        # The fields include values the renderer leaves to Python
+        n = cli._SNAPSHOT_BLOCK
+        a = SpatialGrid(-1e-5, 0.0, 2 * n + 5, 1e-16)
+        b = SpatialGrid(-3e-5, 7e-5, n + 3, 1e-16)
+        signed = replace(a, z_max=-0.0)
+        assert signed == a
+        rng = np.random.default_rng(5)
+        states = []
+        for i, grid in enumerate((a, a, b, a, signed)):
+            psi = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
+            psi[:6] = [0.0, -0.0, 5e-324, 1e-300, complex(-0.0, 2.5e-310), complex(1e-300, -0.0)]
+            states.append(WavepacketState(psi, i * 1e-13, grid))
         cli.write_snapshots(str(tmp_path / "s.csv"), states)
-        assert len(built) == 2
+        expected = ["t,z,re_psi,im_psi,abs2_psi\n"]
+        for state in states:
+            z = state.grid.z
+            for i in range(state.psi.size):
+                p = complex(state.psi[i])
+                expected.append(f"{state.t:.15g},{z[i]:.15g},{p.real:.15g},"
+                                f"{p.imag:.15g},{p.real * p.real + p.imag * p.imag:.15g}\n")
+        assert expected[-1].startswith("4e-13,-0,")
+        assert (tmp_path / "s.csv").read_bytes() == "".join(expected).encode()
+
+    def test_snapshot_writer_memory_is_bounded(self, tmp_path):
+        # the writer holds one grid's z text (22 bytes a point) and one
+        # block's renders (~4.9 MB here); rendering a whole state in one call
+        # peaks at ~1.3 kB a point
+        grid = SpatialGrid(-1.0, 1.0, 100_000, 1e-16)
+        rng = np.random.default_rng(3)
+        states = [WavepacketState(rng.normal(size=grid.n_points)
+                                  + 1j * rng.normal(size=grid.n_points), t, grid)
+                  for t in (0.0, 1e-13, 2e-13)]
+        cli.write_snapshots(str(tmp_path / "warm.csv"), states[:1])  # builds the renderer's tables
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli.write_snapshots(str(tmp_path / "s.csv"), states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 40 * grid.n_points + 2e6
 
     def test_models_filter(self, tmp_path):
         out = tmp_path / "approx.csv"
