@@ -34,7 +34,9 @@ The two LAPACK routines come from scipy's compiled extension
 system's file finder and loads on its own: importing ``scipy.linalg`` would
 cost each packet run 0.3-0.5 s and about 23 MB of memory for modules the
 stepper never calls.  They are the very objects ``scipy.linalg.lapack``
-exports, so the fields are bit-identical.
+exports, so the fields are bit-identical.  Its OpenBLAS, like numpy's,
+loads with one thread unless ``OPENBLAS_NUM_THREADS`` is set: a default
+pool's worker would spin on the core that the second solve needs.
 The march's one consumer, :func:`scatter_packet`, checks the walls and
 keeps copies of its snapshots.
 
@@ -59,6 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _one_blas_thread
 from .helmholtz import SpectralSingularityError, amplitude_arrays
 from .medium import (NEAR_CUTOFF_X_MAX, MediumParams, RegionKind, effective_mass,
                      effective_potential)
@@ -269,12 +272,12 @@ def _flapack():
     imports nothing) is loaded under its own name and registered, so a later
     ``import scipy.linalg`` reuses the same module and function objects.
 
-    Side effect: the extension's OpenBLAS starts with one thread unless
-    ``OPENBLAS_NUM_THREADS`` is set.  The variable is set to 1 while the
-    extension loads and then removed again, so the environment is left as it
-    was found.  With the default pool, its thread spins for about 0.13 s
-    after the load on the core that the march's second solve needs; the
-    stepper calls no threaded BLAS.
+    The extension loads its own OpenBLAS, under
+    :func:`ptwaveguide._one_blas_thread` as numpy's does in the package's
+    ``__init__``: with one thread unless ``OPENBLAS_NUM_THREADS`` is set.  A
+    default pool, in either library, starts a worker that spins for about
+    0.1 s after the load, on the core that the march's second solve needs;
+    the stepper calls no threaded BLAS.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
@@ -288,16 +291,9 @@ def _flapack():
     spec = importlib.machinery.FileFinder(folder, loaders).find_spec(name)
     if spec is None:
         raise ImportError(f"no scipy LAPACK extension _flapack.* in {folder}")
-    # module_from_spec dlopens the extension and its OpenBLAS, which sizes
-    # its thread pool from the environment there
-    unset = "OPENBLAS_NUM_THREADS" not in os.environ
-    if unset:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
+    # module_from_spec dlopens the extension and its OpenBLAS
+    with _one_blas_thread():
         module = importlib.util.module_from_spec(spec)
-    finally:
-        if unset:
-            del os.environ["OPENBLAS_NUM_THREADS"]
     spec.loader.exec_module(module)
     sys.modules[name] = module
     return module

@@ -895,6 +895,29 @@ def test_lapack_load_leaves_openblas_threads_as_found(preset):
                                                      str(preset)]
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts threads in /proc/self/task; one core starts no BLAS worker")
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_loads_numpy_blas_with_one_thread_unless_set(preset):
+    # a fresh interpreter: importing the CLI loads numpy, whose OpenBLAS
+    # starts no worker thread unless OPENBLAS_NUM_THREADS is set, and the
+    # environment is left as it was found
+    code = f"""if True:
+        import os
+        os.environ.pop('OPENBLAS_NUM_THREADS', None)
+        if {preset!r} is not None:
+            os.environ['OPENBLAS_NUM_THREADS'] = {preset!r}
+        import ptwaveguide.cli
+        print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))
+    """
+    tasks, left = run_python("-c", code).stdout.split()
+    assert left == str(preset)
+    if preset is None:
+        assert tasks == "1"
+    else:
+        assert int(tasks) > 1
+
+
 def test_import_builds_no_render_tables():
     # the CSV renderer's tables are built on first use, not by importing the CLI
     code = ("import ptwaveguide.cli, ptwaveguide.csvtext as c; "
