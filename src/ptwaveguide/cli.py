@@ -106,35 +106,24 @@ def csv_chunks(table: SweepTable) -> Iterator[bytes]:
         yield join_rows(cells, (hi - lo, len(columns)))
 
 
-def _z_text(grid) -> np.ndarray:
-    """(n_points, WIDTH) fields of the grid's z, rendered block by block."""
-    z = grid.z
-    text = np.empty((z.size, WIDTH), np.uint8)
-    for lo in range(0, z.size, _SNAPSHOT_BLOCK):
-        text[lo:lo + _SNAPSHOT_BLOCK] = g15_fields(z[lo:lo + _SNAPSHOT_BLOCK])
-    return text
-
-
-def write_snapshots(path: str, states) -> None:
-    """Snapshot CSV: one line per state and grid point, each field as '%.15g'."""
+def write_snapshots(path: str, grid, states) -> None:
+    """Snapshot CSV of a run's (t, psi) states on its grid: one line per
+    state and grid point, each field as '%.15g'; z is rendered once."""
     with open(path, "wb") as fh:
         fh.write(b"t,z,re_psi,im_psi,abs2_psi\n")
-        grid = None
-        for state in states:
-            # z's text is kept while the states on its grid are written.
-            # Grids are told apart by identity: equal grids can still print
-            # differently (z_max = -0.0 or 0.0)
-            if state.grid is not grid:
-                grid = state.grid
-                z_text = _z_text(grid)
-            t = b"%.15g," % state.t
-            for lo in range(0, state.psi.size, _SNAPSHOT_BLOCK):
-                psi = state.psi[lo:lo + _SNAPSHOT_BLOCK]
+        z = grid.z
+        z_text = np.empty((z.size, WIDTH), np.uint8)
+        for lo in range(0, z.size, _SNAPSHOT_BLOCK):
+            z_text[lo:lo + _SNAPSHOT_BLOCK] = g15_fields(z[lo:lo + _SNAPSHOT_BLOCK])
+        for t, psi in states:
+            t_text = b"%.15g," % t
+            for lo in range(0, psi.size, _SNAPSHOT_BLOCK):
+                block = psi[lo:lo + _SNAPSHOT_BLOCK]
                 fields = g15_fields(np.concatenate(
-                    [psi.real, psi.imag, psi.real ** 2 + psi.imag ** 2]))
-                real, imag, abs2 = fields.reshape(3, psi.size, WIDTH)
-                fh.write(join_rows([t, z_text[lo:lo + psi.size], b",", real, b",", imag, b",",
-                                    abs2, b"\n"], (psi.size,)))
+                    [block.real, block.imag, block.real ** 2 + block.imag ** 2]))
+                real, imag, abs2 = fields.reshape(3, block.size, WIDTH)
+                fh.write(join_rows([t_text, z_text[lo:lo + block.size], b",", real, b",", imag,
+                                    b",", abs2, b"\n"], (block.size,)))
 
 
 def render_plot_script(csv_path: str) -> str:
@@ -362,7 +351,7 @@ def cmd_packet(args) -> int:
               f"interior residual {result.interior_norm:.3g}; it is not settled",
               file=sys.stderr)
     if args.snapshots:
-        write_snapshots(args.snapshots, result.states)
+        write_snapshots(args.snapshots, plan.grid, result.states)
         print(f"wrote {args.snapshots}")
     return 0
 

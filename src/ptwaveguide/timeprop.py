@@ -183,13 +183,6 @@ class WavepacketSpec:
         return velocity * math.sqrt(2.0) / (2.0 * self.sigma) / params.delta
 
 
-@dataclass(frozen=True)
-class WavepacketState:
-    psi: np.ndarray
-    t: float
-    grid: SpatialGrid
-
-
 def potential_on_grid(params: MediumParams, grid: SpatialGrid) -> np.ndarray:
     """Effective potential sampled on the grid (complex, joules).
 
@@ -208,8 +201,9 @@ def potential_on_grid(params: MediumParams, grid: SpatialGrid) -> np.ndarray:
 
 
 def initial_gaussian(spec: WavepacketSpec, grid: SpatialGrid,
-                     params: MediumParams) -> WavepacketState:
-    """Normalized Gaussian packet, placed clear of the medium and the walls.
+                     params: MediumParams) -> np.ndarray:
+    """Normalized Gaussian packet on the grid, placed clear of the medium
+    and the walls.
 
     psi(z) = N exp(-(z - z0)^2 / (4 sigma^2) + i k z), discrete norm 1.
     """
@@ -231,7 +225,7 @@ def initial_gaussian(spec: WavepacketSpec, grid: SpatialGrid,
     psi = np.exp(-(z - spec.center) ** 2 / (4.0 * spec.sigma ** 2)
                  + 1j * spec.carrier_k * z)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dz)
-    return WavepacketState(psi=psi, t=0.0, grid=grid)
+    return psi
 
 
 def _require_positive(name: str, value: float):
@@ -425,14 +419,15 @@ def deviation_percent(measured: float, predicted: float) -> str:
 @dataclass(frozen=True)
 class ScatterResult:
     """What a wavepacket scattering run measured: the outgoing norm fractions
-    and the norm still inside the medium at t_final, and the recorded states,
-    the final one last.  It holds no stationary prediction: compare it with
-    :func:`transmission_prediction` of the same packet."""
+    and the norm still inside the medium at t_final, and the recorded
+    (t, psi) states on the run's grid, the final one last.  It holds no
+    stationary prediction: compare it with :func:`transmission_prediction`
+    of the same packet."""
 
     transmitted: float
     reflected: float
     interior_norm: float
-    states: tuple[WavepacketState, ...]
+    states: tuple[tuple[float, np.ndarray], ...]
 
     @property
     def total(self) -> float:
@@ -470,8 +465,9 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     largest amplitude inside the medium exceeds :data:`INTERIOR_TOL` of the
     peak (lengthen t_final, or note that above the amplification threshold
     the medium never clears).
-    ``record_times`` requests intermediate snapshots (nearest step); the
-    final state is always kept, once.
+    ``record_times`` requests intermediate snapshots (nearest step), each
+    kept as a (t, psi) pair on ``grid``; the final state is always kept,
+    once.
     """
     _require_positive("t_final", t_final)
     require_record_times(record_times)
@@ -480,12 +476,12 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
     # the march holds the only references to the initial field and the
     # potential: it drops the field once it has copied it into the one it
     # updates, and the potential once it has factored the step
-    steps = _march(initial_gaussian(spec, grid, params).psi, potential_on_grid(params, grid),
+    steps = _march(initial_gaussian(spec, grid, params), potential_on_grid(params, grid),
                    effective_mass(params), grid.dz, dt, n_steps)
     # the final state is kept anyway: a time that rounds to t_final or past
     # it adds nothing
     wanted = {max(1, int(round(t / dt))) for t in record_times if t < t_final} - {n_steps}
-    recorded: list[WavepacketState] = []
+    recorded: list[tuple[float, np.ndarray]] = []
     # closed on a raise, so that its executor shuts down with the run
     with contextlib.closing(steps):
         for step, psi in steps:
@@ -497,7 +493,7 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
                         f"boundary amplitude {edge / peak:.2e} of peak at step {step} "
                         f"exceeds {BOUNDARY_TOL:.1e}; enlarge the grid or stop earlier")
             if step in wanted:
-                recorded.append(WavepacketState(psi=psi.copy(), t=step * dt, grid=grid))
+                recorded.append((step * dt, psi.copy()))
     dz = grid.dz
     z = grid.z
     inside = (z >= -params.region_length) & (z <= params.region_length)
@@ -523,7 +519,7 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
         transmitted=transmitted,
         reflected=reflected,
         interior_norm=interior_norm,
-        states=(*recorded, WavepacketState(psi=psi, t=n_steps * dt, grid=grid)),
+        states=(*recorded, (n_steps * dt, psi)),
     )
 
 

@@ -7,9 +7,10 @@ None of this runs in ``ptwaveguide sweep`` or ``ptwaveguide packet``:
   transfer-matrix kernel ``helmholtz.amplitude_arrays``.
 - :func:`growth_exponent` bounds the growth of a stack's transfer-matrix
   entries, so property tests can keep to well-conditioned stacks.
-- :func:`propagate`, :func:`norm` and :func:`norm_balance_residual` march a
-  wavepacket through the package's one step loop, ``timeprop._march``, and
-  read the final state, its norm or the norm balance of every step.
+- :func:`propagate` and :func:`norm_balance_residual` march a wavepacket
+  field through the package's one step loop, ``timeprop._march``, and read
+  the final field or the norm balance of every step; :func:`norm` is a
+  field's discrete norm.
 
 Imported from the tests as ``from oracles import ...``, as conftest helpers
 are.
@@ -26,7 +27,7 @@ import numpy as np
 
 from ptwaveguide.helmholtz import wavenumber_from_k2
 from ptwaveguide.quantities import HBAR
-from ptwaveguide.timeprop import WavepacketState, _march
+from ptwaveguide.timeprop import _march
 
 
 class StiffnessError(RuntimeError):
@@ -172,24 +173,23 @@ def growth_exponent(layers: Sequence[tuple]) -> float:
                 for k2, d in layers), default=0.0)
 
 
-def norm(state: WavepacketState) -> float:
+def norm(psi: np.ndarray, dz: float) -> float:
     """Discrete L2 norm squared, sum |psi|^2 dz."""
-    return float(np.sum(np.abs(state.psi) ** 2) * state.grid.dz)
+    return float(np.sum(np.abs(psi) ** 2) * dz)
 
 
-def propagate(state: WavepacketState, potential: np.ndarray, mass: float,
-              dt: float, n_steps: int) -> WavepacketState:
-    """March n_steps from state; return the final state."""
-    psi = np.asarray(state.psi, dtype=complex)
-    for _, psi in _march(psi, potential, mass, state.grid.dz, dt, n_steps):
+def propagate(psi: np.ndarray, potential: np.ndarray, mass: float, dz: float,
+              dt: float, n_steps: int) -> np.ndarray:
+    """March the field psi n_steps; return the final field, a new array."""
+    for _, psi in _march(psi, potential, mass, dz, dt, n_steps):
         pass
-    return WavepacketState(psi=psi, t=state.t + n_steps * dt, grid=state.grid)
+    return psi
 
 
-def norm_balance_residual(state: WavepacketState, potential: np.ndarray,
-                          mass: float, dt: float, n_steps: int) -> float:
+def norm_balance_residual(psi: np.ndarray, potential: np.ndarray, mass: float,
+                          dz: float, dt: float, n_steps: int) -> float:
     """Worst violation of d/dt(norm) = (2/hbar) * sum Im(V) |psi|^2 dz over
-    n_steps from state.
+    n_steps from the field psi.
 
     The march keeps two numbers per state, its norm and its flux, not the
     state.  Central time differences at interior states; the defect rate is
@@ -200,11 +200,10 @@ def norm_balance_residual(state: WavepacketState, potential: np.ndarray,
     """
     if n_steps < 2:
         raise ValueError("need at least 2 steps (3 states)")
-    dz = state.grid.dz
     im_v = np.imag(potential)
     norms = np.empty(n_steps + 1)
     fluxes = np.empty(n_steps + 1)
-    psi0 = np.ascontiguousarray(state.psi, dtype=complex)
+    psi0 = np.ascontiguousarray(psi, dtype=complex)
     # sums over the real and imaginary parts: no |psi|^2 array
     for k, psi in itertools.chain([(0, psi0)], _march(psi0, potential, mass, dz, dt, n_steps)):
         parts = psi.view(float)

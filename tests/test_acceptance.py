@@ -183,9 +183,9 @@ def test_criterion_10_time_frequency_correspondence(capsys, params,
         grid = SpatialGrid(-55e-6, 45e-6, 5000, dt)
         kbar = math.sqrt(2.0 * mass * 0.2 * E_CHARGE) / HBAR
         spec = WavepacketSpec(center=-34e-6, sigma=2e-6, carrier_k=kbar)
-        state = initial_gaussian(spec, grid, params)
+        psi = initial_gaussian(spec, grid, params)
         potential = potential_on_grid(params, grid)
-        residuals[dt] = norm_balance_residual(state, potential, mass, dt,
+        residuals[dt] = norm_balance_residual(psi, potential, mass, grid.dz, dt,
                                               int(round(8e-14 / dt)))
     scaling = residuals[2e-16] / residuals[1e-16]
     ok = (devs[3e-6] <= 2e-2 and devs[6e-6] < devs[3e-6]

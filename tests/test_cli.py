@@ -20,8 +20,7 @@ from ptwaveguide.helmholtz import SpectralSingularityError
 from ptwaveguide.medium import from_config
 from ptwaveguide.models import ModelColumns, ModelKind, SweepTable, sweep, sweep_grid
 from ptwaveguide.quantities import CONFIG_KEYS, E_CHARGE, Config, load_config
-from ptwaveguide.timeprop import (SpatialGrid, WavepacketState, plan_packet_run,
-                                  scatter_packet)
+from ptwaveguide.timeprop import SpatialGrid, plan_packet_run, scatter_packet
 
 
 def run_cli(*argv):
@@ -218,75 +217,70 @@ class TestSweepCommand:
         # bytes of the default blocks.  The snapshots are every 16th point of
         # the default run's two states, on a grid of as many points
         table = sweep(params, 1.0005, 1.10, 400)
-        states = [WavepacketState(s.psi[::16], s.t, replace(s.grid, n_points=s.psi[::16].size))
-                  for s in default_packet_run[1].states]
-        cli.write_snapshots(str(tmp_path / "default.csv"), states)
+        plan, result = default_packet_run
+        states = [(t, psi[::16]) for t, psi in result.states]
+        grid = replace(plan.grid, n_points=states[0][1].size)
+        cli.write_snapshots(str(tmp_path / "default.csv"), grid, states)
         default = b"".join(cli.csv_chunks(table))
         monkeypatch.setattr(cli, "_SWEEP_BLOCK", 37)
         monkeypatch.setattr(cli, "_SNAPSHOT_BLOCK", 7)
         chunks = list(cli.csv_chunks(table))
         assert len(chunks) == 1 + 400
         assert b"".join(chunks) == default
-        cli.write_snapshots(str(tmp_path / "small.csv"), states)
+        cli.write_snapshots(str(tmp_path / "small.csv"), grid, states)
         assert (tmp_path / "small.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
     def test_snapshot_writer_builds_z_once_per_grid(self, tmp_path, monkeypatch):
-        # states of three blocks each: the grid's z is built once per grid,
-        # and again when a state on another grid follows
+        # two states of three blocks each: the grid's z is built once
         grid = SpatialGrid(-1.0, 1.0, 3 * cli._SNAPSHOT_BLOCK, 1e-16)
-        other = SpatialGrid(-2.0, 1.0, 3 * cli._SNAPSHOT_BLOCK, 1e-16)
         psi = np.full(grid.n_points, 0.5 + 0.5j)
         built = []
         z = SpatialGrid.z.fget
         monkeypatch.setattr(SpatialGrid, "z", property(lambda g: built.append(g) or z(g)))
-        cli.write_snapshots(str(tmp_path / "one.csv"),
-                            [WavepacketState(psi, t, grid) for t in (0.0, 1e-13)])
+        cli.write_snapshots(str(tmp_path / "one.csv"), grid, [(t, psi) for t in (0.0, 1e-13)])
         assert built == [grid]
-        built.clear()
-        cli.write_snapshots(str(tmp_path / "two.csv"),
-                            [WavepacketState(psi, t, g) for t, g in ((0.0, grid), (1e-13, other))])
-        assert built == [grid, other]
 
-    def test_snapshot_z_follows_each_state_grid(self, tmp_path):
-        # states on grids A, A, B, A, then on a grid equal to A whose z ends
-        # at -0.0 instead of 0.0; no point count is a multiple of the block.
-        # The fields include values the renderer leaves to Python
+    def test_snapshot_edge_values_match_elementwise_format(self, tmp_path):
+        # two states on a grid of no whole number of blocks, then on a grid
+        # equal to it whose z ends at -0.0 instead of 0.0.  The fields
+        # include values the renderer leaves to Python
         n = cli._SNAPSHOT_BLOCK
         a = SpatialGrid(-1e-5, 0.0, 2 * n + 5, 1e-16)
-        b = SpatialGrid(-3e-5, 7e-5, n + 3, 1e-16)
         signed = replace(a, z_max=-0.0)
         assert signed == a
         rng = np.random.default_rng(5)
-        states = []
-        for i, grid in enumerate((a, a, b, a, signed)):
-            psi = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
-            psi[:6] = [0.0, -0.0, 5e-324, 1e-300, complex(-0.0, 2.5e-310), complex(1e-300, -0.0)]
-            states.append(WavepacketState(psi, i * 1e-13, grid))
-        cli.write_snapshots(str(tmp_path / "s.csv"), states)
-        expected = ["t,z,re_psi,im_psi,abs2_psi\n"]
-        for state in states:
-            z = state.grid.z
-            for i in range(state.psi.size):
-                p = complex(state.psi[i])
-                expected.append(f"{state.t:.15g},{z[i]:.15g},{p.real:.15g},"
-                                f"{p.imag:.15g},{p.real * p.real + p.imag * p.imag:.15g}\n")
-        assert expected[-1].startswith("4e-13,-0,")
-        assert (tmp_path / "s.csv").read_bytes() == "".join(expected).encode()
+        for name, grid in (("a", a), ("signed", signed)):
+            states = []
+            for t in (0.0, 1e-13):
+                psi = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
+                psi[:6] = [0.0, -0.0, 5e-324, 1e-300, complex(-0.0, 2.5e-310),
+                           complex(1e-300, -0.0)]
+                states.append((t, psi))
+            cli.write_snapshots(str(tmp_path / f"{name}.csv"), grid, states)
+            expected = ["t,z,re_psi,im_psi,abs2_psi\n"]
+            z = grid.z
+            for t, psi in states:
+                for i in range(psi.size):
+                    p = complex(psi[i])
+                    expected.append(f"{t:.15g},{z[i]:.15g},{p.real:.15g},"
+                                    f"{p.imag:.15g},{p.real * p.real + p.imag * p.imag:.15g}\n")
+            assert (tmp_path / f"{name}.csv").read_bytes() == "".join(expected).encode()
+        assert expected[-1].startswith("1e-13,-0,")
 
     def test_snapshot_writer_memory_is_bounded(self, tmp_path):
-        # the writer holds one grid's z text (22 bytes a point) and one
+        # the writer holds the grid's z text (22 bytes a point) and one
         # block's renders (~4.9 MB here); rendering a whole state in one call
         # peaks at ~1.3 kB a point
         grid = SpatialGrid(-1.0, 1.0, 100_000, 1e-16)
         rng = np.random.default_rng(3)
-        states = [WavepacketState(rng.normal(size=grid.n_points)
-                                  + 1j * rng.normal(size=grid.n_points), t, grid)
+        states = [(t, rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points))
                   for t in (0.0, 1e-13, 2e-13)]
-        cli.write_snapshots(str(tmp_path / "warm.csv"), states[:1])  # builds the renderer's tables
+        # builds the renderer's tables
+        cli.write_snapshots(str(tmp_path / "warm.csv"), grid, states[:1])
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            cli.write_snapshots(str(tmp_path / "s.csv"), states)
+            cli.write_snapshots(str(tmp_path / "s.csv"), grid, states)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -344,6 +338,8 @@ class TestSweepCommand:
         pytest.param("1.001:1.05:9.5", "--sweep expects numbers START:STOP and an "
                      "integer N, got '1.001:1.05:9.5'", id="non-integer N"),
         pytest.param("1.001:1.05:1", "need at least 2 points, got 1", id="N < 2"),
+        pytest.param("1.0005:1.1:100000000000",
+                     "need at most 4000000 points, got 100000000000", id="N over the cap"),
         pytest.param("1.0:1.05:9", "need 1 < start < stop < inf, got start=1.0, stop=1.05",
                      id="start <= 1"),
         pytest.param("1.05:1.05:9", "need 1 < start < stop < inf, got start=1.05, "
@@ -606,11 +602,11 @@ class TestPacketCommand:
         result = scatter_packet(params, plan.spec, plan.grid, plan.t_final,
                                 record_times=(0.02 * 1e-12,))
         expected = ["t,z,re_psi,im_psi,abs2_psi\n"]
-        for state in result.states:
-            z = state.grid.z
-            for i in range(state.psi.size):
-                p = complex(state.psi[i])
-                expected.append(f"{state.t:.15g},{z[i]:.15g},{p.real:.15g},"
+        z = plan.grid.z
+        for t, psi in result.states:
+            for i in range(psi.size):
+                p = complex(psi[i])
+                expected.append(f"{t:.15g},{z[i]:.15g},{p.real:.15g},"
                                 f"{p.imag:.15g},{p.real * p.real + p.imag * p.imag:.15g}\n")
         assert len(result.states) == 2
         assert medium_off_output[2].read_bytes() == "".join(expected).encode()
@@ -833,10 +829,10 @@ def test_packet_steps_leave_scipy_linalg_unloaded():
                                           potential_on_grid)
         params = from_config(Config())
         plan = plan_packet_run(params, 3e-6, 0.2 * E_CHARGE)
-        state = initial_gaussian(plan.spec, plan.grid, params)
+        psi = initial_gaussian(plan.spec, plan.grid, params)
         potential = potential_on_grid(params, plan.grid)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        for _ in _march(state.psi, potential, effective_mass(params), plan.grid.dz,
+        for _ in _march(psi, potential, effective_mass(params), plan.grid.dz,
                         plan.grid.dt, 2):
             pass
         grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before

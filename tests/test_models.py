@@ -10,7 +10,7 @@ from oracles import ode_amplitudes
 from ptwaveguide.helmholtz import amplitude_arrays, flux_sums
 from ptwaveguide.medium import RegionKind, effective_mass, effective_potential, \
     k_squared_approx
-from ptwaveguide.models import (STATUS_OK, BelowCutoffError, ModelKind,
+from ptwaveguide.models import (MAX_SWEEP_POINTS, STATUS_OK, BelowCutoffError, ModelKind,
                                 approx_bilayer, bilayer, evaluate_row,
                                 exact_bilayer, pt_defect, sweep, sweep_grid)
 from ptwaveguide.quantities import HBAR
@@ -109,6 +109,12 @@ class TestSweep:
                             (math.inf, 1.1)):
             with pytest.raises(ValueError):
                 sweep_grid(start, stop, 10)
+
+    def test_grid_point_cap(self):
+        assert sweep_grid(1.0005, 1.1, MAX_SWEEP_POINTS).size == MAX_SWEEP_POINTS
+        with pytest.raises(ValueError, match=f"^need at most {MAX_SWEEP_POINTS} points, "
+                                             f"got {MAX_SWEEP_POINTS + 1}$"):
+            sweep_grid(1.0005, 1.1, MAX_SWEEP_POINTS + 1)
 
     @pytest.mark.parametrize("start, stop, n", [(1.0005, 1.10, 400), (1.001, 1.05, 9),
                                                 (1.00041, 1.1007, 40_000)])

@@ -1,5 +1,6 @@
 import importlib.machinery
 import importlib.util
+import inspect
 import itertools
 import math
 import re
@@ -135,8 +136,8 @@ class TestGaussian:
         grid = SpatialGrid(-80e-6, 60e-6, 4000, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        state = initial_gaussian(spec, grid, params)
-        assert norm(state) == pytest.approx(1.0, abs=1e-12)
+        psi = initial_gaussian(spec, grid, params)
+        assert norm(psi, grid.dz) == pytest.approx(1.0, abs=1e-12)
 
     def test_carrier_expectation(self, params):
         # sigma = 57 dz; the central-difference estimator carries a
@@ -144,9 +145,8 @@ class TestGaussian:
         grid = SpatialGrid(-80e-6, 60e-6, 4000, 1e-16)
         kbar = carrier_for_energy(params, 0.01)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6, carrier_k=kbar)
-        state = initial_gaussian(spec, grid, params)
+        psi = initial_gaussian(spec, grid, params)
         dz = grid.dz
-        psi = state.psi
         dpsi = (psi[2:] - psi[:-2]) / (2 * dz)
         k_mean = float(np.sum(np.imag(psi[1:-1].conjugate() * dpsi)) * dz)
         assert k_mean == pytest.approx(kbar, rel=1e-3)
@@ -155,9 +155,9 @@ class TestGaussian:
         grid = SpatialGrid(-80e-6, 60e-6, 8192, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        state = initial_gaussian(spec, grid, params)
+        psi = initial_gaussian(spec, grid, params)
         ks = 2 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dz)
-        power = np.abs(np.fft.fft(state.psi)) ** 2
+        power = np.abs(np.fft.fft(psi)) ** 2
         k_mean = float(np.sum(ks * power) / np.sum(power))
         k_var = float(np.sum((ks - k_mean) ** 2 * power) / np.sum(power))
         assert math.sqrt(k_var) == pytest.approx(1.0 / (2 * spec.sigma), rel=1e-2)
@@ -184,11 +184,10 @@ class TestPadeStep:
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-50e-6, sigma=4e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        state = initial_gaussian(spec, grid, params)
+        psi = initial_gaussian(spec, grid, params)
         potential = np.zeros(grid.n_points, dtype=complex)
-        out = propagate(state, potential, effective_mass(params), grid.dt, 1)
-        assert norm(out) == pytest.approx(1.0, abs=1e-12)
-        assert out.t == grid.dt
+        out = propagate(psi, potential, effective_mass(params), grid.dz, grid.dt, 1)
+        assert norm(out, grid.dz) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("sign", [-1.0, +1.0])
     def test_uniform_imaginary_potential(self, params, sign):
@@ -201,12 +200,12 @@ class TestPadeStep:
             grid = SpatialGrid(-80e-6, 60e-6, 3000, dt)
             spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                                   carrier_k=carrier_for_energy(params, 0.2))
-            state = initial_gaussian(spec, grid, params)
+            psi = initial_gaussian(spec, grid, params)
             potential = np.full(grid.n_points, sign * 1j * vmag, dtype=complex)
             steps = int(round(4e-14 / dt))
-            final = propagate(state, potential, mass, dt, steps)
+            final = propagate(psi, potential, mass, grid.dz, dt, steps)
             expected = math.exp(sign * 2.0 * vmag * steps * dt / HBAR)
-            grid_dt[dt] = abs(norm(final) - expected) / expected
+            grid_dt[dt] = abs(norm(final, grid.dz) - expected) / expected
         assert grid_dt[1e-16] < 5e-4
         assert grid_dt[5e-17] < 0.3 * grid_dt[1e-16]
 
@@ -227,10 +226,10 @@ class TestPadeStep:
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-12)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        state = initial_gaussian(spec, grid, params)
+        psi = initial_gaussian(spec, grid, params)
         potential = potential_on_grid(params, grid)
         with pytest.raises(ValueError, match="dt too large"):
-            propagate(state, potential, effective_mass(params), grid.dt, 1)
+            propagate(psi, potential, effective_mass(params), grid.dz, grid.dt, 1)
 
 
 class TestFactoredStepper:
@@ -274,7 +273,7 @@ class TestFactoredStepper:
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
         propagate(initial_gaussian(spec, grid, params), potential_on_grid(params, grid),
-                  effective_mass(params), grid.dt, 7)
+                  effective_mass(params), grid.dz, grid.dt, 7)
         assert lapack_calls == {"zgttrf": 2, "zgttrs": 14}
 
     def test_lapack_functions_are_scipys(self):
@@ -296,11 +295,11 @@ class TestFactoredStepper:
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        state = initial_gaussian(spec, grid, params)
-        state.psi[1500] = np.nan
+        psi = initial_gaussian(spec, grid, params)
+        psi[1500] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            propagate(state, potential_on_grid(params, grid), effective_mass(params),
-                      grid.dt, 3)
+            propagate(psi, potential_on_grid(params, grid), effective_mass(params),
+                      grid.dz, grid.dt, 3)
 
     def test_nonfinite_potential_rejected_before_stepping(self, params, lapack_calls):
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
@@ -335,7 +334,7 @@ class TestFactoredStepper:
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        steps = _march(initial_gaussian(spec, grid, params).psi,
+        steps = _march(initial_gaussian(spec, grid, params),
                        potential_on_grid(params, grid), effective_mass(params),
                        grid.dz, grid.dt, 3)
         _, field = next(steps)
@@ -348,24 +347,24 @@ class TestFactoredStepper:
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        state = initial_gaussian(spec, grid, params)
+        psi = initial_gaussian(spec, grid, params)
         potential = potential_on_grid(params, grid)
         mass = effective_mass(params)
         before = set(threading.enumerate())
         # run to its end
-        propagate(state, potential, mass, grid.dt, 3)
+        propagate(psi, potential, mass, grid.dz, grid.dt, 3)
         assert set(threading.enumerate()) == before
         # closed after its first step, its one worker running until then
-        steps = _march(state.psi, potential, mass, grid.dz, grid.dt, 3)
+        steps = _march(psi, potential, mass, grid.dz, grid.dt, 3)
         next(steps)
         assert len(set(threading.enumerate()) - before) == 1
         steps.close()
         assert set(threading.enumerate()) == before
         # a NaN field raises inside the march
-        bad = state.psi.copy()
+        bad = psi.copy()
         bad[1500] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            propagate(replace(state, psi=bad), potential, mass, grid.dt, 3)
+            propagate(bad, potential, mass, grid.dz, grid.dt, 3)
         assert set(threading.enumerate()) == before
         # the run raises mid-march; its traceback, which holds scatter_packet's
         # frame, is still alive here
@@ -380,7 +379,7 @@ class TestFactoredStepper:
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        state = initial_gaussian(spec, grid, params)
+        psi = initial_gaussian(spec, grid, params)
         potential = potential_on_grid(params, grid)
         original = flapack.zgttrs
 
@@ -394,7 +393,7 @@ class TestFactoredStepper:
 
         def run():
             try:
-                propagate(state, potential, effective_mass(params), grid.dt, 3)
+                propagate(psi, potential, effective_mass(params), grid.dz, grid.dt, 3)
             except RuntimeError as exc:
                 raised.append(str(exc))
 
@@ -417,11 +416,11 @@ class TestFactoredStepper:
         starts = [initial_gaussian(WavepacketSpec(center=center, sigma=2e-6,
                                                   carrier_k=carrier_for_energy(params, 0.2)),
                                    grid, params) for center in (-40e-6, -45e-6, -50e-6)]
-        alone = [propagate(start, potential, mass, grid.dt, 50).psi for start in starts]
+        alone = [propagate(start, potential, mass, grid.dz, grid.dt, 50) for start in starts]
         together = [None] * len(starts)
 
         def run(i):
-            together[i] = propagate(starts[i], potential, mass, grid.dt, 50).psi
+            together[i] = propagate(starts[i], potential, mass, grid.dz, grid.dt, 50)
 
         threads = [threading.Thread(target=run, args=(i,), daemon=True)
                    for i in range(len(starts))]
@@ -442,7 +441,7 @@ class TestFactoredStepper:
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        psi = initial_gaussian(spec, grid, params).psi
+        psi = initial_gaussian(spec, grid, params)
         fields = [field for _, field in _march(psi, potential_on_grid(params, grid),
                                                effective_mass(params), grid.dz, grid.dt, 4)]
         assert len(fields) == 4
@@ -453,7 +452,7 @@ class TestFactoredStepper:
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
         spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        psi = initial_gaussian(spec, grid, params).psi
+        psi = initial_gaussian(spec, grid, params)
         steps = _march(psi, potential_on_grid(params, grid), effective_mass(params),
                        grid.dz, grid.dt, 11)
         tracemalloc.start()
@@ -474,13 +473,13 @@ class TestFactoredStepper:
                               carrier_k=carrier_for_energy(params, 0.2))
         potential = potential_on_grid(params, grid)
         mass = effective_mass(params)
-        state = initial_gaussian(spec, grid, params)
-        before = state.psi.copy()
-        for _ in _march(state.psi, potential, mass, grid.dz, grid.dt, 5):
+        psi = initial_gaussian(spec, grid, params)
+        before = psi.copy()
+        for _ in _march(psi, potential, mass, grid.dz, grid.dt, 5):
             pass
-        propagate(state, potential, mass, grid.dt, 5)
-        norm_balance_residual(state, potential, mass, grid.dt, 5)
-        assert np.array_equal(state.psi, before)
+        propagate(psi, potential, mass, grid.dz, grid.dt, 5)
+        norm_balance_residual(psi, potential, mass, grid.dz, grid.dt, 5)
+        assert np.array_equal(psi, before)
         made = []
 
         def kept_initial_gaussian(*args):
@@ -489,7 +488,7 @@ class TestFactoredStepper:
 
         monkeypatch.setattr(tp, "initial_gaussian", kept_initial_gaussian)
         scatter_packet(params, spec, grid, 5 * grid.dt)
-        assert np.array_equal(made[0].psi, before)
+        assert np.array_equal(made[0], before)
 
     @pytest.mark.parametrize("every", [1, 4])
     def test_recorded_states_own_their_fields(self, params, every):
@@ -501,8 +500,8 @@ class TestFactoredStepper:
                                 record_times=[k * grid.dt for k in range(every, 6, every)]
                                 ).states
         assert len(states) == (6 if every == 1 else 2)
-        assert not any(np.shares_memory(a.psi, b.psi)
-                       for a, b in itertools.combinations(states, 2))
+        assert not any(np.shares_memory(a, b)
+                       for (_, a), (_, b) in itertools.combinations(states, 2))
 
     @pytest.mark.parametrize("from_left", [True, False])
     def test_default_grid_bit_identical(self, params, from_left):
@@ -511,7 +510,7 @@ class TestFactoredStepper:
                                from_left=from_left)
         grid = plan.grid
         assert grid.n_points == 22235
-        psi = initial_gaussian(plan.spec, grid, params).psi
+        psi = initial_gaussian(plan.spec, grid, params)
         potential = potential_on_grid(params, grid)
         mass = effective_mass(params)
         expected = banded_steps(psi, potential, mass, grid.dz, grid.dt, 100)
@@ -524,14 +523,14 @@ class TestNormBalance:
         grid = SpatialGrid(-55e-6, 45e-6, n, dt)
         spec = WavepacketSpec(center=-34e-6, sigma=2e-6,
                               carrier_k=carrier_for_energy(params, 0.2))
-        return initial_gaussian(spec, grid, params), potential_on_grid(params, grid)
+        return initial_gaussian(spec, grid, params), potential_on_grid(params, grid), grid.dz
 
     def _residual(self, params, dt, steps, potential=None, n=3000):
-        state, reference = self._start(params, dt, n)
+        psi, reference, dz = self._start(params, dt, n)
         if potential is None:
             potential = reference
-        return norm_balance_residual(state, potential, effective_mass(params),
-                                     dt, steps)
+        return norm_balance_residual(psi, potential, effective_mass(params),
+                                     dz, dt, steps)
 
     def test_real_potential_conserves(self, params):
         potential = np.full(3000, 0.001 * E_CHARGE, dtype=complex)
@@ -554,29 +553,29 @@ class TestNormBalance:
         assert self._residual(params, 5e-17, 600, potential=potential) <= 0.3 * residual
 
     def test_requires_three_states(self, params):
-        state, potential = self._start(params, 1e-16)
+        psi, potential, dz = self._start(params, 1e-16)
         for steps in (0, 1):
             with pytest.raises(ValueError, match="3 states"):
-                norm_balance_residual(state, potential, effective_mass(params),
-                                      1e-16, steps)
+                norm_balance_residual(psi, potential, effective_mass(params),
+                                      dz, 1e-16, steps)
 
     def test_keeps_scalars_not_states(self, params):
         # criterion 10's grid over 801 states: a trajectory of them would
         # take 801 fields; the residual keeps two floats per state, and the
         # march's two LU factorizations, its field and its two solution
         # buffers take about 12 fields
-        state, potential = self._start(params, 1e-16, n=5000)
+        psi, potential, dz = self._start(params, 1e-16, n=5000)
         mass = effective_mass(params)
         # a short march first, so that first-use allocations (the LAPACK
         # extension's import at the first step) fall outside the window
-        norm_balance_residual(state, potential, mass, 1e-16, 2)
+        norm_balance_residual(psi, potential, mass, dz, 1e-16, 2)
         tracemalloc.start()
         try:
-            norm_balance_residual(state, potential, mass, 1e-16, 800)
+            norm_balance_residual(psi, potential, mass, dz, 1e-16, 800)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * state.psi.nbytes
+        assert peak < 12 * psi.nbytes
 
 
 class TestScatter:
@@ -611,11 +610,11 @@ class TestScatter:
                 "right": (+47.7e-6, -kbar, -35e-6, 95e-6)}.items():
             grid = SpatialGrid(z_min, z_max, 3716, 2e-16)
             spec = WavepacketSpec(center=z0, sigma=4e-6, carrier_k=kk)
-            state = initial_gaussian(spec, grid, sub)
+            psi = initial_gaussian(spec, grid, sub)
             potential = potential_on_grid(sub, grid)
-            final = propagate(state, potential, mass, grid.dt,
+            final = propagate(psi, potential, mass, grid.dz, grid.dt,
                               int(round(1.5e-12 / grid.dt)))
-            totals[side] = norm(final)
+            totals[side] = norm(final, grid.dz)
         assert totals["left"] > 1.0 > totals["right"]
 
     def test_right_incidence_equals_mirrored_left(self, subcritical_params):
@@ -628,11 +627,11 @@ class TestScatter:
         steps = int(round(0.9e-12 / grid.dt))
         right = initial_gaussian(
             WavepacketSpec(center=45e-6, sigma=3e-6, carrier_k=-kbar), grid, sub)
-        total_right = norm(propagate(right, potential, mass, grid.dt, steps))
+        total_right = norm(propagate(right, potential, mass, grid.dz, grid.dt, steps), grid.dz)
         left_mirrored = initial_gaussian(
             WavepacketSpec(center=-45e-6, sigma=3e-6, carrier_k=kbar), grid, sub)
         total_left = norm(propagate(left_mirrored, potential[::-1].copy(), mass,
-                                    grid.dt, steps))
+                                    grid.dz, grid.dt, steps), grid.dz)
         assert abs(total_right - total_left) <= 1e-8 * total_right
 
     def test_grid_convergence_second_order(self, subcritical_params):
@@ -809,16 +808,15 @@ class TestScatter:
         potential = potential_on_grid(params, grid)
         mass = effective_mass(params)
         # the final state continues the 0.4 ps snapshot
-        steps = [round(s.t / grid.dt) for s in result.states]
+        (t_snapshot, recorded), (t_final, last) = result.states
+        steps = [round(t / grid.dt) for t in (t_snapshot, t_final)]
         snapshot = propagate(initial_gaussian(plan.spec, grid, params), potential, mass,
-                             grid.dt, steps[0])
-        finals = [snapshot, propagate(snapshot, potential, mass, grid.dt,
-                                      steps[1] - steps[0])]
-        assert steps == [round(s.t / grid.dt) for s in finals]
-        assert result.states[0].t == snapshot.t
-        assert np.array_equal(result.states[0].psi, finals[0].psi)
-        assert np.array_equal(result.states[-1].psi, finals[-1].psi)
-        assert norm(snapshot) > 2.0  # the packet has entered the gain section
+                             grid.dz, grid.dt, steps[0])
+        final = propagate(snapshot, potential, mass, grid.dz, grid.dt, steps[1] - steps[0])
+        assert t_snapshot == steps[0] * grid.dt
+        assert np.array_equal(recorded, snapshot)
+        assert np.array_equal(last, final)
+        assert norm(snapshot, grid.dz) > 2.0  # the packet has entered the gain section
 
     @pytest.mark.parametrize("t_final", [math.inf, math.nan, -1e-12, 0.0])
     def test_t_final_must_be_finite_and_positive(self, params, monkeypatch, t_final):
@@ -860,8 +858,8 @@ class TestScatter:
     def test_record_times(self, default_packet_run):
         plan, result = default_packet_run
         assert len(result.states) == 2
-        assert result.states[0].t == pytest.approx(0.4e-12, rel=1e-6)
-        assert result.states[-1].t == pytest.approx(plan.t_final, rel=1e-3)
+        assert result.states[0][0] == pytest.approx(0.4e-12, rel=1e-6)
+        assert result.states[-1][0] == pytest.approx(plan.t_final, rel=1e-3)
 
 
     def test_final_snapshot_kept_once(self, params):
@@ -871,7 +869,24 @@ class TestScatter:
                               carrier_k=carrier_for_energy(params, 0.2))
         result = scatter_packet(params, spec, grid, 150 * grid.dt,
                                 record_times=(50 * grid.dt, 150 * grid.dt, 1e-12))
-        assert [round(s.t / grid.dt) for s in result.states] == [50, 150]
+        assert [round(t / grid.dt) for t, _ in result.states] == [50, 150]
+
+    def test_surface_perfbench_reads(self, params):
+        # perfbench/run.py sizes its packet checks from plan_packet_run's
+        # grid and t_final; perfbench/traced_cli.py binds scatter_packet's
+        # arguments by name and counts the result's states
+        plan = plan_packet_run(params, sigma=3e-6, energy=0.2 * E_CHARGE, from_left=False)
+        assert (plan.grid.n_points, round(plan.t_final / plan.grid.dt)) == (22235, 279)
+        assert plan.grid.dz == (plan.grid.z_max - plan.grid.z_min) / (plan.grid.n_points - 1)
+        parameters = inspect.signature(scatter_packet).parameters
+        assert list(parameters)[2:] == ["grid", "t_final", "record_times"]
+        assert parameters["record_times"].kind is inspect.Parameter.KEYWORD_ONLY
+        grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-16)
+        spec = WavepacketSpec(center=-40e-6, sigma=2e-6,
+                              carrier_k=carrier_for_energy(params, 0.2))
+        result = scatter_packet(params, spec, grid=grid, t_final=6 * grid.dt,
+                                record_times=(2 * grid.dt, 4 * grid.dt))
+        assert len(result.states) == 3
 
 
 class TestPrediction:
