@@ -9,7 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from itertools import chain
@@ -19,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .csvtext import WIDTH, g15_fields, join_rows
+from .csvtext import WIDTH, _tables, g15_fields, join_rows
 from .medium import NEAR_CUTOFF_X_MAX, MediumParams, from_config
 from .helmholtz import SpectralSingularityError, amplitude_arrays
 from .models import (STATUS_NONFINITE, STATUS_OK, ModelColumns, ModelKind,
@@ -43,7 +46,7 @@ _CSV_FIELDS = ("t_re", "t_im", "r_left_re", "r_left_im", "r_right_re", "r_right_
 _CSV_ORDER = (0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 8, 9)
 
 # Values per renderer call.  g15_fields takes ~120 ns a value in calls of
-# 1,024 values and ~86-89 ns from 3,072 on (2-core x86_64), and peaks at ~410
+# 1,024 values and ~86-89 ns from 3,072 on (2-core x86_64), and peaks at ~290
 # bytes a value.  The sweep renders a block of frequencies in one call; the
 # snapshot writer a block of points' three fields (6,144 values), next to one
 # grid's z text (22 bytes a point).  It runs at the end of a packet run, on
@@ -52,6 +55,17 @@ _CSV_ORDER = (0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 8, 9)
 # 6-9 ms a run.
 _SWEEP_BLOCK = 8192
 _SNAPSHOT_BLOCK = 2048
+
+# Blocks per segment of a sweep CSV written by two threads (~6 MB of text):
+# the worker renders the tail of each segment while the caller writes its
+# head, so the worker holds about half a segment at most.  At 40,000
+# frequencies, 16 blocks measured the same and 64 ~1% faster, holding twice
+# the text.  The worker starts on a CSV of one segment or more, or half a
+# segment with the checks: below that, its start (the executor's import
+# and thread, ~2 ms) and the threads' contention for the GIL cost about
+# what it takes over (break-even measured at ~16 blocks with the checks,
+# ~26 without).
+_SWEEP_SEGMENT = 32
 
 # sweep --sweep: the default omega/omega_c grid (start, stop, points)
 SWEEP_WINDOW = (1.0005, NEAR_CUTOFF_X_MAX, 400)
@@ -77,18 +91,42 @@ def _model_values(col: ModelColumns, lo: int, hi: int, ok: np.ndarray) -> list[n
             s_left, s_right, *(np.log10(np.where(ok, s, 1.0)) for s in (s_left, s_right))]
 
 
-def csv_chunks(table: SweepTable) -> Iterator[bytes]:
+def _block_starts(table: SweepTable) -> range:
+    """The first frequency of each CSV block: :data:`_SWEEP_BLOCK` values,
+    x and each model's distinct columns."""
+    rows = _SWEEP_BLOCK // (1 + len(_CSV_FIELDS) * len(table.models))
+    return range(0, len(table.omega_over_omegac), rows)
+
+
+def _drain(pop) -> Iterator:
+    """Items of a deque's pop or popleft until the deque is empty; another
+    thread may take items from its other end meanwhile."""
+    while True:
+        try:
+            yield pop()
+        except IndexError:
+            return
+
+
+def csv_chunks(table: SweepTable, worker=None) -> Iterator[bytes]:
     """The sweep table in the fixed CSV schema, header first, then blocks
     of rows: one line per frequency and model, each field as '%.15g'; rows
-    that are not ok keep empty numeric fields and their status."""
+    that are not ok keep empty numeric fields and their status.
+
+    With ``worker``, a one-thread executor, the blocks go in segments of
+    :data:`_SWEEP_SEGMENT`: the caller renders each segment's blocks from
+    the front and yields each at once, the worker, once free, renders them
+    from the back and keeps them, and its blocks follow when none is left.
+    A segment whose share the worker has not started is the caller's alone."""
     yield (CSV_HEADER + "\n").encode()
     columns = list(table.models.values())
     names = np.array([f",{model.value},".encode() for model in table.models])
     names = names.view(np.uint8).reshape(len(columns), -1)
     n = len(table.omega_over_omegac)
-    rows = _SWEEP_BLOCK // (1 + len(_CSV_FIELDS) * len(columns))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    starts = _block_starts(table)
+
+    def render(lo: int) -> bytes:
+        hi = min(lo + starts.step, n)
         status = np.stack([col.status[lo:hi] for col in columns], axis=1)
         ok = status == STATUS_OK
         # one render per block: x once for all models, then each model's columns
@@ -103,7 +141,16 @@ def csv_chunks(table: SweepTable) -> Iterator[bytes]:
             cells += [numbers[:, :, k], b","]
         # nine bytes fit the longest status, "nonfinite"
         cells += [status.astype("S9").view(np.uint8).reshape(hi - lo, len(columns), 9), b"\n"]
-        yield join_rows(cells, (hi - lo, len(columns)))
+        return join_rows(cells, (hi - lo, len(columns)))
+
+    if worker is None:
+        yield from map(render, starts)
+        return
+    for first in range(0, len(starts), _SWEEP_SEGMENT):
+        todo = deque(starts[first:first + _SWEEP_SEGMENT])
+        tail = worker.submit(list, map(render, _drain(todo.pop)))
+        yield from map(render, _drain(todo.popleft))
+        yield from ([] if tail.cancel() else reversed(tail.result()))
 
 
 def write_snapshots(path: str, grid, states) -> None:
@@ -269,7 +316,29 @@ def _load(args) -> Config:
     return load_config(args.config) if args.config else Config()
 
 
+def _finished(fn, *args):
+    """(fn(*args), the perf_counter() at its return)."""
+    return fn(*args), perf_counter()
+
+
+def _csv_worker(table: SweepTable, check: bool):
+    """A one-thread executor for the checks and the tail of each CSV segment,
+    or a null context where the work is too small for a thread to pay."""
+    if len(_block_starts(table)) < (_SWEEP_SEGMENT // 2 if check else _SWEEP_SEGMENT):
+        return nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+
+    _tables()  # an unlocked cache: built here, not by both threads at once
+    return ThreadPoolExecutor(max_workers=1)
+
+
 def cmd_sweep(args) -> int:
+    """Sweep the window, write the CSV and its manifest, print the summary;
+    with --check, run the property assertions.  On a CSV of a segment or
+    more (half a segment with --check) one worker thread runs the checks,
+    then renders the tail of each segment (:func:`csv_chunks`) while this
+    thread writes its head; the "csv" and "checks" stage times both count
+    from the end of the sweep, so they overlap."""
     window = parse_sweep(args.sweep)
     start = perf_counter()
     config = _load(args)
@@ -278,15 +347,20 @@ def cmd_sweep(args) -> int:
     models = _MODEL_CHOICES[args.models]
     table = sweep(params, *window, models=models)
     swept = perf_counter()
-    with open(args.output, "wb") as fh:
-        fh.writelines(csv_chunks(table))
-    written = perf_counter()
+    failures = []
+    with _csv_worker(table, args.check) as worker:
+        if worker and args.check:
+            checks = worker.submit(_finished, run_checks, table, params)
+        with open(args.output, "wb") as fh:
+            fh.writelines(csv_chunks(table, worker))
+        written = perf_counter()
+        if args.check:
+            failures, checked = checks.result() if worker else _finished(run_checks, table,
+                                                                         params)
     stage_seconds = {"config": configured - start, "sweep": swept - configured,
                      "csv": written - swept}
-    failures = []
     if args.check:
-        failures = run_checks(table, params)
-        stage_seconds["checks"] = perf_counter() - written
+        stage_seconds["checks"] = checked - swept
     write_manifest(args.output + ".manifest.json", config, window, params, table,
                    stage_seconds)
     x, by_status = table.omega_over_omegac, table.status_counts()
@@ -332,7 +406,17 @@ def cmd_packet(args) -> int:
     ratio = plan.spec.bandwidth_ratio(params)
     if ratio > 0.1:
         logger.warning("packet bandwidth ratio Omega/delta = %.3g is not narrow-band", ratio)
-    result = scatter_packet(params, plan.spec, plan.grid, plan.t_final, record_times=record)
+    # the snapshot file is created before the first step: a path that cannot
+    # be written fails before the run, and a run that fails removes the file
+    if args.snapshots:
+        open(args.snapshots, "wb").close()
+    try:
+        result = scatter_packet(params, plan.spec, plan.grid, plan.t_final,
+                                record_times=record)
+    except BaseException:
+        if args.snapshots:
+            os.remove(args.snapshots)
+        raise
     x_carrier = 1.0 + ev_to_angular(args.energy_ev) / params.omega_c
     print(f"carrier: {args.energy_ev:g} eV (omega/omega_c = {x_carrier:.4f}), "
           f"sigma = {args.sigma_um:g} um, incidence {args.incidence}")

@@ -16,8 +16,9 @@ non-NUL bytes.  The kernel decides almost every element itself:
    values, |x| outside [1e-280, 1e280] and elements whose scaled fraction
    lies within 1e-6 of one half, exact binary ties among them.
 4. The 15 digits, the exponent and constant bytes form a 24-byte source
-   row per element, and one flat ``take`` through a layout table (sign x 21
-   exponent cases x 15 significant-digit counts) gathers the text.
+   row per element, and a flat ``take`` through a layout table (sign x 21
+   exponent cases x 15 significant-digit counts) gathers the text, 1,024
+   elements at a time.
 
 The tables are built on first use, so importing the package stays cheap.
 """
@@ -44,6 +45,7 @@ _MINUS, _DOT, _E, _NUL = 20, 21, 22, 23
 _CONSTANTS = b"-.e\0"
 _SOURCE_BYTES = 24
 _P_MIN, _P_MAX = -300, 300  # exponents of the exponent-text table
+_GATHER_ROWS = 1024  # elements per gather of step 4
 
 
 def _layout(negative: bool, case: int, nd: int) -> list[int]:
@@ -171,9 +173,19 @@ def g15_fields(x) -> np.ndarray:
         z[:, 1] + (z[:, 1] == 4) * z[:, 0]))
     case = np.where((p >= -4) & (p < 15), p + 4, np.where(np.abs(p) < 100, 19, 20))
     code = (np.signbit(x) * _CASES + case) * 15 + 14 - trailing
-    index = layout.take(code, axis=0)
-    index += (np.arange(n) * _SOURCE_BYTES)[:, None]
-    fields = source.view(np.uint8).ravel().take(index)
+    # gathered in chunks of rows through one small index, not an (n, WIDTH)
+    # one; mode="clip" because the indices are in range by construction, and
+    # take buffers its output in the default mode
+    source_bytes = source.view(np.uint8)
+    fields = np.empty((n, WIDTH), np.uint8)
+    index = np.empty((min(n, _GATHER_ROWS), WIDTH), np.intp)
+    offsets = (np.arange(len(index)) * _SOURCE_BYTES)[:, None]
+    for lo in range(0, n, _GATHER_ROWS):
+        rows = slice(lo, lo + _GATHER_ROWS)
+        chunk = index[:len(code[rows])]
+        layout.take(code[rows], axis=0, out=chunk, mode="clip")
+        chunk += offsets[:len(chunk)]
+        source_bytes[rows].ravel().take(chunk, out=fields[rows], mode="clip")
 
     slow = np.flatnonzero(undecided)
     if slow.size:

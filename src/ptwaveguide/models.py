@@ -26,9 +26,10 @@ STATUS_SINGULAR = "singular"
 STATUS_NONFINITE = "nonfinite"
 STATUSES = (STATUS_OK, STATUS_SINGULAR, STATUS_NONFINITE)
 
-# Largest sweep grid.  `sweep --check` peaks at ~660 bytes of RSS a point
-# (57 MiB at 40,000 points, 283 MiB at 400,000), so the cap is ~2.6 GB; a
-# grid over it is rejected before any array is allocated.
+# Largest sweep grid.  `sweep --check` peaks at ~710 bytes of RSS a point
+# (59 MiB at 40,000 points, 303 MiB at 400,000, with the CSV on two
+# threads), so the cap is ~2.8 GB; a grid over it is rejected before any
+# array is allocated.
 MAX_SWEEP_POINTS = 4_000_000
 
 

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,7 +17,7 @@ import pytest
 
 import ptwaveguide.cli as cli
 from ptwaveguide.cli import CSV_HEADER, main, render_plot_script
-from ptwaveguide.helmholtz import SpectralSingularityError
+from ptwaveguide.helmholtz import SpectralSingularityError, amplitude_arrays
 from ptwaveguide.medium import from_config
 from ptwaveguide.models import ModelColumns, ModelKind, SweepTable, sweep, sweep_grid
 from ptwaveguide.quantities import CONFIG_KEYS, E_CHARGE, Config, load_config
@@ -516,6 +517,130 @@ class TestSweepCommand:
         assert all(seconds >= 0.0 for seconds in stages.values())
 
 
+class TestTwoThreadWriter:
+    # three frequencies a block of both models and segments of four blocks:
+    # the worker starts on four blocks, or on two with --check
+    ROWS, SEGMENT = 3, 4
+
+    @pytest.fixture
+    def shrunk(self, monkeypatch):
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", self.ROWS * (1 + 2 * len(cli._CSV_FIELDS)))
+        monkeypatch.setattr(cli, "_SWEEP_SEGMENT", self.SEGMENT)
+
+    @pytest.fixture
+    def small_blocks(self, shrunk, monkeypatch):
+        """Shrinks the blocks and segments, and records the thread that
+        renders each block.  The caller's first block waits until the worker
+        has taken one, so every threaded run has the worker render."""
+        render = cli.g15_fields
+        worker_took = threading.Event()
+        renderers = []
+        threads = threading.active_count()
+
+        def recorded(values):
+            if threading.current_thread() is not threading.main_thread():
+                worker_took.set()
+            elif threading.active_count() > threads and not renderers:
+                worker_took.wait(timeout=5)
+            renderers.append(threading.current_thread())
+            return render(values)
+
+        monkeypatch.setattr(cli, "g15_fields", recorded)
+        return renderers
+
+    @staticmethod
+    def failing_reciprocity(k_outer, layers):
+        # the mirrored stack's t off by 1e-6: every ok row of both models
+        # fails the reciprocity check, in order of frequency, then model
+        t, *rest = amplitude_arrays(k_outer, layers)
+        return (t * (1 + 1e-6), *rest)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5, 13])
+    @pytest.mark.parametrize("check", ["none", "passing", "failing"])
+    def test_csv_and_checks_match_serial(self, params, tmp_path, capsys, monkeypatch,
+                                         small_blocks, blocks, check):
+        # tables of 1, 2, segment - 1, segment, segment + 1 and several
+        # segments of blocks: the file is csv_chunks' serial text, and the
+        # failures print in run_checks' order
+        window = (1.0005, 1.10, self.ROWS * blocks)
+        if check == "failing":
+            monkeypatch.setattr(cli, "amplitude_arrays", self.failing_reciprocity)
+        table = sweep(params, *window)
+        serial = b"".join(cli.csv_chunks(table))
+        expected_failures = cli.run_checks(table, params) if check != "none" else []
+        assert (len(expected_failures) == 2 * self.ROWS * blocks) == (check == "failing")
+        small_blocks.clear()
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--sweep", ":".join(map(str, window)), "--output", str(out)]
+        threads_before = threading.active_count()
+        assert run_cli(*argv, *(["--check"] if check != "none" else [])) == \
+            (1 if check == "failing" else 0)
+        assert threading.active_count() == threads_before
+        assert out.read_bytes() == serial
+        captured = capsys.readouterr()
+        assert captured.err == "".join(f"CHECK FAILED: {m}\n" for m in expected_failures)
+        assert ("all sweep checks passed" in captured.out) == (check == "passing")
+        threaded = blocks >= (self.SEGMENT // 2 if check != "none" else self.SEGMENT)
+        assert len(small_blocks) == blocks
+        assert len(set(small_blocks)) == (2 if threaded else 1)
+
+    @pytest.mark.parametrize("on_worker", [False, True])
+    def test_failing_block_exits_as_serial(self, tmp_path, capsys, monkeypatch, small_blocks,
+                                           on_worker):
+        # a block that raises on the worker fails the sweep as it does on the
+        # caller, and no thread outlives it
+        render = cli.g15_fields
+
+        def planted(values):
+            fields = render(values)
+            if (threading.current_thread() is threading.main_thread()) != on_worker:
+                raise ValueError("planted render failure")
+            return fields
+
+        monkeypatch.setattr(cli, "g15_fields", planted)
+        threads_before = threading.active_count()
+        out = tmp_path / "f.csv"
+        assert run_cli("sweep", "--sweep", f"1.0005:1.10:{self.ROWS * 9}", "--check",
+                       "--output", str(out)) == 2
+        assert threading.active_count() == threads_before
+        assert capsys.readouterr().err == "error: planted render failure\n"
+        assert not (tmp_path / "f.csv.manifest.json").exists()
+        assert len(set(small_blocks)) == 2  # both threads rendered
+
+    def test_busy_worker_leaves_segments_to_caller(self, tmp_path, monkeypatch, shrunk):
+        # checks that last until the caller has rendered every block: a
+        # segment whose tail the worker has not started is the caller's, so
+        # the caller never waits for the checks
+        blocks = 3 * self.SEGMENT
+        render = cli.g15_fields
+        rendered = []
+        all_rendered = threading.Event()
+
+        def counted(values):
+            rendered.append(values.size)
+            if len(rendered) == blocks:
+                all_rendered.set()
+            return render(values)
+
+        def waiting_checks(table, params):
+            return [] if all_rendered.wait(timeout=5) else ["the CSV waited for the checks"]
+
+        monkeypatch.setattr(cli, "g15_fields", counted)
+        monkeypatch.setattr(cli, "run_checks", waiting_checks)
+        assert run_cli("sweep", "--sweep", f"1.0005:1.10:{self.ROWS * blocks}", "--check",
+                       "--output", str(tmp_path / "w.csv")) == 0
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_worker_starts_from_block_count(self, params, check):
+        # at the default block size, one frequency short of a segment (half
+        # a segment with the checks) is written by the caller alone
+        rows = cli._SWEEP_BLOCK // (1 + 2 * len(cli._CSV_FIELDS))
+        blocks = cli._SWEEP_SEGMENT // 2 if check else cli._SWEEP_SEGMENT
+        for points, threaded in ((rows * (blocks - 1), False), (rows * (blocks - 1) + 1, True)):
+            with cli._csv_worker(sweep(params, 1.0005, 1.10, points), check) as worker:
+                assert (worker is not None) == threaded
+
+
 class TestPacketCommand:
     @pytest.fixture(scope="class")
     def default_outputs(self):
@@ -749,6 +874,29 @@ class TestPacketCommand:
         assert run_cli("packet", "--config", str(cfg), "--snapshots", str(snapshots)) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and line.split()[0] in err
+        assert not snapshots.exists()
+
+    def test_unwritable_snapshots_exit_3_before_stepping(self, tmp_path, monkeypatch, capsys):
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", no_steps)
+        snapshots = tmp_path / "no_dir" / "x.csv"
+        assert run_cli("packet", "--snapshots", str(snapshots),
+                       "--snapshot-times-ps", "0.1") == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("i/o error: ") and str(snapshots) in err
+
+    def test_failed_run_leaves_no_snapshots(self, tmp_path, monkeypatch, capsys):
+        # the file made before the first step goes with a run that fails
+        def overflowing(psi, potential, mass, dz, dt, n_steps):
+            yield n_steps, psi * 1e200
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", overflowing)
+        snapshots = tmp_path / "snaps.csv"
+        assert run_cli("packet", "--snapshots", str(snapshots)) == 2
+        assert capsys.readouterr().out == ""
         assert not snapshots.exists()
 
     def test_snapshot_times_need_snapshots_file(self, monkeypatch, capsys):

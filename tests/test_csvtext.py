@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,3 +55,17 @@ def test_join_rows_drops_padding():
     tags = np.array([b"a", b"bc"]).view(np.uint8).reshape(2, 2)
     assert join_rows([fields[:, None], b",", tags, b"\n"], (2, 2)) == \
         b"1.5,a\n1.5,bc\n-2e-07,a\n-2e-07,bc\n"
+
+
+def test_render_memory_per_value():
+    # the text is gathered in chunks of rows: one (n, WIDTH) index of intp
+    # would add 176 bytes a value to the ~290 the render peaks at
+    values = np.random.default_rng(11).standard_normal(6144)
+    g15_fields(values)  # builds the tables
+    tracemalloc.start()
+    try:
+        g15_fields(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 330 * values.size
