@@ -46,7 +46,7 @@ _CSV_FIELDS = ("t_re", "t_im", "r_left_re", "r_left_im", "r_right_re", "r_right_
 _CSV_ORDER = (0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 8, 9)
 
 # Values per renderer call.  g15_fields takes ~120 ns a value in calls of
-# 1,024 values and ~86-89 ns from 3,072 on (2-core x86_64), and peaks at ~290
+# 1,024 values and ~82-91 ns from 3,072 on (2-core x86_64), and peaks at ~290
 # bytes a value.  The sweep renders a block of frequencies in one call; the
 # snapshot writer a block of points' three fields (6,144 values), next to one
 # grid's z text (22 bytes a point).  It runs at the end of a packet run, on

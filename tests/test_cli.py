@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -532,20 +533,26 @@ class TestTwoThreadWriter:
         """Shrinks the blocks and segments, and records the thread that
         renders each block.  The caller's first block waits until the worker
         has taken one, so every threaded run has the worker render."""
-        render = cli.g15_fields
+        render, csv_worker = cli.g15_fields, cli._csv_worker
         worker_took = threading.Event()
-        renderers = []
-        threads = threading.active_count()
+        renderers, workers = [], []
 
         def recorded(values):
             if threading.current_thread() is not threading.main_thread():
                 worker_took.set()
-            elif threading.active_count() > threads and not renderers:
+            elif workers[-1] is not None and not renderers:
                 worker_took.wait(timeout=5)
             renderers.append(threading.current_thread())
             return render(values)
 
+        def recorded_worker(table, check):
+            context = csv_worker(table, check)
+            workers.append(context if isinstance(context, ThreadPoolExecutor) else None)
+            return context
+
         monkeypatch.setattr(cli, "g15_fields", recorded)
+        monkeypatch.setattr(cli, "_csv_worker", recorded_worker)
+        workers.append(None)  # calls of csv_chunks outside cmd_sweep
         return renderers
 
     @staticmethod
