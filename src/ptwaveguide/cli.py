@@ -12,7 +12,7 @@ import logging
 import os
 import sys
 from collections import deque
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from itertools import chain
@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .csvtext import WIDTH, _tables, g15_fields, join_rows
+from .csvtext import WIDTH, g15_fields, join_rows
 from .medium import NEAR_CUTOFF_X_MAX, MediumParams, from_config
 from .helmholtz import SpectralSingularityError, amplitude_arrays
 from .models import (STATUS_NONFINITE, STATUS_OK, ModelColumns, ModelKind,
@@ -58,7 +58,8 @@ _SNAPSHOT_BLOCK = 2048
 
 # Blocks per segment of a sweep CSV written by two threads (~6 MB of text):
 # the worker renders the tail of each segment while the caller writes its
-# head, so the worker holds about half a segment at most.  At 40,000
+# head, so the worker holds at most a segment, about half of one while both
+# threads run (all of it if the caller is descheduled).  At 40,000
 # frequencies, 16 blocks measured the same and 64 ~1% faster, holding twice
 # the text.  The worker starts on a CSV of one segment or more, or half a
 # segment with the checks: below that, its start (the executor's import
@@ -328,7 +329,6 @@ def _csv_worker(table: SweepTable, check: bool):
         return nullcontext()
     from concurrent.futures import ThreadPoolExecutor
 
-    _tables()  # an unlocked cache: built here, not by both threads at once
     return ThreadPoolExecutor(max_workers=1)
 
 
@@ -406,16 +406,19 @@ def cmd_packet(args) -> int:
     ratio = plan.spec.bandwidth_ratio(params)
     if ratio > 0.1:
         logger.warning("packet bandwidth ratio Omega/delta = %.3g is not narrow-band", ratio)
-    # the snapshot file is created before the first step: a path that cannot
-    # be written fails before the run, and a run that fails removes the file
+    # the snapshot path is opened for appending before the first step, so one
+    # that cannot be written fails before the run; a file this opening made
+    # goes with a run that fails, one that was there keeps its bytes
+    made = bool(args.snapshots) and not os.path.lexists(args.snapshots)
     if args.snapshots:
-        open(args.snapshots, "wb").close()
+        open(args.snapshots, "ab").close()
     try:
         result = scatter_packet(params, plan.spec, plan.grid, plan.t_final,
                                 record_times=record)
     except BaseException:
-        if args.snapshots:
-            os.remove(args.snapshots)
+        if made:
+            with suppress(OSError):  # the run's error is the one to report
+                os.remove(args.snapshots)
         raise
     x_carrier = 1.0 + ev_to_angular(args.energy_ev) / params.omega_c
     print(f"carrier: {args.energy_ev:g} eV (omega/omega_c = {x_carrier:.4f}), "

@@ -21,6 +21,8 @@ non-NUL bytes.  The kernel decides almost every element itself:
    elements at a time.
 
 The tables are built on first use, so importing the package stays cheap.
+Two threads that render at once may each build them; the copies are equal
+and read-only, so one of them is simply dropped.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def _read_only(*arrays):
 @lru_cache(maxsize=None)
 def _tables():
     """(pow_hi, pow_lo, group_text, group_zeros, exponent_text, layout),
-    built once on first use.
+    built on first use.
 
     pow_hi[k - _K_MIN] + pow_lo[k - _K_MIN] is 10^k to about 2^-106
     relative: hi is 10^k correctly rounded, lo the remainder correctly

@@ -531,17 +531,18 @@ class TestTwoThreadWriter:
     @pytest.fixture
     def small_blocks(self, shrunk, monkeypatch):
         """Shrinks the blocks and segments, and records the thread that
-        renders each block.  The caller's first block waits until the worker
-        has taken one, so every threaded run has the worker render."""
+        renders each block.  In a threaded run each thread's first block
+        waits until the other thread has taken one, so both threads render
+        however the two are scheduled."""
         render, csv_worker = cli.g15_fields, cli._csv_worker
-        worker_took = threading.Event()
+        took = {True: threading.Event(), False: threading.Event()}  # keyed by on_caller
         renderers, workers = [], []
 
         def recorded(values):
-            if threading.current_thread() is not threading.main_thread():
-                worker_took.set()
-            elif workers[-1] is not None and not renderers:
-                worker_took.wait(timeout=5)
+            on_caller = threading.current_thread() is threading.main_thread()
+            if workers[-1] is not None and not took[on_caller].is_set():
+                took[on_caller].set()
+                took[not on_caller].wait(timeout=5)
             renderers.append(threading.current_thread())
             return render(values)
 
@@ -554,6 +555,15 @@ class TestTwoThreadWriter:
         monkeypatch.setattr(cli, "_csv_worker", recorded_worker)
         workers.append(None)  # calls of csv_chunks outside cmd_sweep
         return renderers
+
+    @staticmethod
+    def assert_no_thread_left(threads_before, renderers):
+        # the threads alive after the sweep were all alive before it, and the
+        # worker that rendered blocks has ended; a thread of another test
+        # that ends meanwhile does not count
+        assert set(threading.enumerate()) <= threads_before
+        workers = set(renderers) - {threading.main_thread()}
+        assert not any(thread.is_alive() for thread in workers)
 
     @staticmethod
     def failing_reciprocity(k_outer, layers):
@@ -579,10 +589,10 @@ class TestTwoThreadWriter:
         small_blocks.clear()
         out = tmp_path / "s.csv"
         argv = ["sweep", "--sweep", ":".join(map(str, window)), "--output", str(out)]
-        threads_before = threading.active_count()
+        threads_before = set(threading.enumerate())
         assert run_cli(*argv, *(["--check"] if check != "none" else [])) == \
             (1 if check == "failing" else 0)
-        assert threading.active_count() == threads_before
+        self.assert_no_thread_left(threads_before, small_blocks)
         assert out.read_bytes() == serial
         captured = capsys.readouterr()
         assert captured.err == "".join(f"CHECK FAILED: {m}\n" for m in expected_failures)
@@ -605,11 +615,11 @@ class TestTwoThreadWriter:
             return fields
 
         monkeypatch.setattr(cli, "g15_fields", planted)
-        threads_before = threading.active_count()
+        threads_before = set(threading.enumerate())
         out = tmp_path / "f.csv"
         assert run_cli("sweep", "--sweep", f"1.0005:1.10:{self.ROWS * 9}", "--check",
                        "--output", str(out)) == 2
-        assert threading.active_count() == threads_before
+        self.assert_no_thread_left(threads_before, small_blocks)
         assert capsys.readouterr().err == "error: planted render failure\n"
         assert not (tmp_path / "f.csv.manifest.json").exists()
         assert len(set(small_blocks)) == 2  # both threads rendered
@@ -897,14 +907,41 @@ class TestPacketCommand:
 
     def test_failed_run_leaves_no_snapshots(self, tmp_path, monkeypatch, capsys):
         # the file made before the first step goes with a run that fails
-        def overflowing(psi, potential, mass, dz, dt, n_steps):
-            yield n_steps, psi * 1e200
-
-        monkeypatch.setattr("ptwaveguide.timeprop._march", overflowing)
+        monkeypatch.setattr("ptwaveguide.timeprop._march", self.overflowing)
         snapshots = tmp_path / "snaps.csv"
         assert run_cli("packet", "--snapshots", str(snapshots)) == 2
         assert capsys.readouterr().out == ""
         assert not snapshots.exists()
+
+    @staticmethod
+    def overflowing(psi, potential, mass, dz, dt, n_steps):
+        yield n_steps, psi * 1e200
+
+    @pytest.mark.parametrize("kind", ["file", "symlink"])
+    def test_failed_run_keeps_what_was_at_snapshot_path(self, tmp_path, monkeypatch, capsys,
+                                                        kind):
+        # a path that was there before the run is neither emptied nor removed
+        monkeypatch.setattr("ptwaveguide.timeprop._march", self.overflowing)
+        earlier = tmp_path / "earlier.csv"
+        earlier.write_bytes(b"t,z,re_psi,im_psi,abs2_psi\n0,0,1,0,1\n")
+        snapshots = earlier
+        if kind == "symlink":
+            snapshots = tmp_path / "link.csv"
+            snapshots.symlink_to(earlier)
+        assert run_cli("packet", "--snapshots", str(snapshots)) == 2
+        assert capsys.readouterr().out == ""
+        assert snapshots.is_symlink() == (kind == "symlink")
+        assert earlier.read_bytes() == b"t,z,re_psi,im_psi,abs2_psi\n0,0,1,0,1\n"
+
+    def test_failed_removal_keeps_run_error(self, tmp_path, monkeypatch, capsys):
+        # a snapshot file that cannot be removed does not hide the run's error
+        def refused(path):
+            raise PermissionError(f"refused: {path}")
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", self.overflowing)
+        monkeypatch.setattr(cli.os, "remove", refused)
+        assert run_cli("packet", "--snapshots", str(tmp_path / "snaps.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_snapshot_times_need_snapshots_file(self, monkeypatch, capsys):
         def no_steps(*args):
