@@ -174,10 +174,16 @@ def write_snapshots(path: str, grid, states) -> None:
                                     b",", abs2, b"\n"], (block.size,)))
 
 
+# The CSV path goes into a double-quoted gnuplot string, where a backslash
+# starts an escape and a quote or a line break ends the string.
+_GNUPLOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n",
+                                  "\r": "\\r", "\t": "\\t"})
+
+
 def render_plot_script(csv_path: str) -> str:
     """Gnuplot script: exact model as solid/dashed lines for left/right
     incidence, reduced model as symbols, versus omega/omega_c."""
-    q = csv_path
+    q = csv_path.translate(_GNUPLOT_ESCAPES)
     return (
         "# Flux sums |t|^2 + |r|^2 for left/right incidence.\n"
         "# Usage: gnuplot -p <this file>\n"

@@ -453,6 +453,21 @@ class TestSweepCommand:
         assert script.count("with points") == 2
         assert script == render_plot_script(str(out))
 
+    @pytest.mark.parametrize("path", ["runs/p.csv", 'my"run.csv', "a\\tb.csv",
+                                      "ends\\", "line\nbreak.csv", "tab\tand\rcr.csv"])
+    def test_plot_script_quotes_the_path(self, path):
+        # each plot line names the CSV in a double-quoted gnuplot string on
+        # one line; undoing gnuplot's backslash escapes gives the path back,
+        # and a path with none of them is written as it is
+        script = render_plot_script(path)
+        literals = re.findall(r'^  "((?:[^"\\\n]|\\.)*)" using', script, re.M)
+        assert len(literals) == 4
+        escapes = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+        for literal in literals:
+            assert re.sub(r"\\(.)", lambda m: escapes[m[1]], literal) == path
+        if path == "runs/p.csv":
+            assert script.count('  "runs/p.csv" using') == 4
+
     FIGURE = ["s_left > 1 > s_right holds on every grid point up to omega/omega_c = 1.0207 "
               "(both models)", "worst log10 model-agreement metric below 1.0158: 0.0483"]
 

@@ -2,41 +2,31 @@ import math
 
 import numpy as np
 import pytest
+import reference
 from conftest import kernel_amplitudes, max_relative_difference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ode_amplitudes
 
-from ptwaveguide.helmholtz import amplitude_arrays, flux_sums
+from ptwaveguide.helmholtz import amplitude_arrays, flux_sums, transfer_arrays
 from ptwaveguide.medium import RegionKind, effective_mass, effective_potential, \
-    k_squared_approx
+    from_config, k_squared_approx
 from ptwaveguide.models import (MAX_SWEEP_POINTS, STATUS_OK, BelowCutoffError, ModelKind,
                                 approx_bilayer, bilayer, evaluate_row,
                                 exact_bilayer, pt_defect, sweep, sweep_grid)
-from ptwaveguide.quantities import HBAR
+from ptwaveguide.quantities import HBAR, Config
 
-# Regression pins: log10 flux sums of both models on the reference medium,
-# frozen after cross-validating the transfer-matrix engine against the
-# adaptive-ODE integrator (worst disagreement 2.8e-8 over these points).
-# Columns: x = omega/omega_c, exact left, exact right, approx left, approx right.
-LOG10_SUM_PINS = [
-    (1.0005, 0.7171778650203783, -0.7160542592697959,
-     0.71671123374303, -0.7167112337430299),
-    (1.005, 2.2105857219216474, -2.2053553272507087,
-     2.2098995307322764, -2.2098995212562484),
-    (1.01, 2.8002919682419605, -2.7928648494306194,
-     2.8033529866356717, -2.798733540336948),
-    (1.0197017543859648, 3.1823208466354163, -1.0806616766785093,
-     3.7325002338450988, -0.46612044956682963),
-    (1.03, 2.7205995893318637, 0.15295178917600738,
-     2.336639745496682, -0.17624301666144113),
-    (1.05, 0.8306148422081696, -0.027274151234684386,
-     0.8598222200519188, 0.00046001463128904113),
-    (1.08, 0.07549626227089963, -0.01133758206492111,
-     0.11759905347378356, 0.0023051335505747794),
-    (1.1, 0.012208628114682683, -0.008575946998106935,
-     0.031270676222376, -0.0008411549726822594),
-]
+# Frequencies of test_regression_pins: the growth end, the fringes below
+# x = 1.02, the low-energy asymmetry's edge and the tail.
+PIN_X = (1.0005, 1.005, 1.01, 1.0197017543859648, 1.03, 1.05, 1.08, 1.1)
+
+# Near-threshold points (hbar omega_p in eV, omega/omega_c) of
+# test_kernel_matches_50_digits_near_threshold: the laser point of the
+# 0.1499512 eV medium and three detunings from it, the near-cutoff threshold
+# of the 0.0902994 eV medium, and the growth end of the reference medium.
+THRESHOLD_POINTS = ([(0.1499512, x) for x in (1.009042366, 1.0090424, 1.00904, 1.0091)]
+                    + [(0.0902994, 1.001762246)]
+                    + [(0.2, x) for x in (1.0005, 1.00075, 1.001)])
 
 
 class TestStacks:
@@ -77,6 +67,27 @@ class TestStacks:
             s_left, s_right = flux_sums(t, r_left, r_right)
             assert s_left == pytest.approx(1.0, abs=1e-10)
             assert s_right == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("omegap_ev, x", THRESHOLD_POINTS)
+    def test_kernel_matches_50_digits_near_threshold(self, model, omegap_ev, x):
+        # Near a pole m22 is a small difference of terms of the size of
+        # sum |m_ij|, so rounding in the kernel and in its inputs (omega and
+        # k^2, formed by the package's own arithmetic) leaves m22 an absolute
+        # error of up to ~200 ulps of sum |m_ij|.  t, r_left and r_right are
+        # all divided by m22, so their relative error grows as 1 / residual,
+        # residual = |m22| / sum |m_ij|.  The bound max(1e-11, 1e-13 /
+        # residual) is at least twice the error at each of these points (the
+        # largest, 4.6e-8, at residual 1.05e-7).
+        params = from_config(Config(hbar_omegap_ev=omegap_ev))
+        stack = bilayer(model, params, x * params.omega_c)
+        m = [complex(entry) for entry in transfer_arrays(*stack)]
+        residual = abs(m[3]) / sum(map(abs, m))
+        bound = max(1e-11, 1e-13 / residual)
+        expected = reference.mp_amplitudes(
+            model.value, reference.Medium.from_ev(omegap_ev=omegap_ev), x)
+        for got, want in zip(amplitude_arrays(*stack)[:3], expected):
+            assert abs(complex(got) - want) <= bound * abs(want)
 
 
 class TestPtDefect:
@@ -131,14 +142,17 @@ class TestSweep:
             assert col.s_right[0] < 1.0
 
     def test_regression_pins(self, params):
-        for x, el, er, al, ar in LOG10_SUM_PINS:
-            row = evaluate_row(params, x, tuple(ModelKind))
-            e = row.models[ModelKind.EXACT]
-            a = row.models[ModelKind.APPROXIMATE]
-            assert math.log10(e.s_left[0]) == pytest.approx(el, abs=1e-9)
-            assert math.log10(e.s_right[0]) == pytest.approx(er, abs=1e-9)
-            assert math.log10(a.s_left[0]) == pytest.approx(al, abs=1e-9)
-            assert math.log10(a.s_right[0]) == pytest.approx(ar, abs=1e-9)
+        # log10 flux sums of both models on the reference medium against the
+        # 50-digit characteristic-matrix product of perfbench/reference.py
+        table = evaluate_row(params, PIN_X, tuple(ModelKind))
+        medium = reference.Medium.from_ev()
+        for model, col in table.models.items():
+            for i, x in enumerate(PIN_X):
+                left, right = reference.flux_sums(
+                    *reference.mp_amplitudes(model.value, medium, x))
+                assert math.log10(col.s_left[i]) == pytest.approx(math.log10(left), abs=1e-9)
+                assert math.log10(col.s_right[i]) == pytest.approx(math.log10(right),
+                                                                   abs=1e-9)
 
     def test_agreement_window(self, params):
         # pointwise log10 agreement of the two models on the default grid:

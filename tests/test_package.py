@@ -1,7 +1,10 @@
-"""The package holds what the CLI runs: checked on its source with ``ast``."""
+"""The package holds what the CLI runs, and the 50-digit reference stays
+apart from it: checked on their sources with ``ast``."""
 
 import ast
 from pathlib import Path
+
+import reference
 
 import ptwaveguide
 
@@ -48,3 +51,17 @@ def test_package_holds_what_it_runs():
         importing = sorted(module for module, tree in TREES.items()
                            if banned in imported_modules(tree))
         assert not importing, f"import {banned}: {', '.join(importing)}"
+
+
+def test_reference_stays_independent():
+    # perfbench/reference.py, the 50-digit oracle of the tests and the
+    # benchmark, is independent only while it imports nothing from the
+    # package; and the package never runs it
+    path = Path(reference.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    from_package = sorted(name for name in imported_modules(tree)
+                          if name.split(".")[0] == "ptwaveguide")
+    assert not from_package, f"reference.py imports {', '.join(from_package)}"
+    importing = sorted(module for module, tree in TREES.items()
+                       if "reference" in imported_modules(tree))
+    assert not importing, f"import reference: {', '.join(importing)}"

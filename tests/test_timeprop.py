@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference
 import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse
@@ -19,9 +20,9 @@ from scipy.linalg import _flapack as flapack
 
 import ptwaveguide.timeprop as tp
 from ptwaveguide.helmholtz import SpectralSingularityError, amplitude_arrays
-from ptwaveguide.medium import RegionKind, effective_mass, effective_potential
+from ptwaveguide.medium import RegionKind, effective_mass, effective_potential, from_config
 from ptwaveguide.models import approx_bilayer
-from ptwaveguide.quantities import E_CHARGE, HBAR
+from ptwaveguide.quantities import E_CHARGE, HBAR, Config
 from ptwaveguide.timeprop import (PREDICTION_HALF_WIDTH, PREDICTION_POINTS,
                                   PRINTED_RESOLUTION, BoundaryContaminationError,
                                   IncompleteScatterError, PlacementError,
@@ -918,6 +919,22 @@ class TestPrediction:
         w = np.trapezoid(weights, ks)
         assert got.transmitted == pytest.approx(np.trapezoid(weights * t2, ks) / w, rel=1e-12)
         assert got.reflected == pytest.approx(np.trapezoid(weights * r2, ks) / w, rel=1e-12)
+
+    @pytest.mark.parametrize("omegap_ev", [0.2, 0.1])
+    @pytest.mark.parametrize("sigma_um", [3.0, 6.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_prediction_matches_reference_spectral_average(self, omegap_ev, sigma_um, sign):
+        # perfbench/reference.py averages its own characteristic-matrix
+        # amplitudes over 1,601 wavenumbers, the prediction the kernel's over
+        # 4,001; both Gaussians are resolved far below 1e-10
+        params = from_config(Config(hbar_omegap_ev=omegap_ev))
+        sigma = sigma_um * 1e-6
+        got = transmission_prediction(
+            params, WavepacketSpec(-40e-6 * sign, sigma, sign * carrier_for_energy(params, 0.2)))
+        t2, r2_left, r2_right = reference.packet_fractions(
+            reference.Medium.from_ev(omegap_ev=omegap_ev), sigma, 0.2)
+        assert got.transmitted == pytest.approx(t2, rel=1e-10)
+        assert got.reflected == pytest.approx(r2_left if sign > 0 else r2_right, rel=1e-10)
 
     def test_singular_spectrum_point_raises(self, params, monkeypatch):
         # a spectral singularity inside the packet spectrum has no stationary
