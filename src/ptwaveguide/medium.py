@@ -37,11 +37,10 @@ class ParameterError(ValueError):
 
 
 class RegionKind(Enum):
-    """Spatial regions; the enum value is the sign of the resonant term."""
+    """Medium sections; the enum value is the sign of the resonant term."""
 
     GAIN = -1
     ABSORBING = 1
-    VACUUM = 0
 
     @property
     def sign(self) -> int:
@@ -101,8 +100,6 @@ def permittivity(kind: RegionKind, omega, params: MediumParams):
     """
     if np.any(omega <= 0):
         raise ValueError(f"frequency must be positive, got {np.min(omega)}")
-    if kind.sign == 0:
-        return 1.0 + 0.0j
     denom = omega * omega - params.omega0 ** 2 + 2j * params.delta * omega
     return 1.0 - kind.sign * params.omega_p ** 2 / denom
 
@@ -130,7 +127,7 @@ def effective_potential(kind: RegionKind, params: MediumParams) -> complex:
     """Complex potential of the equivalent Schrodinger problem, in joules.
 
     Purely imaginary: +i|V| in the gain region (amplifying), -i|V| in the
-    absorbing region, 0 in vacuum.
+    absorbing region.
     """
     return -1j * kind.sign * params.omega_p ** 2 * HBAR / (4.0 * params.delta)
 

@@ -183,21 +183,25 @@ class WavepacketSpec:
         return velocity * math.sqrt(2.0) / (2.0 * self.sigma) / params.delta
 
 
-def potential_on_grid(params: MediumParams, grid: SpatialGrid) -> np.ndarray:
-    """Effective potential sampled on the grid (complex, joules).
+def _region_starts(params: MediumParams, grid: SpatialGrid) -> np.ndarray:
+    """Indices of the grid's first gain, absorber and right-vacuum point.
 
     Gain fills [-l, 0), the absorber [0, l) and vacuum the rest: a point
     exactly on a region boundary takes the region to its right.  But the
-    grid is a ``linspace``: a boundary that :func:`plan_packet_run` snaps
-    onto the grid misses its point by roundoff, on either side, so that
-    point does not reliably take the region to its right.
+    grid is a ``linspace``: a point that :func:`plan_packet_run` means to
+    put on -l or +l misses it by roundoff, on either side, so that point
+    does not reliably take the region to its right.
     """
-    z = grid.z
-    l = params.region_length
-    vacuum, gain, absorbing = (effective_potential(kind, params) for kind in
-                               (RegionKind.VACUUM, RegionKind.GAIN, RegionKind.ABSORBING))
-    return np.where(z < -l, vacuum,
-                    np.where(z < 0, gain, np.where(z < l, absorbing, vacuum)))
+    return np.searchsorted(grid.z, [-params.region_length, 0.0, params.region_length])
+
+
+def potential_on_grid(params: MediumParams, grid: SpatialGrid) -> np.ndarray:
+    """Effective potential on the grid (complex, joules), zero outside the medium."""
+    gain, absorber, vacuum = _region_starts(params, grid)
+    potential = np.zeros(grid.n_points, dtype=complex)
+    potential[gain:absorber] = effective_potential(RegionKind.GAIN, params)
+    potential[absorber:vacuum] = effective_potential(RegionKind.ABSORBING, params)
+    return potential
 
 
 def initial_gaussian(spec: WavepacketSpec, grid: SpatialGrid,
@@ -494,20 +498,17 @@ def scatter_packet(params: MediumParams, spec: WavepacketSpec, grid: SpatialGrid
                         f"exceeds {BOUNDARY_TOL:.1e}; enlarge the grid or stop earlier")
             if step in wanted:
                 recorded.append((step * dt, psi.copy()))
-    dz = grid.dz
-    z = grid.z
-    inside = (z >= -params.region_length) & (z <= params.region_length)
+    gain, _, vacuum = _region_starts(params, grid)
     with np.errstate(over="ignore"):  # an overflow is rejected just below
         absq = np.abs(psi) ** 2
-        transmitted = float(np.sum(absq[z > params.region_length]) * dz)
-        reflected = float(np.sum(absq[z < -params.region_length]) * dz)
-        interior_norm = float(np.sum(absq[inside]) * dz)
+        reflected, interior_norm, transmitted = (
+            float(np.sum(part) * grid.dz) for part in np.split(absq, [gain, vacuum]))
     if not math.isfinite(transmitted + reflected + interior_norm):
         raise IncompleteScatterError(
             "the field's norm overflows at t_final: the medium's growing modes "
             "have taken over")
     peak = math.sqrt(float(absq.max()))
-    interior_amp = math.sqrt(float(absq[inside].max())) / peak
+    interior_amp = math.sqrt(float(absq[gain:vacuum].max())) / peak
     if interior_amp > INTERIOR_TOL:
         raise IncompleteScatterError(
             f"interior amplitude is {interior_amp:.2f} of the peak at t_final; "
@@ -548,12 +549,13 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     slower than v.  A plan whose grid points times solves, two per step,
     exceed ``MAX_POINT_SOLVES`` is rejected, and so is one whose counts
     overflow the floating-point range.  Wall clearances
-    are 10.5 dispersed widths plus margin.  The grid step is snapped so that
-    all three region boundaries fall exactly on grid points: otherwise the
-    effective layer lengths shift by O(dz), which moves the interference
-    fringes and biases the fractions at the few-per-mil level.  Everything
-    is overridable by constructing :class:`WavepacketSpec` and
-    :class:`SpatialGrid` directly.
+    are 10.5 dispersed widths plus margin.  dz is snapped so that l is a
+    whole number of cells, and the ends extend in whole cells: otherwise the
+    layer lengths shift by O(dz), moving the fringes and biasing the
+    fractions at the few-per-mil level.  The ``linspace`` grid still misses
+    -l and +l by roundoff, so :func:`_region_starts` can give a region
+    l/dz +- 1 points (ROADMAP item 2).  Everything is overridable by
+    constructing :class:`WavepacketSpec` and :class:`SpatialGrid` directly.
 
     A carrier above omega/omega_c = 1 + E / hbar omega_c =
     ``NEAR_CUTOFF_X_MAX``, outside the near-cutoff regime, is rejected.
@@ -592,8 +594,8 @@ def plan_packet_run(params: MediumParams, sigma: float, energy: float,
     near_extent = max(refl_center + wall, z0 + 6.0 * sigma + 2e-6)
     far_extent = trans_center + wall
     wavelength = 2.0 * math.pi / k0
-    # snap dz so l is an exact multiple, then extend the ends in whole cells;
-    # -l, 0 and +l all land on grid points
+    # snap dz so l is a whole number of cells, then extend the ends in whole
+    # cells; the linspace points still miss -l and +l by roundoff
     cells_medium = np.ceil(l * POINTS_PER_WAVELENGTH / wavelength)
     dz = l / cells_medium
     # the counts stay floats until the point-solve cap below has passed: a

@@ -32,19 +32,34 @@ def imported_modules(tree: ast.Module) -> set[str]:
     return names
 
 
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a module-level statement defines: a function, a class and, for
+    an ``Enum``, its members, or the targets of an assignment."""
+    if isinstance(stmt, ast.FunctionDef):
+        return [stmt.name]
+    if isinstance(stmt, ast.ClassDef):
+        enum = any("Enum" in read_names(base) for base in stmt.bases)
+        return [stmt.name, *(target.id for node in stmt.body if enum
+                             and isinstance(node, ast.Assign)
+                             for target in node.targets if isinstance(target, ast.Name))]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
 def test_package_holds_what_it_runs():
-    # each public module-level function and class is read somewhere in the
-    # package outside its own definition: code that only tests call lives in
-    # tests/oracles.py; the package never imports scipy.integrate, and never
-    # threading: the stepper's second solve runs on the standard library's
-    # executor, not on a hand-written thread handoff
+    # each public module-level function, class, constant and Enum member is
+    # read somewhere in the package outside its own definition: code that
+    # only tests call lives in tests/oracles.py; the package never imports
+    # scipy.integrate, and never threading: the stepper's second solve runs
+    # on the standard library's executor, not on a hand-written thread handoff
     statements = [(module, stmt, read_names(stmt))
                   for module, tree in TREES.items() for stmt in tree.body]
     unused = sorted(
-        f"{module}.{stmt.name}" for module, stmt, _ in statements
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_")
-        and not any(stmt.name in names for _, other, names in statements
+        f"{module}.{name}" for module, stmt, _ in statements
+        for name in defined_names(stmt)
+        if not name.startswith("_")
+        and not any(name in names for _, other, names in statements
                     if other is not stmt))
     assert not unused, f"read nowhere else in the package: {', '.join(unused)}"
     for banned in ("scipy.integrate", "threading"):

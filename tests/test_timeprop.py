@@ -212,16 +212,17 @@ class TestPadeStep:
 
     def test_potential_matches_pointwise_regions(self, params):
         # a power-of-two region length puts -l, 0 and l exactly on the points
-        # 64, 128 and 192; each boundary point takes the region to its right
+        # 64, 128 and 192; each boundary point takes the region to its right,
+        # in the potential and in the cuts of scatter_packet's fractions
         l = 2.0 ** -15
         params = replace(params, region_length=l)
         grid = SpatialGrid(-2 * l, 2 * l, 257, 1e-16)
-        kinds = ([RegionKind.VACUUM] * 64 + [RegionKind.GAIN] * 64
-                 + [RegionKind.ABSORBING] * 64 + [RegionKind.VACUUM] * 65)
-        expected = [effective_potential(kind, params) for kind in kinds]
-        potential = potential_on_grid(params, grid)
+        gain, absorbing = (effective_potential(kind, params)
+                           for kind in (RegionKind.GAIN, RegionKind.ABSORBING))
+        expected = np.repeat([0.0, gain, absorbing, 0.0], [64, 64, 64, 65])
         assert grid.z[[64, 128, 192]].tolist() == [-l, 0.0, l]
-        assert np.array_equal(potential, np.array(expected, dtype=complex))
+        assert np.array_equal(potential_on_grid(params, grid), expected)
+        assert tp._region_starts(params, grid).tolist() == [64, 128, 192]
 
     def test_guard_rejects_large_dt(self, params):
         grid = SpatialGrid(-80e-6, 60e-6, 3000, 1e-12)
@@ -795,6 +796,29 @@ class TestScatter:
         assert coarse.transmitted == pytest.approx(fine.transmitted, rel=1e-5)
         assert coarse.reflected == pytest.approx(fine.reflected, rel=1e-5, abs=1e-6)
         assert coarse.interior_norm <= fine.interior_norm
+
+    @pytest.mark.parametrize("from_left", [True, False])
+    def test_fractions_partition_norm_where_potential_is(self, from_left):
+        # on this plan one grid point sits exactly at +l: the potential puts
+        # it in the right vacuum, and so must the fractions; each fraction is
+        # the norm of one of three slices that tile the final state, cut
+        # where the potential starts and ends
+        params = from_config(Config(hbar_omegap_ev=0.1, region_length_um=10))
+        plan = plan_packet_run(params, sigma=3e-6, energy=0.2 * E_CHARGE,
+                               from_left=from_left)
+        grid = plan.grid
+        medium = np.flatnonzero(potential_on_grid(params, grid))
+        start, stop = medium[0], medium[-1] + 1
+        assert grid.z[stop] == params.region_length
+        assert stop == (10708 if from_left else 8882)
+        result = scatter_packet(params, plan.spec, grid, plan.t_final)
+        absq = np.abs(result.states[-1][1]) ** 2
+        left, inside, right = (float(np.sum(part) * grid.dz)
+                               for part in (absq[:start], absq[start:stop], absq[stop:]))
+        assert result.interior_norm == inside
+        assert (result.reflected, result.transmitted) == (
+            (left, right) if from_left else (right, left))
+        assert absq[stop] > 0
 
     def test_unfinished_run_rejected(self, params):
         plan = plan_packet_run(params, sigma=3e-6, energy=0.2 * E_CHARGE)
