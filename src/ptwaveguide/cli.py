@@ -11,7 +11,6 @@ import json
 import logging
 import os
 import sys
-from collections import deque
 from contextlib import nullcontext, suppress
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -56,17 +55,11 @@ _CSV_ORDER = (0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 8, 9)
 _SWEEP_BLOCK = 8192
 _SNAPSHOT_BLOCK = 2048
 
-# Blocks per segment of a sweep CSV written by two threads (~6 MB of text):
-# the worker renders the tail of each segment while the caller writes its
-# head, so the worker holds at most a segment, about half of one while both
-# threads run (all of it if the caller is descheduled).  At 40,000
-# frequencies, 16 blocks measured the same and 64 ~1% faster, holding twice
-# the text.  The worker starts on a CSV of one segment or more, or half a
-# segment with the checks: below that, its start (the executor's import
-# and thread, ~2 ms) and the threads' contention for the GIL cost about
-# what it takes over (break-even measured at ~16 blocks with the checks,
-# ~26 without).
-_SWEEP_SEGMENT = 32
+# Frequencies from which a sweep starts one worker thread, when it has work
+# that does not render: the second model's columns, or the checks.  Below
+# it, the worker's start (the executor's import and thread) and the
+# threads' contention for the GIL cost about what it takes over.
+_WORKER_POINTS = 8000
 
 # sweep --sweep: the default omega/omega_c grid (start, stop, points)
 SWEEP_WINDOW = (1.0005, NEAR_CUTOFF_X_MAX, 400)
@@ -92,42 +85,20 @@ def _model_values(col: ModelColumns, lo: int, hi: int, ok: np.ndarray) -> list[n
             s_left, s_right, *(np.log10(np.where(ok, s, 1.0)) for s in (s_left, s_right))]
 
 
-def _block_starts(table: SweepTable) -> range:
-    """The first frequency of each CSV block: :data:`_SWEEP_BLOCK` values,
-    x and each model's distinct columns."""
-    rows = _SWEEP_BLOCK // (1 + len(_CSV_FIELDS) * len(table.models))
-    return range(0, len(table.omega_over_omegac), rows)
-
-
-def _drain(pop) -> Iterator:
-    """Items of a deque's pop or popleft until the deque is empty; another
-    thread may take items from its other end meanwhile."""
-    while True:
-        try:
-            yield pop()
-        except IndexError:
-            return
-
-
-def csv_chunks(table: SweepTable, worker=None) -> Iterator[bytes]:
+def csv_chunks(table: SweepTable) -> Iterator[bytes]:
     """The sweep table in the fixed CSV schema, header first, then blocks
     of rows: one line per frequency and model, each field as '%.15g'; rows
-    that are not ok keep empty numeric fields and their status.
-
-    With ``worker``, a one-thread executor, the blocks go in segments of
-    :data:`_SWEEP_SEGMENT`: the caller renders each segment's blocks from
-    the front and yields each at once, the worker, once free, renders them
-    from the back and keeps them, and its blocks follow when none is left.
-    A segment whose share the worker has not started is the caller's alone."""
+    that are not ok keep empty numeric fields and their status."""
     yield (CSV_HEADER + "\n").encode()
     columns = list(table.models.values())
     names = np.array([f",{model.value},".encode() for model in table.models])
     names = names.view(np.uint8).reshape(len(columns), -1)
     n = len(table.omega_over_omegac)
-    starts = _block_starts(table)
+    # a block is _SWEEP_BLOCK values: x and each model's distinct columns
+    rows = _SWEEP_BLOCK // (1 + len(_CSV_FIELDS) * len(columns))
 
     def render(lo: int) -> bytes:
-        hi = min(lo + starts.step, n)
+        hi = min(lo + rows, n)
         status = np.stack([col.status[lo:hi] for col in columns], axis=1)
         ok = status == STATUS_OK
         # one render per block: x once for all models, then each model's columns
@@ -144,14 +115,8 @@ def csv_chunks(table: SweepTable, worker=None) -> Iterator[bytes]:
         cells += [status.astype("S9").view(np.uint8).reshape(hi - lo, len(columns), 9), b"\n"]
         return join_rows(cells, (hi - lo, len(columns)))
 
-    if worker is None:
-        yield from map(render, starts)
-        return
-    for first in range(0, len(starts), _SWEEP_SEGMENT):
-        todo = deque(starts[first:first + _SWEEP_SEGMENT])
-        tail = worker.submit(list, map(render, _drain(todo.pop)))
-        yield from map(render, _drain(todo.popleft))
-        yield from ([] if tail.cancel() else reversed(tail.result()))
+    # a block's arrays go when its render returns, before the next block's
+    yield from map(render, range(0, n, rows))
 
 
 def write_snapshots(path: str, grid, states) -> None:
@@ -328,10 +293,12 @@ def _finished(fn, *args):
     return fn(*args), perf_counter()
 
 
-def _csv_worker(table: SweepTable, check: bool):
-    """A one-thread executor for the checks and the tail of each CSV segment,
-    or a null context where the work is too small for a thread to pay."""
-    if len(_block_starts(table)) < (_SWEEP_SEGMENT // 2 if check else _SWEEP_SEGMENT):
+def _sweep_worker(points: int, n_models: int, check: bool):
+    """A one-thread executor for a sweep of ``points`` frequencies and
+    ``n_models`` models, or a null context where the sweep has no work that
+    does not render (a second model, or the checks) or is too small for a
+    thread to pay."""
+    if (n_models < 2 and not check) or points < _WORKER_POINTS:
         return nullcontext()
     from concurrent.futures import ThreadPoolExecutor
 
@@ -340,25 +307,26 @@ def _csv_worker(table: SweepTable, check: bool):
 
 def cmd_sweep(args) -> int:
     """Sweep the window, write the CSV and its manifest, print the summary;
-    with --check, run the property assertions.  On a CSV of a segment or
-    more (half a segment with --check) one worker thread runs the checks,
-    then renders the tail of each segment (:func:`csv_chunks`) while this
-    thread writes its head; the "csv" and "checks" stage times both count
-    from the end of the sweep, so they overlap."""
+    with --check, run the property assertions.  On a sweep of
+    :data:`_WORKER_POINTS` frequencies or more, one worker thread evaluates
+    the second model while this thread evaluates the first, then runs the
+    checks while this thread renders and writes the CSV (:func:`csv_chunks`);
+    the "csv" and "checks" stage times both count from the end of the
+    sweep, so they overlap."""
     window = parse_sweep(args.sweep)
     start = perf_counter()
     config = _load(args)
     params = from_config(config)
     configured = perf_counter()
     models = _MODEL_CHOICES[args.models]
-    table = sweep(params, *window, models=models)
-    swept = perf_counter()
-    failures = []
-    with _csv_worker(table, args.check) as worker:
+    with _sweep_worker(window[2], len(models), args.check) as worker:
+        table = sweep(params, *window, models=models, executor=worker)
+        swept = perf_counter()
+        failures = []
         if worker and args.check:
             checks = worker.submit(_finished, run_checks, table, params)
         with open(args.output, "wb") as fh:
-            fh.writelines(csv_chunks(table, worker))
+            fh.writelines(csv_chunks(table))
         written = perf_counter()
         if args.check:
             failures, checked = checks.result() if worker else _finished(run_checks, table,

@@ -20,6 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
+# Frequencies per kernel pass of :func:`amplitude_arrays`: the chunk bounds
+# the kernel's temporaries and keeps them in cache.  Both models at 40,000
+# frequencies take ~38 ms in chunks of 4,096 against ~47 ms in one pass
+# (~42 ms at 1,024, ~39 ms at 2,048 and 8,192; 2-core x86_64).
+_CHUNK = 4096
+
 
 class SpectralSingularityError(ArithmeticError):
     """m22 = 0: amplitudes diverge at this real frequency (gain-induced pole)."""
@@ -86,9 +92,14 @@ def transfer_arrays(k_outer, layers: Sequence[tuple]):
         k_layer, kd, sin_over_k = _layer_phase(k2, d)
         contrast = np.asarray(k2, dtype=complex) - k_sq
         mismatch = contrast / (k_layer + k)  # k_l - k without cancellation
-        # the thickness enters by one product, so subnormal layers round once
-        off = sin_over_k * (i_over_2k * contrast)
-        q = sin_over_k * (i_over_2k * mismatch * mismatch)
+        # the thickness enters by one product, so subnormal layers round once;
+        # no operand is unnamed: numpy multiplies into one of 256 KiB or more
+        # in place, operands swapped, and its complex multiply is not bitwise
+        # commutative, so a frequency's digits would depend on the length
+        off = i_over_2k * contrast
+        off = sin_over_k * off
+        q = i_over_2k * mismatch * mismatch
+        q = sin_over_k * q
         a, e = np.exp(1j * kd) + q, np.exp(-1j * kd) - q
         m11, m12, m21, m22 = (a * m11 + off * m21, a * m12 + off * m22,
                               e * m21 - off * m11, e * m22 - off * m12)
@@ -103,8 +114,18 @@ def amplitude_arrays(k_outer, layers: Sequence[tuple]):
     referenced at the last); right incidence is the mirror image, with the
     same t.  ``singular`` is true where m22 = 0 (a spectral singularity); the
     amplitudes there are meaningless.  Elsewhere they can still be
-    non-finite where the matrix entries overflowed.
+    non-finite where the matrix entries overflowed.  A 1-d ``k_outer`` is
+    evaluated in chunks of :data:`_CHUNK` frequencies, each k2 with it.
     """
+    k = np.asarray(k_outer, dtype=float)
+    if k.ndim == 1 and k.size > _CHUNK:
+        t, r_left, r_right = (np.empty(k.size, complex) for _ in range(3))
+        singular = np.empty(k.size, bool)
+        for lo in range(0, k.size, _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            t[part], r_left[part], r_right[part], singular[part] = amplitude_arrays(
+                k[part], [(np.broadcast_to(k2, k.shape)[part], d) for k2, d in layers])
+        return t, r_left, r_right, singular
     _, m12, m21, m22 = transfer_arrays(k_outer, layers)
     # With equal exterior wavenumbers the determinant is exactly 1, so
     # t_left = det/m22 = 1/m22 = t_right; using the analytic value avoids

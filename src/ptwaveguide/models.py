@@ -26,10 +26,9 @@ STATUS_SINGULAR = "singular"
 STATUS_NONFINITE = "nonfinite"
 STATUSES = (STATUS_OK, STATUS_SINGULAR, STATUS_NONFINITE)
 
-# Largest sweep grid.  `sweep --check` peaks at ~710 bytes of RSS a point
-# (59 MiB at 40,000 points, 303 MiB at 400,000, with the CSV on two
-# threads), so the cap is ~2.8 GB; a grid over it is rejected before any
-# array is allocated.
+# Largest sweep grid.  `sweep --check` of both models peaks at ~420 bytes
+# of RSS a point (49 MiB at 40,000 points, 185-199 MiB at 400,000), so the
+# cap is ~1.7 GB; a grid over it is rejected before any array is allocated.
 MAX_SWEEP_POINTS = 4_000_000
 
 
@@ -162,17 +161,25 @@ def sweep_grid(start: float, stop: float, n: int) -> np.ndarray:
 
 
 def evaluate_row(params: MediumParams, omega_over_omegac,
-                 models: Sequence[ModelKind]) -> SweepTable:
+                 models: Sequence[ModelKind], executor=None) -> SweepTable:
     """Sweep table of the requested models at one omega/omega_c, or at each
-    of a sequence of them; one kernel call per model."""
+    of a sequence of them; one kernel call per model.  With ``executor``
+    (a ``concurrent.futures`` executor) the models after the first are
+    evaluated on it while the caller evaluates the first."""
     x = np.array(omega_over_omegac, dtype=float, ndmin=1)
-    return SweepTable(x, {model: ModelColumns.from_amplitudes(
-        *amplitude_arrays(*bilayer(model, params, x * params.omega_c))) for model in models})
+
+    def columns(model: ModelKind) -> ModelColumns:
+        return ModelColumns.from_amplitudes(
+            *amplitude_arrays(*bilayer(model, params, x * params.omega_c)))
+
+    later = {model: executor.submit(columns, model) for model in models[1:]} if executor else {}
+    return SweepTable(x, {model: later[model].result() if model in later else columns(model)
+                          for model in models})
 
 
 def sweep(params: MediumParams, start: float, stop: float, n: int,
-          models: Sequence[ModelKind] = (ModelKind.EXACT, ModelKind.APPROXIMATE)
-          ) -> SweepTable:
+          models: Sequence[ModelKind] = (ModelKind.EXACT, ModelKind.APPROXIMATE),
+          executor=None) -> SweepTable:
     """:func:`evaluate_row` over :func:`sweep_grid`, rows in ascending
     frequency order."""
-    return evaluate_row(params, sweep_grid(start, stop, n), models)
+    return evaluate_row(params, sweep_grid(start, stop, n), models, executor)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import ptwaveguide.cli as cli
+import ptwaveguide.models as md
 from ptwaveguide.cli import CSV_HEADER, main, render_plot_script
 from ptwaveguide.helmholtz import SpectralSingularityError, amplitude_arrays
 from ptwaveguide.medium import from_config
@@ -533,52 +534,29 @@ class TestSweepCommand:
         assert all(seconds >= 0.0 for seconds in stages.values())
 
 
-class TestTwoThreadWriter:
-    # three frequencies a block of both models and segments of four blocks:
-    # the worker starts on four blocks, or on two with --check
-    ROWS, SEGMENT = 3, 4
+class TestSweepWorker:
+    # a sweep of 40 frequencies with the worker's threshold lowered to 20
+    POINTS = 40
 
     @pytest.fixture
-    def shrunk(self, monkeypatch):
-        monkeypatch.setattr(cli, "_SWEEP_BLOCK", self.ROWS * (1 + 2 * len(cli._CSV_FIELDS)))
-        monkeypatch.setattr(cli, "_SWEEP_SEGMENT", self.SEGMENT)
+    def threaded(self, monkeypatch):
+        """Lowers the worker's threshold and records the thread of each
+        kernel call of the sweep (by model) and of run_checks."""
+        monkeypatch.setattr(cli, "_WORKER_POINTS", self.POINTS // 2)
+        threads = {}
+        bilayer, checks = md.bilayer, cli.run_checks
 
-    @pytest.fixture
-    def small_blocks(self, shrunk, monkeypatch):
-        """Shrinks the blocks and segments, and records the thread that
-        renders each block.  In a threaded run each thread's first block
-        waits until the other thread has taken one, so both threads render
-        however the two are scheduled."""
-        render, csv_worker = cli.g15_fields, cli._csv_worker
-        took = {True: threading.Event(), False: threading.Event()}  # keyed by on_caller
-        renderers, workers = [], []
+        def recorded_bilayer(model, params, omega):
+            threads.setdefault(model.value, threading.current_thread())
+            return bilayer(model, params, omega)
 
-        def recorded(values):
-            on_caller = threading.current_thread() is threading.main_thread()
-            if workers[-1] is not None and not took[on_caller].is_set():
-                took[on_caller].set()
-                took[not on_caller].wait(timeout=5)
-            renderers.append(threading.current_thread())
-            return render(values)
+        def recorded_checks(table, params):
+            threads["checks"] = threading.current_thread()
+            return checks(table, params)
 
-        def recorded_worker(table, check):
-            context = csv_worker(table, check)
-            workers.append(context if isinstance(context, ThreadPoolExecutor) else None)
-            return context
-
-        monkeypatch.setattr(cli, "g15_fields", recorded)
-        monkeypatch.setattr(cli, "_csv_worker", recorded_worker)
-        workers.append(None)  # calls of csv_chunks outside cmd_sweep
-        return renderers
-
-    @staticmethod
-    def assert_no_thread_left(threads_before, renderers):
-        # the threads alive after the sweep were all alive before it, and the
-        # worker that rendered blocks has ended; a thread of another test
-        # that ends meanwhile does not count
-        assert set(threading.enumerate()) <= threads_before
-        workers = set(renderers) - {threading.main_thread()}
-        assert not any(thread.is_alive() for thread in workers)
+        monkeypatch.setattr(md, "bilayer", recorded_bilayer)
+        monkeypatch.setattr(cli, "run_checks", recorded_checks)
+        return threads
 
     @staticmethod
     def failing_reciprocity(k_outer, layers):
@@ -587,90 +565,114 @@ class TestTwoThreadWriter:
         t, *rest = amplitude_arrays(k_outer, layers)
         return (t * (1 + 1e-6), *rest)
 
-    @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5, 13])
+    def test_table_equals_serial(self, params):
+        serial = sweep(params, 1.0005, 1.10, self.POINTS)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            table = sweep(params, 1.0005, 1.10, self.POINTS, executor=worker)
+        assert table.omega_over_omegac.tobytes() == serial.omega_over_omegac.tobytes()
+        assert list(table.models) == list(serial.models)
+        for model, col in serial.models.items():
+            for field in ("t", "r_left", "r_right", "s_left", "s_right", "status"):
+                assert getattr(table.models[model], field).tobytes() == \
+                    getattr(col, field).tobytes()
+
     @pytest.mark.parametrize("check", ["none", "passing", "failing"])
     def test_csv_and_checks_match_serial(self, params, tmp_path, capsys, monkeypatch,
-                                         small_blocks, blocks, check):
-        # tables of 1, 2, segment - 1, segment, segment + 1 and several
-        # segments of blocks: the file is csv_chunks' serial text, and the
-        # failures print in run_checks' order
-        window = (1.0005, 1.10, self.ROWS * blocks)
+                                         threaded, check):
+        # the worker evaluates the approximate model and runs the checks; the
+        # file is csv_chunks' text of the serial table, the failures print in
+        # run_checks' order, and no thread outlives the sweep
+        window = (1.0005, 1.10, self.POINTS)
         if check == "failing":
             monkeypatch.setattr(cli, "amplitude_arrays", self.failing_reciprocity)
         table = sweep(params, *window)
         serial = b"".join(cli.csv_chunks(table))
         expected_failures = cli.run_checks(table, params) if check != "none" else []
-        assert (len(expected_failures) == 2 * self.ROWS * blocks) == (check == "failing")
-        small_blocks.clear()
+        assert (len(expected_failures) == 2 * self.POINTS) == (check == "failing")
+        threaded.clear()
         out = tmp_path / "s.csv"
         argv = ["sweep", "--sweep", ":".join(map(str, window)), "--output", str(out)]
         threads_before = set(threading.enumerate())
         assert run_cli(*argv, *(["--check"] if check != "none" else [])) == \
             (1 if check == "failing" else 0)
-        self.assert_no_thread_left(threads_before, small_blocks)
+        assert set(threading.enumerate()) <= threads_before
         assert out.read_bytes() == serial
         captured = capsys.readouterr()
         assert captured.err == "".join(f"CHECK FAILED: {m}\n" for m in expected_failures)
         assert ("all sweep checks passed" in captured.out) == (check == "passing")
-        threaded = blocks >= (self.SEGMENT // 2 if check != "none" else self.SEGMENT)
-        assert len(small_blocks) == blocks
-        assert len(set(small_blocks)) == (2 if threaded else 1)
+        main_thread = threading.main_thread()
+        assert threaded.pop("exact") is main_thread
+        assert threaded.pop("approx") is not main_thread
+        if check != "none":
+            assert threaded.pop("checks") is not main_thread
+        assert not threaded
 
     @pytest.mark.parametrize("on_worker", [False, True])
-    def test_failing_block_exits_as_serial(self, tmp_path, capsys, monkeypatch, small_blocks,
+    def test_failing_model_exits_as_serial(self, tmp_path, capsys, monkeypatch, threaded,
                                            on_worker):
-        # a block that raises on the worker fails the sweep as it does on the
-        # caller, and no thread outlives it
-        render = cli.g15_fields
+        # a model evaluation that raises on the worker fails the sweep as it
+        # does on the caller: exit 2, no CSV or manifest, and no thread left
+        recorded = md.bilayer
 
-        def planted(values):
-            fields = render(values)
+        def planted(model, params, omega):
             if (threading.current_thread() is threading.main_thread()) != on_worker:
-                raise ValueError("planted render failure")
-            return fields
+                raise ValueError("planted model failure")
+            return recorded(model, params, omega)
 
-        monkeypatch.setattr(cli, "g15_fields", planted)
+        monkeypatch.setattr(md, "bilayer", planted)
         threads_before = set(threading.enumerate())
         out = tmp_path / "f.csv"
-        assert run_cli("sweep", "--sweep", f"1.0005:1.10:{self.ROWS * 9}", "--check",
+        assert run_cli("sweep", "--sweep", f"1.0005:1.10:{self.POINTS}", "--check",
                        "--output", str(out)) == 2
-        self.assert_no_thread_left(threads_before, small_blocks)
-        assert capsys.readouterr().err == "error: planted render failure\n"
+        assert set(threading.enumerate()) <= threads_before
+        assert not any(thread.is_alive() for thread in threaded.values()
+                       if thread is not threading.main_thread())
+        assert capsys.readouterr().err == "error: planted model failure\n"
+        assert not out.exists()
         assert not (tmp_path / "f.csv.manifest.json").exists()
-        assert len(set(small_blocks)) == 2  # both threads rendered
+        # the thread that did not raise evaluated its model
+        assert list(threaded) == (["exact"] if on_worker else ["approx"])
 
-    def test_busy_worker_leaves_segments_to_caller(self, tmp_path, monkeypatch, shrunk):
-        # checks that last until the caller has rendered every block: a
-        # segment whose tail the worker has not started is the caller's, so
-        # the caller never waits for the checks
-        blocks = 3 * self.SEGMENT
-        render = cli.g15_fields
-        rendered = []
-        all_rendered = threading.Event()
+    @pytest.mark.parametrize("choice, check, starts", [
+        ("both", False, True), ("both", True, True), ("exact", True, True),
+        ("approx", True, True), ("exact", False, False)])
+    def test_worker_starts_from_frequency_count(self, choice, check, starts):
+        # a sweep with a second model or the checks starts the worker from
+        # _WORKER_POINTS frequencies; one model without the checks never does
+        n_models = len(cli._MODEL_CHOICES[choice])
+        for points, threaded in ((cli._WORKER_POINTS - 1, False), (cli._WORKER_POINTS, starts)):
+            with cli._sweep_worker(points, n_models, check) as worker:
+                assert isinstance(worker, ThreadPoolExecutor) == threaded
 
-        def counted(values):
-            rendered.append(values.size)
-            if len(rendered) == blocks:
-                all_rendered.set()
-            return render(values)
 
-        def waiting_checks(table, params):
-            return [] if all_rendered.wait(timeout=5) else ["the CSV waited for the checks"]
+class TestSweepMemory:
+    """tracemalloc peaks of the kernel's two callers at 40,000 frequencies,
+    per frequency.  The kernel's chunks bound its temporaries: in one pass
+    the sweep peaked at ~485 bytes a frequency and the checks at ~419."""
+    POINTS = 40_000
 
-        monkeypatch.setattr(cli, "g15_fields", counted)
-        monkeypatch.setattr(cli, "run_checks", waiting_checks)
-        assert run_cli("sweep", "--sweep", f"1.0005:1.10:{self.ROWS * blocks}", "--check",
-                       "--output", str(tmp_path / "w.csv")) == 0
+    @classmethod
+    def peak_per_point(cls, fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - base) / cls.POINTS
 
-    @pytest.mark.parametrize("check", [False, True])
-    def test_worker_starts_from_block_count(self, params, check):
-        # at the default block size, one frequency short of a segment (half
-        # a segment with the checks) is written by the caller alone
-        rows = cli._SWEEP_BLOCK // (1 + 2 * len(cli._CSV_FIELDS))
-        blocks = cli._SWEEP_SEGMENT // 2 if check else cli._SWEEP_SEGMENT
-        for points, threaded in ((rows * (blocks - 1), False), (rows * (blocks - 1) + 1, True)):
-            with cli._csv_worker(sweep(params, 1.0005, 1.10, points), check) as worker:
-                assert (worker is not None) == threaded
+    def test_sweep(self, params):
+        # both models at once, as cmd_sweep runs them: ~270 bytes measured,
+        # bound with ~20% margin
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            assert self.peak_per_point(sweep, params, 1.0005, 1.10, self.POINTS,
+                                       executor=worker) <= 320
+
+    def test_run_checks(self, params):
+        # ~178 bytes measured, bound with ~25% margin
+        table = sweep(params, 1.0005, 1.10, self.POINTS)
+        assert self.peak_per_point(cli.run_checks, table, params) <= 220
 
 
 class TestPacketCommand:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ode_amplitudes
 
+import ptwaveguide.helmholtz as hh
 from ptwaveguide.helmholtz import amplitude_arrays, flux_sums, transfer_arrays
 from ptwaveguide.medium import RegionKind, effective_mass, effective_potential, \
     from_config, k_squared_approx
@@ -221,6 +222,23 @@ class TestSweep:
                     assert abs(got - want) <= 1e-13 * scale
                 assert col.s_left[i] == pytest.approx(s_left, rel=1e-13)
                 assert col.s_right[i] == pytest.approx(s_right, rel=1e-13)
+
+    @pytest.mark.parametrize("chunk", ["default", "one pass"])
+    def test_row_bits_do_not_depend_on_sweep_length(self, params, monkeypatch, chunk):
+        # numpy multiplies into an unnamed complex operand of 16,384 values or
+        # more in place: in the kernel's chunks and in one pass, every row of
+        # a 20,000-frequency sweep has the bits of its frequency in a
+        # 1,000-frequency slice
+        if chunk == "one pass":
+            monkeypatch.setattr(hh, "_CHUNK", 10 ** 6)
+        table = sweep(params, 1.0005, 1.10, 20_000)
+        x = table.omega_over_omegac
+        for lo in range(0, x.size, 1000):
+            rows = evaluate_row(params, x[lo:lo + 1000], tuple(ModelKind))
+            for model, col in rows.models.items():
+                for field in ("t", "r_left", "r_right", "s_left", "s_right", "status"):
+                    assert getattr(table.models[model], field)[lo:lo + 1000].tobytes() == \
+                        getattr(col, field).tobytes(), (model, field, lo)
 
     @given(st.floats(min_value=1.0002, max_value=1.1))
     @settings(max_examples=40, deadline=None)

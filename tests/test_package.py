@@ -2,11 +2,15 @@
 apart from it: checked on their sources with ``ast``."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import reference
 
 import ptwaveguide
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TREES = {path.stem: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(Path(ptwaveguide.__file__).parent.glob("*.py"))}
@@ -80,3 +84,14 @@ def test_reference_stays_independent():
     importing = sorted(module for module, tree in TREES.items()
                        if "reference" in imported_modules(tree))
     assert not importing, f"import reference: {', '.join(importing)}"
+
+
+def test_readme_code_references_resolve():
+    # a backticked `module.name` in README.md, of a module of the package,
+    # names an attribute of that module
+    modules = sorted(set(TREES) - {"__init__", "__main__"})
+    found = re.findall(rf"`({'|'.join(modules)})\.(\w+)", README.read_text(encoding="utf-8"))
+    assert found
+    missing = sorted({f"{module}.{name}" for module, name in found
+                      if not hasattr(importlib.import_module(f"ptwaveguide.{module}"), name)})
+    assert not missing, f"README.md names missing attributes: {', '.join(missing)}"
