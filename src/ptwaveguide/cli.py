@@ -55,10 +55,10 @@ _CSV_ORDER = (0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 8, 9)
 _SWEEP_BLOCK = 8192
 _SNAPSHOT_BLOCK = 2048
 
-# Frequencies from which a sweep starts one worker thread, when it has work
-# that does not render: the second model's columns, or the checks.  Below
-# it, the worker's start (the executor's import and thread) and the
-# threads' contention for the GIL cost about what it takes over.
+# Frequencies from which a --check sweep starts one worker thread (the
+# second model's columns, then the checks).  Below it, the worker's start
+# and the threads' contention for the GIL cost about what it takes over.
+# Without --check, the GIL-bound render hid the second model's overlap.
 _WORKER_POINTS = 8000
 
 # sweep --sweep: the default omega/omega_c grid (start, stop, points)
@@ -229,9 +229,11 @@ def figure_lines(table: SweepTable) -> list[str]:
 
 
 def run_checks(table: SweepTable, params: MediumParams) -> list[str]:
-    """Property assertions on the sweep table; returns failure messages,
-    ordered by frequency, then model, then check.  The medium-off control
-    sweeps the table's range at up to 41 points."""
+    """Assertions that hold on every medium: finite rows, reciprocity, the
+    reduced model's generalized unitarity, unit flux sums with the medium
+    off (a control sweep of the table's range at up to 41 points) and at
+    least one ok row.  Returns failure messages, ordered by frequency, then
+    model, then check."""
     found: list[tuple[tuple[int, int, int, int], str]] = []
 
     def flag(part, j, check, mask, message):
@@ -252,9 +254,6 @@ def run_checks(table: SweepTable, params: MediumParams) -> list[str]:
             resid = np.abs(np.abs(t) ** 2 + col.r_left.conjugate() * col.r_right - 1.0)
             flag(0, j, 2, ok & (resid > 1e-8),
                  lambda i: f"generalized unitarity residual {resid[i]:.2e} at x={x[i]}")
-        flag(0, j, 3, ok & (table.omega_over_omegac <= 1.019) & ~_asymmetric(col),
-             lambda i: f"low-energy asymmetry violated at x={x[i]} ({name}): "
-                       f"s_left={float(col.s_left[i])}, s_right={float(col.s_right[i])}")
     # Hermitian control: switching the resonant term off must give unit sums.
     control = sweep(replace(params, omega_p=0.0), x[0], x[-1], min(41, len(x)))
     x_off = control.omega_over_omegac.tolist()
@@ -293,12 +292,11 @@ def _finished(fn, *args):
     return fn(*args), perf_counter()
 
 
-def _sweep_worker(points: int, n_models: int, check: bool):
-    """A one-thread executor for a sweep of ``points`` frequencies and
-    ``n_models`` models, or a null context where the sweep has no work that
-    does not render (a second model, or the checks) or is too small for a
-    thread to pay."""
-    if (n_models < 2 and not check) or points < _WORKER_POINTS:
+def _sweep_worker(points: int, check: bool):
+    """A one-thread executor for a --check sweep of ``points`` frequencies,
+    or a null context for a sweep without --check or one too small for a
+    thread to pay (:data:`_WORKER_POINTS`)."""
+    if not check or points < _WORKER_POINTS:
         return nullcontext()
     from concurrent.futures import ThreadPoolExecutor
 
@@ -307,23 +305,23 @@ def _sweep_worker(points: int, n_models: int, check: bool):
 
 def cmd_sweep(args) -> int:
     """Sweep the window, write the CSV and its manifest, print the summary;
-    with --check, run the property assertions.  On a sweep of
-    :data:`_WORKER_POINTS` frequencies or more, one worker thread evaluates
-    the second model while this thread evaluates the first, then runs the
-    checks while this thread renders and writes the CSV (:func:`csv_chunks`);
-    the "csv" and "checks" stage times both count from the end of the
-    sweep, so they overlap."""
+    with --check, run :func:`run_checks`.  A sweep without --check runs on
+    this thread alone.  On a --check sweep of :data:`_WORKER_POINTS`
+    frequencies or more, one worker thread evaluates the second model while
+    this thread evaluates the first, then runs the checks while this thread
+    renders and writes the CSV (:func:`csv_chunks`); the "csv" and "checks"
+    stage times both count from the end of the sweep, so they overlap."""
     window = parse_sweep(args.sweep)
     start = perf_counter()
     config = _load(args)
     params = from_config(config)
     configured = perf_counter()
     models = _MODEL_CHOICES[args.models]
-    with _sweep_worker(window[2], len(models), args.check) as worker:
+    with _sweep_worker(window[2], args.check) as worker:
         table = sweep(params, *window, models=models, executor=worker)
         swept = perf_counter()
         failures = []
-        if worker and args.check:
+        if worker:
             checks = worker.submit(_finished, run_checks, table, params)
         with open(args.output, "wb") as fh:
             fh.writelines(csv_chunks(table))

@@ -164,8 +164,9 @@ def evaluate_row(params: MediumParams, omega_over_omegac,
                  models: Sequence[ModelKind], executor=None) -> SweepTable:
     """Sweep table of the requested models at one omega/omega_c, or at each
     of a sequence of them; one kernel call per model.  With ``executor``
-    (a ``concurrent.futures`` executor) the models after the first are
-    evaluated on it while the caller evaluates the first."""
+    (a ``concurrent.futures`` executor, such as the worker of a large
+    ``sweep --check``) the models after the first are evaluated on it while
+    the caller evaluates the first."""
     x = np.array(omega_over_omegac, dtype=float, ndmin=1)
 
     def columns(model: ModelKind) -> ModelColumns:

@@ -12,6 +12,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -40,6 +41,14 @@ def _singular_table(xs):
         np.full(n, np.nan + 0j), np.zeros(n, complex), np.zeros(n, complex),
         np.ones(n, bool))
     return SweepTable(np.array(xs, dtype=float), {ModelKind.EXACT: columns})
+
+
+def _failing_reciprocity(k_outer, layers):
+    """For ``cli.amplitude_arrays``, which only run_checks' mirrored stack
+    calls: its t off by 1e-6, so every ok row of every model fails the
+    reciprocity check, in order of frequency, then model."""
+    t, *rest = amplitude_arrays(k_outer, layers)
+    return (t * (1 + 1e-6), *rest)
 
 
 def _inject(table, model, field, index, value):
@@ -140,15 +149,6 @@ class TestCheckMessages:
         assert cli.run_checks(bad, params) == [
             f"generalized unitarity residual {resid:.2e} at x={x}"]
 
-    def test_low_energy_asymmetry(self, table, params):
-        bad = _inject(table, ModelKind.EXACT, "s_left", 1, 0.5)
-        x = float(table.omega_over_omegac[1])
-        assert x <= 1.019
-        s_right = float(table.models[ModelKind.EXACT].s_right[1])
-        assert cli.run_checks(bad, params) == [
-            f"low-energy asymmetry violated at x={x} (exact): "
-            f"s_left=0.5, s_right={s_right}"]
-
     def test_non_unit_medium_off_row(self, table, params, monkeypatch):
         real_sweep = cli.sweep
 
@@ -166,6 +166,15 @@ class TestCheckMessages:
     def test_all_singular_table(self, params):
         table = _singular_table((1.001, 1.01))
         assert cli.run_checks(table, params) == ["no row has status ok"]
+
+    @pytest.mark.parametrize("omegap_ev, delta_ev, length_um",
+                             product((0.02, 0.1, 0.3), (0.5, 2.5), (5.0, 60.0)))
+    def test_every_medium_passes(self, omegap_ev, delta_ev, length_um):
+        # the checks assert invariants, which hold on any medium; where the
+        # gain side dominates depends on the medium and is not checked
+        params = from_config(Config(hbar_omegap_ev=omegap_ev, hbar_delta_ev=delta_ev,
+                                    region_length_um=length_um))
+        assert cli.run_checks(sweep(params, 1.0005, 1.10, 400), params) == []
 
 
 class TestSweepCommand:
@@ -396,6 +405,35 @@ class TestSweepCommand:
                        "--output", str(out)) == 0
         assert "all sweep checks passed" in capsys.readouterr().out
 
+    @pytest.fixture
+    def subcritical_config(self, tmp_path):
+        cfg = tmp_path / "subcritical.cfg"
+        cfg.write_text("hbar_omegap_ev = 0.1\n")
+        return str(cfg)
+
+    def test_check_passes_on_subcritical_medium(self, tmp_path, capsys, subcritical_config):
+        # its asymmetry ends at 1.0027 (test_subcritical_sweep_prints_figure),
+        # which the checks do not assert
+        out = tmp_path / "sub.csv"
+        assert run_cli("sweep", "--check", "--config", subcritical_config,
+                       "--output", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.endswith("all sweep checks passed\n")
+
+    def test_planted_violation_fails_on_subcritical_medium(self, tmp_path, capsys, monkeypatch,
+                                                           subcritical_params,
+                                                           subcritical_config):
+        monkeypatch.setattr(cli, "amplitude_arrays", _failing_reciprocity)
+        table = sweep(subcritical_params, *cli.SWEEP_WINDOW)
+        expected = cli.run_checks(table, subcritical_params)
+        assert len(expected) == 2 * cli.SWEEP_WINDOW[2]
+        assert run_cli("sweep", "--check", "--config", subcritical_config,
+                       "--output", str(tmp_path / "bad.csv")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "".join(f"CHECK FAILED: {m}\n" for m in expected)
+        assert "checks passed" not in captured.out
+
     # the last seven are finite in eV but leave the floating-point range in
     # SI units: as omega_p or omega0 squared, as omega_p^2/delta^2, as omega_p
     # and omega0 themselves, in the reduced model's omega_c * omega_p^2 with
@@ -481,6 +519,15 @@ class TestSweepCommand:
         assert lines[1].startswith("max mirror-conjugation defect of the exact profile: ")
         assert lines[2:] == self.FIGURE + [f"wrote {out}.gp"]
 
+    def test_subcritical_sweep_prints_figure(self, tmp_path, capsys, subcritical_config):
+        # the asymmetry edge belongs to the medium: at half the reference
+        # pumping it ends far below the reference medium's 1.0207
+        assert run_cli("sweep", "--config", subcritical_config,
+                       "--output", str(tmp_path / "sub.csv")) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "s_left > 1 > s_right holds on every grid point up to omega/omega_c = 1.0027 "
+            "(both models)", "worst log10 model-agreement metric below 1.0158: 0.0621"]
+
     @pytest.mark.parametrize("window, asymmetry", [
         ("1.03:1.1:40", "fails at the first grid point, omega/omega_c = 1.0300"),
         ("1.02:1.1:9", "holds on every grid point up to omega/omega_c = 1.0200 (both models)")])
@@ -558,13 +605,6 @@ class TestSweepWorker:
         monkeypatch.setattr(cli, "run_checks", recorded_checks)
         return threads
 
-    @staticmethod
-    def failing_reciprocity(k_outer, layers):
-        # the mirrored stack's t off by 1e-6: every ok row of both models
-        # fails the reciprocity check, in order of frequency, then model
-        t, *rest = amplitude_arrays(k_outer, layers)
-        return (t * (1 + 1e-6), *rest)
-
     def test_table_equals_serial(self, params):
         serial = sweep(params, 1.0005, 1.10, self.POINTS)
         with ThreadPoolExecutor(max_workers=1) as worker:
@@ -579,12 +619,13 @@ class TestSweepWorker:
     @pytest.mark.parametrize("check", ["none", "passing", "failing"])
     def test_csv_and_checks_match_serial(self, params, tmp_path, capsys, monkeypatch,
                                          threaded, check):
-        # the worker evaluates the approximate model and runs the checks; the
-        # file is csv_chunks' text of the serial table, the failures print in
+        # with --check the worker evaluates the approximate model and runs
+        # the checks, without it the main thread evaluates both; the file is
+        # csv_chunks' text of the serial table, the failures print in
         # run_checks' order, and no thread outlives the sweep
         window = (1.0005, 1.10, self.POINTS)
         if check == "failing":
-            monkeypatch.setattr(cli, "amplitude_arrays", self.failing_reciprocity)
+            monkeypatch.setattr(cli, "amplitude_arrays", _failing_reciprocity)
         table = sweep(params, *window)
         serial = b"".join(cli.csv_chunks(table))
         expected_failures = cli.run_checks(table, params) if check != "none" else []
@@ -602,7 +643,7 @@ class TestSweepWorker:
         assert ("all sweep checks passed" in captured.out) == (check == "passing")
         main_thread = threading.main_thread()
         assert threaded.pop("exact") is main_thread
-        assert threaded.pop("approx") is not main_thread
+        assert (threaded.pop("approx") is main_thread) == (check == "none")
         if check != "none":
             assert threaded.pop("checks") is not main_thread
         assert not threaded
@@ -634,15 +675,29 @@ class TestSweepWorker:
         assert list(threaded) == (["exact"] if on_worker else ["approx"])
 
     @pytest.mark.parametrize("choice, check, starts", [
-        ("both", False, True), ("both", True, True), ("exact", True, True),
-        ("approx", True, True), ("exact", False, False)])
-    def test_worker_starts_from_frequency_count(self, choice, check, starts):
-        # a sweep with a second model or the checks starts the worker from
-        # _WORKER_POINTS frequencies; one model without the checks never does
-        n_models = len(cli._MODEL_CHOICES[choice])
-        for points, threaded in ((cli._WORKER_POINTS - 1, False), (cli._WORKER_POINTS, starts)):
-            with cli._sweep_worker(points, n_models, check) as worker:
-                assert isinstance(worker, ThreadPoolExecutor) == threaded
+        ("both", False, False), ("both", True, True), ("exact", True, True),
+        ("approx", True, True), ("exact", False, False), ("approx", False, False)])
+    def test_worker_starts_from_frequency_count(self, tmp_path, monkeypatch, choice, check,
+                                                starts):
+        # a --check sweep of any models starts the worker from
+        # _WORKER_POINTS frequencies; a sweep without --check never does
+        monkeypatch.setattr(cli, "_WORKER_POINTS", self.POINTS // 2)
+        executors, real_sweep = [], cli.sweep
+
+        def recorded_sweep(*args, executor=None, **kwargs):
+            executors.append(executor)
+            return real_sweep(*args, executor=executor, **kwargs)
+
+        monkeypatch.setattr(cli, "sweep", recorded_sweep)
+        for points, threaded in ((self.POINTS // 2 - 1, False), (self.POINTS // 2, starts)):
+            executors.clear()
+            assert run_cli("sweep", "--models", choice, "--sweep", f"1.0005:1.10:{points}",
+                           "--output", str(tmp_path / "w.csv"),
+                           *(["--check"] if check else [])) == 0
+            # cmd_sweep's own sweep comes first, the checks' control after it
+            assert isinstance(executors[0], ThreadPoolExecutor) == threaded
+        with cli._sweep_worker(md.MAX_SWEEP_POINTS, check) as worker:
+            assert isinstance(worker, ThreadPoolExecutor) == check
 
 
 class TestSweepMemory:
@@ -663,7 +718,7 @@ class TestSweepMemory:
         return (peak - base) / cls.POINTS
 
     def test_sweep(self, params):
-        # both models at once, as cmd_sweep runs them: ~270 bytes measured,
+        # both models at once, as a --check sweep runs them: ~270 bytes measured,
         # bound with ~20% margin
         with ThreadPoolExecutor(max_workers=1) as worker:
             assert self.peak_per_point(sweep, params, 1.0005, 1.10, self.POINTS,
@@ -1023,6 +1078,24 @@ def test_import_leaves_scipy_unloaded():
     code = ("import sys, ptwaveguide.cli; "
             "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)")
     assert run_python("-c", code).stdout.split() == ["False", "False"]
+
+
+def test_only_check_starts_a_sweep_thread(tmp_path):
+    # a sweep without --check never imports the executor or starts a thread,
+    # the same sweep with --check starts exactly one
+    code = """if True:
+        import sys, threading
+        import ptwaveguide.cli as cli
+        started = []
+        start = threading.Thread.start
+        threading.Thread.start = lambda thread: (started.append(thread), start(thread))[1]
+        argv = ["sweep", "--sweep", "1.0005:1.10:40000", "--output", *sys.argv[1:]]
+        assert cli.main(argv) == 0
+        print('concurrent.futures' in sys.modules, len(started))
+        """
+    out = str(tmp_path / "s.csv")
+    for flags, found in (((), ["False", "0"]), (("--check",), ["True", "1"])):
+        assert run_python("-c", code, out, *flags).stdout.splitlines()[-1].split() == found
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
