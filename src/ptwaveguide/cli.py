@@ -11,7 +11,7 @@ import json
 import logging
 import os
 import sys
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from itertools import chain
@@ -54,12 +54,6 @@ _CSV_ORDER = (0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 8, 9)
 # 6-9 ms a run.
 _SWEEP_BLOCK = 8192
 _SNAPSHOT_BLOCK = 2048
-
-# Frequencies from which a --check sweep starts one worker thread (the
-# second model's columns, then the checks).  Below it, the worker's start
-# and the threads' contention for the GIL cost about what it takes over.
-# Without --check, the GIL-bound render hid the second model's overlap.
-_WORKER_POINTS = 8000
 
 # sweep --sweep: the default omega/omega_c grid (start, stop, points)
 SWEEP_WINDOW = (1.0005, NEAR_CUTOFF_X_MAX, 400)
@@ -287,52 +281,28 @@ def _load(args) -> Config:
     return load_config(args.config) if args.config else Config()
 
 
-def _finished(fn, *args):
-    """(fn(*args), the perf_counter() at its return)."""
-    return fn(*args), perf_counter()
-
-
-def _sweep_worker(points: int, check: bool):
-    """A one-thread executor for a --check sweep of ``points`` frequencies,
-    or a null context for a sweep without --check or one too small for a
-    thread to pay (:data:`_WORKER_POINTS`)."""
-    if not check or points < _WORKER_POINTS:
-        return nullcontext()
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=1)
-
-
 def cmd_sweep(args) -> int:
-    """Sweep the window, write the CSV and its manifest, print the summary;
-    with --check, run :func:`run_checks`.  A sweep without --check runs on
-    this thread alone.  On a --check sweep of :data:`_WORKER_POINTS`
-    frequencies or more, one worker thread evaluates the second model while
-    this thread evaluates the first, then runs the checks while this thread
-    renders and writes the CSV (:func:`csv_chunks`); the "csv" and "checks"
-    stage times both count from the end of the sweep, so they overlap."""
+    """Sweep the window, write the CSV (:func:`csv_chunks`) and its
+    manifest, print the summary; with --check, run :func:`run_checks` once
+    the CSV is written.  Everything runs on the calling thread, and the
+    manifest's stage times are consecutive spans."""
     window = parse_sweep(args.sweep)
     start = perf_counter()
     config = _load(args)
     params = from_config(config)
     configured = perf_counter()
     models = _MODEL_CHOICES[args.models]
-    with _sweep_worker(window[2], args.check) as worker:
-        table = sweep(params, *window, models=models, executor=worker)
-        swept = perf_counter()
-        failures = []
-        if worker:
-            checks = worker.submit(_finished, run_checks, table, params)
-        with open(args.output, "wb") as fh:
-            fh.writelines(csv_chunks(table))
-        written = perf_counter()
-        if args.check:
-            failures, checked = checks.result() if worker else _finished(run_checks, table,
-                                                                         params)
+    table = sweep(params, *window, models=models)
+    swept = perf_counter()
+    with open(args.output, "wb") as fh:
+        fh.writelines(csv_chunks(table))
+    written = perf_counter()
     stage_seconds = {"config": configured - start, "sweep": swept - configured,
                      "csv": written - swept}
+    failures = []
     if args.check:
-        stage_seconds["checks"] = checked - swept
+        failures = run_checks(table, params)
+        stage_seconds["checks"] = perf_counter() - written
     write_manifest(args.output + ".manifest.json", config, window, params, table,
                    stage_seconds)
     x, by_status = table.omega_over_omegac, table.status_counts()

@@ -161,26 +161,18 @@ def sweep_grid(start: float, stop: float, n: int) -> np.ndarray:
 
 
 def evaluate_row(params: MediumParams, omega_over_omegac,
-                 models: Sequence[ModelKind], executor=None) -> SweepTable:
+                 models: Sequence[ModelKind]) -> SweepTable:
     """Sweep table of the requested models at one omega/omega_c, or at each
-    of a sequence of them; one kernel call per model.  With ``executor``
-    (a ``concurrent.futures`` executor, such as the worker of a large
-    ``sweep --check``) the models after the first are evaluated on it while
-    the caller evaluates the first."""
+    of a sequence of them; one kernel call per model, on the calling
+    thread."""
     x = np.array(omega_over_omegac, dtype=float, ndmin=1)
-
-    def columns(model: ModelKind) -> ModelColumns:
-        return ModelColumns.from_amplitudes(
-            *amplitude_arrays(*bilayer(model, params, x * params.omega_c)))
-
-    later = {model: executor.submit(columns, model) for model in models[1:]} if executor else {}
-    return SweepTable(x, {model: later[model].result() if model in later else columns(model)
-                          for model in models})
+    return SweepTable(x, {model: ModelColumns.from_amplitudes(
+        *amplitude_arrays(*bilayer(model, params, x * params.omega_c))) for model in models})
 
 
 def sweep(params: MediumParams, start: float, stop: float, n: int,
-          models: Sequence[ModelKind] = (ModelKind.EXACT, ModelKind.APPROXIMATE),
-          executor=None) -> SweepTable:
+          models: Sequence[ModelKind] = (ModelKind.EXACT, ModelKind.APPROXIMATE)
+          ) -> SweepTable:
     """:func:`evaluate_row` over :func:`sweep_grid`, rows in ascending
     frequency order."""
-    return evaluate_row(params, sweep_grid(start, stop, n), models, executor)
+    return evaluate_row(params, sweep_grid(start, stop, n), models)

@@ -6,23 +6,22 @@ import re
 import shlex
 import subprocess
 import sys
-import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from itertools import product
+from time import sleep
 
 import numpy as np
 import pytest
 
 import ptwaveguide.cli as cli
-import ptwaveguide.models as md
 from ptwaveguide.cli import CSV_HEADER, main, render_plot_script
 from ptwaveguide.helmholtz import SpectralSingularityError, amplitude_arrays
 from ptwaveguide.medium import from_config
-from ptwaveguide.models import ModelColumns, ModelKind, SweepTable, sweep, sweep_grid
+from ptwaveguide.models import (ModelColumns, ModelKind, SweepTable, bilayer, sweep,
+                                sweep_grid)
 from ptwaveguide.quantities import CONFIG_KEYS, E_CHARGE, Config, load_config
 from ptwaveguide.timeprop import SpatialGrid, plan_packet_run, scatter_packet
 
@@ -580,124 +579,38 @@ class TestSweepCommand:
         assert set(stages) == {"config", "sweep", "csv", "checks"}
         assert all(seconds >= 0.0 for seconds in stages.values())
 
+    def test_stage_times_are_consecutive(self, tmp_path, monkeypatch):
+        # "checks" counts from the end of the CSV: a render slowed by 0.2 s
+        # lengthens "csv" alone
+        chunks = cli.csv_chunks
 
-class TestSweepWorker:
-    # a sweep of 40 frequencies with the worker's threshold lowered to 20
-    POINTS = 40
+        def slow_chunks(table):
+            sleep(0.2)
+            yield from chunks(table)
 
-    @pytest.fixture
-    def threaded(self, monkeypatch):
-        """Lowers the worker's threshold and records the thread of each
-        kernel call of the sweep (by model) and of run_checks."""
-        monkeypatch.setattr(cli, "_WORKER_POINTS", self.POINTS // 2)
-        threads = {}
-        bilayer, checks = md.bilayer, cli.run_checks
+        monkeypatch.setattr(cli, "csv_chunks", slow_chunks)
+        out = tmp_path / "c.csv"
+        assert run_cli("sweep", "--sweep", "1.003:1.01:2", "--check", "--output", str(out)) == 0
+        stages = json.loads((tmp_path / "c.csv.manifest.json").read_text())["stage_seconds"]
+        assert stages["csv"] >= 0.2
+        assert stages["checks"] < 0.2
 
-        def recorded_bilayer(model, params, omega):
-            threads.setdefault(model.value, threading.current_thread())
-            return bilayer(model, params, omega)
-
-        def recorded_checks(table, params):
-            threads["checks"] = threading.current_thread()
-            return checks(table, params)
-
-        monkeypatch.setattr(md, "bilayer", recorded_bilayer)
-        monkeypatch.setattr(cli, "run_checks", recorded_checks)
-        return threads
-
-    def test_table_equals_serial(self, params):
-        serial = sweep(params, 1.0005, 1.10, self.POINTS)
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            table = sweep(params, 1.0005, 1.10, self.POINTS, executor=worker)
-        assert table.omega_over_omegac.tobytes() == serial.omega_over_omegac.tobytes()
-        assert list(table.models) == list(serial.models)
-        for model, col in serial.models.items():
-            for field in ("t", "r_left", "r_right", "s_left", "s_right", "status"):
-                assert getattr(table.models[model], field).tobytes() == \
-                    getattr(col, field).tobytes()
-
-    @pytest.mark.parametrize("check", ["none", "passing", "failing"])
-    def test_csv_and_checks_match_serial(self, params, tmp_path, capsys, monkeypatch,
-                                         threaded, check):
-        # with --check the worker evaluates the approximate model and runs
-        # the checks, without it the main thread evaluates both; the file is
-        # csv_chunks' text of the serial table, the failures print in
-        # run_checks' order, and no thread outlives the sweep
-        window = (1.0005, 1.10, self.POINTS)
-        if check == "failing":
-            monkeypatch.setattr(cli, "amplitude_arrays", _failing_reciprocity)
-        table = sweep(params, *window)
-        serial = b"".join(cli.csv_chunks(table))
-        expected_failures = cli.run_checks(table, params) if check != "none" else []
-        assert (len(expected_failures) == 2 * self.POINTS) == (check == "failing")
-        threaded.clear()
-        out = tmp_path / "s.csv"
-        argv = ["sweep", "--sweep", ":".join(map(str, window)), "--output", str(out)]
-        threads_before = set(threading.enumerate())
-        assert run_cli(*argv, *(["--check"] if check != "none" else [])) == \
-            (1 if check == "failing" else 0)
-        assert set(threading.enumerate()) <= threads_before
-        assert out.read_bytes() == serial
-        captured = capsys.readouterr()
-        assert captured.err == "".join(f"CHECK FAILED: {m}\n" for m in expected_failures)
-        assert ("all sweep checks passed" in captured.out) == (check == "passing")
-        main_thread = threading.main_thread()
-        assert threaded.pop("exact") is main_thread
-        assert (threaded.pop("approx") is main_thread) == (check == "none")
-        if check != "none":
-            assert threaded.pop("checks") is not main_thread
-        assert not threaded
-
-    @pytest.mark.parametrize("on_worker", [False, True])
-    def test_failing_model_exits_as_serial(self, tmp_path, capsys, monkeypatch, threaded,
-                                           on_worker):
-        # a model evaluation that raises on the worker fails the sweep as it
-        # does on the caller: exit 2, no CSV or manifest, and no thread left
-        recorded = md.bilayer
+    def test_failing_model_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a model evaluation that raises, after the first model's, fails the
+        # sweep before anything is written or printed
+        recorded = bilayer
 
         def planted(model, params, omega):
-            if (threading.current_thread() is threading.main_thread()) != on_worker:
+            if model is ModelKind.APPROXIMATE:
                 raise ValueError("planted model failure")
             return recorded(model, params, omega)
 
-        monkeypatch.setattr(md, "bilayer", planted)
-        threads_before = set(threading.enumerate())
+        monkeypatch.setattr("ptwaveguide.models.bilayer", planted)
         out = tmp_path / "f.csv"
-        assert run_cli("sweep", "--sweep", f"1.0005:1.10:{self.POINTS}", "--check",
+        assert run_cli("sweep", "--sweep", "1.0005:1.10:40", "--check",
                        "--output", str(out)) == 2
-        assert set(threading.enumerate()) <= threads_before
-        assert not any(thread.is_alive() for thread in threaded.values()
-                       if thread is not threading.main_thread())
-        assert capsys.readouterr().err == "error: planted model failure\n"
-        assert not out.exists()
-        assert not (tmp_path / "f.csv.manifest.json").exists()
-        # the thread that did not raise evaluated its model
-        assert list(threaded) == (["exact"] if on_worker else ["approx"])
-
-    @pytest.mark.parametrize("choice, check, starts", [
-        ("both", False, False), ("both", True, True), ("exact", True, True),
-        ("approx", True, True), ("exact", False, False), ("approx", False, False)])
-    def test_worker_starts_from_frequency_count(self, tmp_path, monkeypatch, choice, check,
-                                                starts):
-        # a --check sweep of any models starts the worker from
-        # _WORKER_POINTS frequencies; a sweep without --check never does
-        monkeypatch.setattr(cli, "_WORKER_POINTS", self.POINTS // 2)
-        executors, real_sweep = [], cli.sweep
-
-        def recorded_sweep(*args, executor=None, **kwargs):
-            executors.append(executor)
-            return real_sweep(*args, executor=executor, **kwargs)
-
-        monkeypatch.setattr(cli, "sweep", recorded_sweep)
-        for points, threaded in ((self.POINTS // 2 - 1, False), (self.POINTS // 2, starts)):
-            executors.clear()
-            assert run_cli("sweep", "--models", choice, "--sweep", f"1.0005:1.10:{points}",
-                           "--output", str(tmp_path / "w.csv"),
-                           *(["--check"] if check else [])) == 0
-            # cmd_sweep's own sweep comes first, the checks' control after it
-            assert isinstance(executors[0], ThreadPoolExecutor) == threaded
-        with cli._sweep_worker(md.MAX_SWEEP_POINTS, check) as worker:
-            assert isinstance(worker, ThreadPoolExecutor) == check
+        assert capsys.readouterr() == ("", "error: planted model failure\n")
+        assert os.listdir(tmp_path) == []
 
 
 class TestSweepMemory:
@@ -718,11 +631,9 @@ class TestSweepMemory:
         return (peak - base) / cls.POINTS
 
     def test_sweep(self, params):
-        # both models at once, as a --check sweep runs them: ~270 bytes measured,
-        # bound with ~20% margin
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            assert self.peak_per_point(sweep, params, 1.0005, 1.10, self.POINTS,
-                                       executor=worker) <= 320
+        # both models, as the CLI runs them: ~254 bytes measured, bound with
+        # ~25% margin
+        assert self.peak_per_point(sweep, params, 1.0005, 1.10, self.POINTS) <= 320
 
     def test_run_checks(self, params):
         # ~178 bytes measured, bound with ~25% margin
@@ -1080,9 +991,9 @@ def test_import_leaves_scipy_unloaded():
     assert run_python("-c", code).stdout.split() == ["False", "False"]
 
 
-def test_only_check_starts_a_sweep_thread(tmp_path):
-    # a sweep without --check never imports the executor or starts a thread,
-    # the same sweep with --check starts exactly one
+def test_sweep_starts_no_thread(tmp_path):
+    # a sweep runs on the calling thread alone, with or without --check: it
+    # neither imports the executor nor starts a thread
     code = """if True:
         import sys, threading
         import ptwaveguide.cli as cli
@@ -1094,8 +1005,9 @@ def test_only_check_starts_a_sweep_thread(tmp_path):
         print('concurrent.futures' in sys.modules, len(started))
         """
     out = str(tmp_path / "s.csv")
-    for flags, found in (((), ["False", "0"]), (("--check",), ["True", "1"])):
-        assert run_python("-c", code, out, *flags).stdout.splitlines()[-1].split() == found
+    for flags in ((), ("--check",)):
+        assert run_python("-c", code, out, *flags).stdout.splitlines()[-1].split() == \
+            ["False", "0"]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")

@@ -56,7 +56,8 @@ def test_package_holds_what_it_runs():
     # read somewhere in the package outside its own definition: code that
     # only tests call lives in tests/oracles.py; the package never imports
     # scipy.integrate, and never threading: the stepper's second solve runs
-    # on the standard library's executor, not on a hand-written thread handoff
+    # on the standard library's executor, not on a hand-written thread handoff,
+    # and that executor is the only one: no other module imports it
     statements = [(module, stmt, read_names(stmt))
                   for module, tree in TREES.items() for stmt in tree.body]
     unused = sorted(
@@ -70,6 +71,9 @@ def test_package_holds_what_it_runs():
         importing = sorted(module for module, tree in TREES.items()
                            if banned in imported_modules(tree))
         assert not importing, f"import {banned}: {', '.join(importing)}"
+    executors = sorted(module for module, tree in TREES.items()
+                       if "concurrent.futures" in imported_modules(tree))
+    assert executors == ["timeprop"], f"import concurrent.futures: {', '.join(executors)}"
 
 
 def test_reference_stays_independent():
