@@ -26,9 +26,10 @@ STATUS_SINGULAR = "singular"
 STATUS_NONFINITE = "nonfinite"
 STATUSES = (STATUS_OK, STATUS_SINGULAR, STATUS_NONFINITE)
 
-# Largest sweep grid.  `sweep --check` of both models peaks at ~420 bytes
-# of RSS a point (49 MiB at 40,000 points, 185-199 MiB at 400,000), so the
-# cap is ~1.7 GB; a grid over it is rejected before any array is allocated.
+# Largest sweep grid.  `sweep --check` of both models peaks at ~390 bytes
+# of RSS a point (46.1-46.3 MiB at 40,000 points, 179.4-179.6 MiB at
+# 400,000), so the cap is ~1.6 GB; a grid over it is rejected before any
+# array is allocated.
 MAX_SWEEP_POINTS = 4_000_000
 
 
@@ -171,8 +172,7 @@ def evaluate_row(params: MediumParams, omega_over_omegac,
 
 
 def sweep(params: MediumParams, start: float, stop: float, n: int,
-          models: Sequence[ModelKind] = (ModelKind.EXACT, ModelKind.APPROXIMATE)
-          ) -> SweepTable:
+          models: Sequence[ModelKind] = (ModelKind.EXACT, ModelKind.APPROXIMATE)) -> SweepTable:
     """:func:`evaluate_row` over :func:`sweep_grid`, rows in ascending
     frequency order."""
     return evaluate_row(params, sweep_grid(start, stop, n), models)
