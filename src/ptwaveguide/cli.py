@@ -14,18 +14,17 @@ import sys
 from contextlib import suppress
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
-from itertools import chain
 from time import perf_counter
 from typing import Iterator
 
 import numpy as np
 
 from . import __version__
-from .csvtext import WIDTH, g15_fields, join_rows
+from .csvtext import SLOT_WORDS, g15_words, line_text
 from .medium import NEAR_CUTOFF_X_MAX, MediumParams, from_config
-from .helmholtz import SpectralSingularityError, amplitude_arrays
+from .helmholtz import SpectralSingularityError
 from .models import (STATUS_NONFINITE, STATUS_OK, ModelColumns, ModelKind,
-                     SweepTable, bilayer, pt_defect, sweep)
+                     SweepTable, pt_defect, sweep)
 from .quantities import (E_CHARGE, Config, ConfigError, angular_to_ev, ev_to_angular,
                          load_config)
 from .timeprop import (BoundaryContaminationError, IncompleteScatterError,
@@ -38,20 +37,20 @@ CSV_HEADER = ("omega_over_omegac,model,t_left_re,t_left_im,r_left_re,r_left_im,"
               "t_right_re,t_right_im,r_right_re,r_right_im,sum_left,sum_right,"
               "log10_sum_left,log10_sum_right,status")
 
-# The distinct numeric columns of a model, and the CSV's 12 numeric fields
-# as indices into them: t_left and t_right print the same t.
+# The distinct numeric columns of a model; the CSV prints 12 numeric fields,
+# t_left and t_right both from t.
 _CSV_FIELDS = ("t_re", "t_im", "r_left_re", "r_left_im", "r_right_re", "r_right_im",
                "sum_left", "sum_right", "log10_sum_left", "log10_sum_right")
-_CSV_ORDER = (0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 8, 9)
 
-# Values per renderer call.  g15_fields takes ~120 ns a value in calls of
-# 1,024 values and ~82-91 ns from 3,072 on (2-core x86_64), and peaks at ~290
-# bytes a value.  The sweep renders a block of frequencies in one call; the
-# snapshot writer a block of points' three fields (6,144 values), next to one
-# grid's z text (22 bytes a point).  It runs at the end of a packet run, on
-# top of its peak RSS: writing 11 states of 22,235 points, the CLI's own peak
-# RSS is ~41.8 MB; 1,024 points per block lower it by under 0.1 MB and cost
-# 6-9 ms a run.
+# Values per renderer call.  g15_words takes ~155 ns a value in calls of
+# 1,024 values and ~85-93 ns from 3,072 to 8,192 (fastest of 40 rounds,
+# 2-core x86_64), and peaks at ~146 bytes a value.  The sweep renders a
+# block of frequencies in one call; the snapshot writer a block of points'
+# three fields (6,144 values), next to one grid's z slots (24 bytes a
+# point).  It runs at the end of a packet run, on top of its peak RSS:
+# writing 11 states of 22,235 points, the CLI's own peak RSS is ~41.9 MB;
+# 1,024 points per block lower it by ~0.1 MB, at a cost in time that 8
+# launches each did not resolve.
 _SWEEP_BLOCK = 8192
 _SNAPSHOT_BLOCK = 2048
 
@@ -79,37 +78,66 @@ def _model_values(col: ModelColumns, lo: int, hi: int, ok: np.ndarray) -> list[n
             s_left, s_right, *(np.log10(np.where(ok, s, 1.0)) for s in (s_left, s_right))]
 
 
+def _words(text: bytes, n: int) -> np.ndarray:
+    """``text`` NUL-padded to ``n`` 64-bit words."""
+    return np.frombuffer(text.ljust(8 * n, b"\0"), np.uint64)
+
+
+# A sweep line in 64-bit words: the slot of x, "model," in one word, the 12
+# numeric slots and the status, in two words that end with the newline.
+# Every slot ends with its comma (csvtext.g15_words).
+_NUMBERS = slice(SLOT_WORDS + 1, SLOT_WORDS + 1 + SLOT_WORDS * (len(_CSV_FIELDS) + 2))
+_STATUS = _NUMBERS.stop
+_LINE_WORDS = _STATUS + 2
+_EMPTY_FIELD = _words(b",".rjust(8 * SLOT_WORDS, b"\0"), SLOT_WORDS)
+_NEWLINE = _words(b"\n".rjust(16, b"\0"), 2)
+# turns the comma that ends a slot into a newline
+_COMMA_TO_NEWLINE = np.uint64((ord(",") ^ ord("\n")) << 56)
+
+
 def csv_chunks(table: SweepTable) -> Iterator[bytes]:
     """The sweep table in the fixed CSV schema, header first, then blocks
     of rows: one line per frequency and model, each field as '%.15g'; rows
     that are not ok keep empty numeric fields and their status."""
     yield (CSV_HEADER + "\n").encode()
     columns = list(table.models.values())
-    names = np.array([f",{model.value},".encode() for model in table.models])
-    names = names.view(np.uint8).reshape(len(columns), -1)
+    names = np.concatenate([_words(f"{model.value},".encode(), 1) for model in table.models])
     n = len(table.omega_over_omegac)
     # a block is _SWEEP_BLOCK values: x and each model's distinct columns
-    rows = _SWEEP_BLOCK // (1 + len(_CSV_FIELDS) * len(columns))
+    width = 1 + len(_CSV_FIELDS) * len(columns)
+    rows = _SWEEP_BLOCK // width
+    values = np.empty((min(rows, n), width))
+    buffer = np.empty((min(rows, n), len(columns), _LINE_WORDS), np.uint64)
 
     def render(lo: int) -> bytes:
         hi = min(lo + rows, n)
+        lines = buffer[:hi - lo]
         status = np.stack([col.status[lo:hi] for col in columns], axis=1)
         ok = status == STATUS_OK
-        # one render per block: x once for all models, then each model's columns
-        fields = g15_fields(np.concatenate([table.omega_over_omegac[lo:hi], *chain.from_iterable(
-            _model_values(col, lo, hi, ok[:, j]) for j, col in enumerate(columns))]))
-        x = fields[:hi - lo, None]
-        numbers = fields[hi - lo:].reshape(len(columns), len(_CSV_FIELDS), hi - lo, WIDTH)
-        numbers = numbers.transpose(2, 0, 1, 3)  # frequency, model, column, text
-        numbers[~ok] = 0
-        cells = [x, names]
-        for k in _CSV_ORDER:
-            cells += [numbers[:, :, k], b","]
-        # nine bytes fit the longest status, "nonfinite"
-        cells += [status.astype("S9").view(np.uint8).reshape(hi - lo, len(columns), 9), b"\n"]
-        return join_rows(cells, (hi - lo, len(columns)))
+        # one render per block, a frequency's values side by side: x once
+        # for all models, then each model's columns
+        block = values[:hi - lo]
+        block[:, 0] = table.omega_over_omegac[lo:hi]
+        for j, col in enumerate(columns):
+            np.stack(_model_values(col, lo, hi, ok[:, j]), axis=1,
+                     out=block[:, 1 + j * len(_CSV_FIELDS):1 + (j + 1) * len(_CSV_FIELDS)])
+        words = g15_words(block.ravel()).reshape(hi - lo, width, SLOT_WORDS)
+        lines[:, :, :SLOT_WORDS] = words[:, None, 0]
+        lines[:, :, SLOT_WORDS] = names
+        fields = lines[:, :, _NUMBERS].reshape(hi - lo, len(columns), -1, SLOT_WORDS)
+        numbers = words[:, 1:].reshape(hi - lo, len(columns), -1, SLOT_WORDS)
+        fields[:, :, :4] = numbers[:, :, :4]  # t, r_left
+        fields[:, :, 4:6] = numbers[:, :, :2]  # t again, as t_right
+        fields[:, :, 6:] = numbers[:, :, 4:]  # r_right, sums, log10 sums
+        fields[~ok] = _EMPTY_FIELD
+        # the status's '<U9' code points are its ASCII bytes
+        lines[:, :, _STATUS:] = _NEWLINE
+        codes = status.view(np.uint32).reshape(hi - lo, len(columns), -1)
+        lines.view(np.uint8)[:, :, 8 * _STATUS:8 * _STATUS + codes.shape[-1]] = codes
+        return line_text(lines)
 
-    # a block's arrays go when its render returns, before the next block's
+    # every block reuses the values and the line buffer; its other arrays go
+    # when its render returns, before the next block's
     yield from map(render, range(0, n, rows))
 
 
@@ -119,18 +147,23 @@ def write_snapshots(path: str, grid, states) -> None:
     with open(path, "wb") as fh:
         fh.write(b"t,z,re_psi,im_psi,abs2_psi\n")
         z = grid.z
-        z_text = np.empty((z.size, WIDTH), np.uint8)
+        z_words = np.empty((z.size, SLOT_WORDS), np.uint64)
         for lo in range(0, z.size, _SNAPSHOT_BLOCK):
-            z_text[lo:lo + _SNAPSHOT_BLOCK] = g15_fields(z[lo:lo + _SNAPSHOT_BLOCK])
+            z_words[lo:lo + _SNAPSHOT_BLOCK] = g15_words(z[lo:lo + _SNAPSHOT_BLOCK])
+        # a line: the slots of t, z, re, im and abs2
+        buffer = np.empty((min(_SNAPSHOT_BLOCK, z.size), 5, SLOT_WORDS), np.uint64)
         for t, psi in states:
-            t_text = b"%.15g," % t
+            t_words = _words(b"%.15g," % t, SLOT_WORDS)
             for lo in range(0, psi.size, _SNAPSHOT_BLOCK):
                 block = psi[lo:lo + _SNAPSHOT_BLOCK]
-                fields = g15_fields(np.concatenate(
+                lines = buffer[:block.size]
+                lines[:, 0] = t_words
+                lines[:, 1] = z_words[lo:lo + block.size]
+                words = g15_words(np.concatenate(
                     [block.real, block.imag, block.real ** 2 + block.imag ** 2]))
-                real, imag, abs2 = fields.reshape(3, block.size, WIDTH)
-                fh.write(join_rows([t_text, z_text[lo:lo + block.size], b",", real, b",", imag,
-                                    b",", abs2, b"\n"], (block.size,)))
+                lines[:, 2:] = words.reshape(3, block.size, SLOT_WORDS).transpose(1, 0, 2)
+                lines[:, -1, -1] ^= _COMMA_TO_NEWLINE
+                fh.write(line_text(lines))
 
 
 # The CSV path goes into a double-quoted gnuplot string, where a backslash
@@ -223,11 +256,11 @@ def figure_lines(table: SweepTable) -> list[str]:
 
 
 def run_checks(table: SweepTable, params: MediumParams) -> list[str]:
-    """Assertions that hold on every medium: finite rows, reciprocity, the
-    reduced model's generalized unitarity, unit flux sums with the medium
-    off (a control sweep of the table's range at up to 41 points) and at
-    least one ok row.  Returns failure messages, ordered by frequency, then
-    model, then check."""
+    """Assertions that hold on every medium: finite rows, reciprocity (t
+    against the table's ``t_mirrored``), the reduced model's generalized
+    unitarity, unit flux sums with the medium off (a control sweep of the
+    table's range at up to 41 points) and at least one ok row.  Returns
+    failure messages, ordered by frequency, then model, then check."""
     found: list[tuple[tuple[int, int, int, int], str]] = []
 
     def flag(part, j, check, mask, message):
@@ -239,10 +272,9 @@ def run_checks(table: SweepTable, params: MediumParams) -> list[str]:
         flag(0, j, 0, col.status == STATUS_NONFINITE,
              lambda i: f"non-finite amplitudes at x={x[i]} ({name})")
         # t of the mirrored stack is t_right of this one
-        k_outer, layers = bilayer(model, params, table.omega_over_omegac * params.omega_c)
-        t, t_right = col.t, amplitude_arrays(k_outer, layers[::-1])[0]
+        t = col.t
         with np.errstate(invalid="ignore"):
-            reciprocity = np.abs(t - t_right) > 1e-10 * np.maximum(np.abs(t), 1e-300)
+            reciprocity = np.abs(t - col.t_mirrored) > 1e-10 * np.maximum(np.abs(t), 1e-300)
         flag(0, j, 1, ok & reciprocity, lambda i: f"reciprocity violated at x={x[i]} ({name})")
         if model is ModelKind.APPROXIMATE:
             resid = np.abs(np.abs(t) ** 2 + col.r_left.conjugate() * col.r_right - 1.0)

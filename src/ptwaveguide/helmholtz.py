@@ -5,8 +5,8 @@ identical semi-infinite propagating regions.  A stack is the exterior
 wavenumber ``k_outer`` and a list of (k2, thickness) pairs, and that is the
 only input format.  One array kernel, :func:`transfer_arrays`, multiplies
 the layers' characteristic matrices, each written in the exterior's
-plane-wave basis, over arrays of frequencies; :func:`amplitude_arrays` and
-:func:`flux_sums` read it.
+plane-wave basis, over arrays of frequencies, in the stack's order and in
+reverse; :func:`amplitude_arrays` and :func:`flux_sums` read it.
 
 Phase conventions: each exterior's coefficients multiply e^{+-ik(z - z_edge)}
 with z_edge the stack edge it touches (the left exterior is referenced at
@@ -22,8 +22,9 @@ import numpy as np
 
 # Frequencies per kernel pass of :func:`amplitude_arrays`: the chunk bounds
 # the kernel's temporaries and keeps them in cache.  Both models at 40,000
-# frequencies take ~38 ms in chunks of 4,096 against ~47 ms in one pass
-# (~42 ms at 1,024, ~39 ms at 2,048 and 8,192; 2-core x86_64).
+# frequencies, each multiplied in both orders, take ~42-44 ms in chunks of
+# 4,096 against ~56-60 ms in one pass (~42-45 ms at 2,048, ~49-55 ms at
+# 1,024, ~53-54 ms at 8,192; fastest of 15 rounds, 2-core x86_64).
 _CHUNK = 4096
 
 
@@ -60,7 +61,7 @@ def _layer_phase(k2, d: float):
 def transfer_arrays(k_outer, layers: Sequence[tuple]):
     """Scattering kernel: transfer-matrix entries (m11, m12, m21, m22) of a
     stack given as (k2, thickness) pairs between exteriors of wavenumber
-    ``k_outer``.
+    ``k_outer``, and m22 of the mirrored stack, the layers in reverse order.
 
     ``k_outer`` and each k2 may be arrays over frequencies (they broadcast);
     thicknesses are numbers.  Each layer's characteristic matrix, which maps
@@ -77,17 +78,19 @@ def transfer_arrays(k_outer, layers: Sequence[tuple]):
          [s (k^2 - k2),     e^{-i k_l d} - q]],
 
     with s = i sin(k_l d) / (2 k k_l) and q = s (k_l - k)^2, and the layers
-    multiply left to right.  Every term is regular at k_l = 0, and no entry
-    is formed as a difference of near-equal terms: the contrast k2 - k^2 is
-    a factor of the off-diagonal entries, so a weak or thin layer's
-    reflection keeps full relative accuracy, and the diagonal keeps the
-    decaying plane wave instead of recovering it as cos - i sin of two
-    growing ones.
+    multiply left to right; the mirrored stack multiplies the same matrices
+    right to left, with the same arithmetic, so its m22 has the bits of the
+    reversed stack's own kernel call.  Every term is regular at k_l = 0,
+    and no entry is formed as a difference of near-equal terms: the
+    contrast k2 - k^2 is a factor of the off-diagonal entries, so a weak or
+    thin layer's reflection keeps full relative accuracy, and the diagonal
+    keeps the decaying plane wave instead of recovering it as cos - i sin of
+    two growing ones.
     """
     k = np.asarray(k_outer, dtype=float)
     k_sq = k * k
     i_over_2k = 0.5j / k
-    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    matrices = []
     for k2, d in layers:
         k_layer, kd, sin_over_k = _layer_phase(k2, d)
         contrast = np.asarray(k2, dtype=complex) - k_sq
@@ -100,43 +103,55 @@ def transfer_arrays(k_outer, layers: Sequence[tuple]):
         off = sin_over_k * off
         q = i_over_2k * mismatch * mismatch
         q = sin_over_k * q
-        a, e = np.exp(1j * kd) + q, np.exp(-1j * kd) - q
+        matrices.append((np.exp(1j * kd) + q, np.exp(-1j * kd) - q, off))
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    for a, e, off in matrices:
         m11, m12, m21, m22 = (a * m11 + off * m21, a * m12 + off * m22,
                               e * m21 - off * m11, e * m22 - off * m12)
-    return m11, m12, m21, m22
+    # m22 of the reversed product reads only its m12 and m22
+    n12, n22 = 0.0, 1.0
+    for a, e, off in reversed(matrices):
+        n12, n22 = a * n12 + off * n22, e * n22 - off * n12
+    return m11, m12, m21, m22, n22
 
 
 def amplitude_arrays(k_outer, layers: Sequence[tuple]):
-    """(t, r_left, r_right, singular) of the kernel :func:`transfer_arrays`.
+    """(t, r_left, r_right, singular, t_mirrored) of the kernel
+    :func:`transfer_arrays`.
 
     Left incidence: phi = e^{ikz'} + r_left e^{-ikz'} on the left (z'
     referenced at the first interface) and t e^{ikz''} on the right (z''
     referenced at the last); right incidence is the mirror image, with the
     same t.  ``singular`` is true where m22 = 0 (a spectral singularity); the
     amplitudes there are meaningless.  Elsewhere they can still be
-    non-finite where the matrix entries overflowed.  A 1-d ``k_outer`` is
-    evaluated in chunks of :data:`_CHUNK` frequencies, each k2 with it.
+    non-finite where the matrix entries overflowed.  ``t_mirrored`` is t of
+    the mirrored stack, from the kernel's m22 of it: bitwise equal to
+    ``amplitude_arrays(k_outer, layers[::-1])[0]``, and equal to t where
+    reciprocity holds.  A 1-d ``k_outer`` is evaluated in
+    chunks of :data:`_CHUNK` frequencies, each k2 with it.
     """
     k = np.asarray(k_outer, dtype=float)
     if k.ndim == 1 and k.size > _CHUNK:
-        t, r_left, r_right = (np.empty(k.size, complex) for _ in range(3))
+        t, r_left, r_right, t_mirrored = (np.empty(k.size, complex) for _ in range(4))
         singular = np.empty(k.size, bool)
         for lo in range(0, k.size, _CHUNK):
             part = slice(lo, lo + _CHUNK)
-            t[part], r_left[part], r_right[part], singular[part] = amplitude_arrays(
+            (t[part], r_left[part], r_right[part], singular[part],
+             t_mirrored[part]) = amplitude_arrays(
                 k[part], [(np.broadcast_to(k2, k.shape)[part], d) for k2, d in layers])
-        return t, r_left, r_right, singular
-    _, m12, m21, m22 = transfer_arrays(k_outer, layers)
+        return t, r_left, r_right, singular, t_mirrored
+    _, m12, m21, m22, n22 = transfer_arrays(k_outer, layers)
     # With equal exterior wavenumbers the determinant is exactly 1, so
     # t_left = det/m22 = 1/m22 = t_right; using the analytic value avoids
     # the catastrophic cancellation of the numeric 2x2 determinant when the
     # matrix entries reach e^{2 Im(k) d} ~ e^{40}.
-    m22 = np.asarray(m22, dtype=complex)
+    m22, n22 = np.asarray(m22, dtype=complex), np.asarray(n22, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = 1.0 / m22
         r_left = -m21 / m22
         r_right = m12 / m22
-    return t, r_left, r_right, m22 == 0
+        t_mirrored = 1.0 / n22
+    return t, r_left, r_right, m22 == 0, t_mirrored
 
 
 def flux_sums(t, r_left, r_right):

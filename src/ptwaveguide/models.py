@@ -26,10 +26,10 @@ STATUS_SINGULAR = "singular"
 STATUS_NONFINITE = "nonfinite"
 STATUSES = (STATUS_OK, STATUS_SINGULAR, STATUS_NONFINITE)
 
-# Largest sweep grid.  `sweep --check` of both models peaks at ~390 bytes
-# of RSS a point (46.1-46.3 MiB at 40,000 points, 179.4-179.6 MiB at
-# 400,000), so the cap is ~1.6 GB; a grid over it is rejected before any
-# array is allocated.
+# Largest sweep grid.  `sweep --check` of both models peaks at ~365 bytes
+# of RSS a point (45.2-45.3 MiB at 40,000 points, 170.5 MiB at 400,000),
+# so the cap is ~1.5 GB; a grid over it is rejected before any array is
+# allocated.
 MAX_SWEEP_POINTS = 4_000_000
 
 
@@ -109,9 +109,11 @@ def pt_defect(params: MediumParams, omega):
 class ModelColumns:
     """One model's scattering over a frequency grid, one entry per frequency.
 
-    ``t`` is t_left = t_right = 1/m22.  ``status`` is ``singular`` where
-    m22 = 0, ``nonfinite`` where any of t, r_left, r_right, s_left or s_right
-    is not finite, else ``ok``; the numbers of other rows are meaningless.
+    ``t`` is t_left = t_right = 1/m22, and ``t_mirrored`` is t of the
+    mirrored stack, which reciprocity makes equal to it.  ``status`` is
+    ``singular`` where m22 = 0, ``nonfinite`` where any of t, r_left,
+    r_right, s_left or s_right is not finite, else ``ok``; the numbers of
+    other rows are meaningless.
     """
 
     t: np.ndarray
@@ -120,16 +122,17 @@ class ModelColumns:
     s_left: np.ndarray
     s_right: np.ndarray
     status: np.ndarray
+    t_mirrored: np.ndarray
 
     @classmethod
-    def from_amplitudes(cls, t, r_left, r_right, singular) -> "ModelColumns":
+    def from_amplitudes(cls, t, r_left, r_right, singular, t_mirrored) -> "ModelColumns":
         """Columns of :func:`helmholtz.amplitude_arrays`' output."""
         s_left, s_right = flux_sums(t, r_left, r_right)
         finite = (np.isfinite(t) & np.isfinite(r_left) & np.isfinite(r_right)
                   & np.isfinite(s_left) & np.isfinite(s_right))
         status = np.where(singular, STATUS_SINGULAR,
                           np.where(finite, STATUS_OK, STATUS_NONFINITE))
-        return cls(t, r_left, r_right, s_left, s_right, status)
+        return cls(t, r_left, r_right, s_left, s_right, status, t_mirrored)
 
 
 @dataclass(frozen=True)

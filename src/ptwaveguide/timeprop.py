@@ -391,7 +391,7 @@ def transmission_prediction(params: MediumParams, spec: WavepacketSpec
     weights = np.exp(-2.0 * spec.sigma ** 2 * (ks - k0) ** 2)
     # an overflow is rejected just below, by the point it first reaches
     with np.errstate(over="ignore", invalid="ignore"):
-        t, r_left, r_right, singular = amplitude_arrays(
+        t, r_left, r_right, singular, _ = amplitude_arrays(
             *approx_bilayer(params, HBAR * ks * ks / (2.0 * mass)))
         t2 = np.abs(t) ** 2
         r2 = np.abs(r_left if from_left else r_right) ** 2

@@ -56,5 +56,5 @@ def max_relative_difference(a, b) -> float:
 def kernel_amplitudes(k_outer, layers):
     """(t_left, r_left, t_right, r_right) of one stack from the array kernel,
     in the order of oracles.ode_amplitudes; t_left = t_right = 1/m22."""
-    t, r_left, r_right, _ = amplitude_arrays(k_outer, layers)
+    t, r_left, r_right, _, _ = amplitude_arrays(k_outer, layers)
     return complex(t), complex(r_left), complex(t), complex(r_right)

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 import ptwaveguide.cli as cli
+import ptwaveguide.helmholtz as hh
+import ptwaveguide.models as models
 from ptwaveguide.cli import CSV_HEADER, main, render_plot_script
 from ptwaveguide.helmholtz import SpectralSingularityError, amplitude_arrays
 from ptwaveguide.medium import from_config
@@ -36,18 +38,18 @@ def read(path):
 
 def _singular_table(xs):
     n = len(xs)
+    t = np.full(n, np.nan + 0j)
     columns = ModelColumns.from_amplitudes(
-        np.full(n, np.nan + 0j), np.zeros(n, complex), np.zeros(n, complex),
-        np.ones(n, bool))
+        t, np.zeros(n, complex), np.zeros(n, complex), np.ones(n, bool), t)
     return SweepTable(np.array(xs, dtype=float), {ModelKind.EXACT: columns})
 
 
 def _failing_reciprocity(k_outer, layers):
-    """For ``cli.amplitude_arrays``, which only run_checks' mirrored stack
-    calls: its t off by 1e-6, so every ok row of every model fails the
+    """For ``models.amplitude_arrays``: its mirrored-stack t, which only
+    run_checks reads, off by 1e-6, so every ok row of every model fails the
     reciprocity check, in order of frequency, then model."""
-    t, *rest = amplitude_arrays(k_outer, layers)
-    return (t * (1 + 1e-6), *rest)
+    *rest, t_mirrored = amplitude_arrays(k_outer, layers)
+    return (*rest, t_mirrored * (1 + 1e-6))
 
 
 def _inject(table, model, field, index, value):
@@ -66,11 +68,10 @@ class TestRowStatus:
 
     @pytest.fixture
     def table(self):
+        t = np.array([0.5 + 0.5j, complex(np.inf, np.nan), 0.5 + 0j])
         columns = ModelColumns.from_amplitudes(
-            np.array([0.5 + 0.5j, complex(np.inf, np.nan), 0.5 + 0j]),
-            np.array([0.1j, 0j, np.inf + 0j]),
-            np.array([0.2 + 0j, 0j, 0.1 + 0j]),
-            np.array([False, True, False]))
+            t, np.array([0.1j, 0j, np.inf + 0j]), np.array([0.2 + 0j, 0j, 0.1 + 0j]),
+            np.array([False, True, False]), t)
         return SweepTable(np.array(self.XS), {ModelKind.EXACT: columns})
 
     def test_statuses(self, table):
@@ -108,9 +109,9 @@ class TestRowStatus:
         # no exception and no warning, and the ordinary row stays ok
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            t = np.array([1e200 + 0j, 0.5 + 0.5j])
             columns = ModelColumns.from_amplitudes(
-                np.array([1e200 + 0j, 0.5 + 0.5j]), np.array([0j, 0.1j]),
-                np.array([0j, 0.2 + 0j]), np.array([False, False]))
+                t, np.array([0j, 0.1j]), np.array([0j, 0.2 + 0j]), np.array([False, False]), t)
         assert columns.status.tolist() == ["nonfinite", "ok"]
 
     def test_check_fails_on_nonfinite(self, table, params):
@@ -423,7 +424,7 @@ class TestSweepCommand:
     def test_planted_violation_fails_on_subcritical_medium(self, tmp_path, capsys, monkeypatch,
                                                            subcritical_params,
                                                            subcritical_config):
-        monkeypatch.setattr(cli, "amplitude_arrays", _failing_reciprocity)
+        monkeypatch.setattr(models, "amplitude_arrays", _failing_reciprocity)
         table = sweep(subcritical_params, *cli.SWEEP_WINDOW)
         expected = cli.run_checks(table, subcritical_params)
         assert len(expected) == 2 * cli.SWEEP_WINDOW[2]
@@ -614,9 +615,9 @@ class TestSweepCommand:
 
 
 class TestSweepMemory:
-    """tracemalloc peaks of the kernel's two callers at 40,000 frequencies,
-    per frequency.  The kernel's chunks bound its temporaries: in one pass
-    the sweep peaked at ~485 bytes a frequency and the checks at ~419."""
+    """tracemalloc peaks of the sweep and of its checks at 40,000
+    frequencies, per frequency.  The kernel's chunks bound its temporaries:
+    in one pass the sweep peaks at ~532 bytes a frequency."""
     POINTS = 40_000
 
     @classmethod
@@ -631,14 +632,31 @@ class TestSweepMemory:
         return (peak - base) / cls.POINTS
 
     def test_sweep(self, params):
-        # both models, as the CLI runs them: ~254 bytes measured, bound with
-        # ~25% margin
+        # both models, as the CLI runs them, each with its mirrored t: ~286
+        # bytes measured
         assert self.peak_per_point(sweep, params, 1.0005, 1.10, self.POINTS) <= 320
 
     def test_run_checks(self, params):
-        # ~178 bytes measured, bound with ~25% margin
+        # ~61 bytes measured: the table's columns are read, and the kernel
+        # runs only for the 41-frequency control
         table = sweep(params, 1.0005, 1.10, self.POINTS)
         assert self.peak_per_point(cli.run_checks, table, params) <= 220
+
+    def test_run_checks_runs_the_kernel_only_for_the_control(self, params, monkeypatch):
+        # reciprocity reads the sweep's own mirrored t: the one kernel work
+        # left is the medium-off control, 41 frequencies for each model
+        table = sweep(params, 1.0005, 1.10, self.POINTS)
+        frequencies = []
+
+        def counted(k_outer, layers):
+            frequencies.append(np.size(k_outer))
+            return amplitude_arrays(k_outer, layers)
+
+        for module in (hh, models, cli):
+            if getattr(module, "amplitude_arrays", None) is amplitude_arrays:
+                monkeypatch.setattr(module, "amplitude_arrays", counted)
+        assert cli.run_checks(table, params) == []
+        assert frequencies == [41, 41]
 
 
 class TestPacketCommand:

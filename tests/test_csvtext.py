@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptwaveguide.csvtext import WIDTH, g15_fields, join_rows
+from ptwaveguide.csvtext import SLOT_WORDS, g15_words, line_text
 
 
 def rendered(values):
-    """Each field of g15_fields(values) without its NUL padding."""
-    fields = g15_fields(np.array(values, dtype=float))
-    assert fields.shape == (len(values), WIDTH)
-    return [bytes(row).rstrip(b"\0") for row in fields]
+    """Each slot of g15_words(values) without its NUL bytes and its comma,
+    which sits in the slot's last byte."""
+    words = g15_words(np.array(values, dtype=float))
+    assert words.shape == (len(values), SLOT_WORDS)
+    assert (words.view(np.uint8)[:, -1] == ord(",")).all()
+    return [line_text(row)[:-1] for row in words]
 
 
 def expected(values):
@@ -50,21 +52,23 @@ def test_random_decades():
     assert rendered(values.tolist()) == expected(values.tolist())
 
 
-def test_join_rows_drops_padding():
-    fields = g15_fields(np.array([1.5, -2e-7]))
-    tags = np.array([b"a", b"bc"]).view(np.uint8).reshape(2, 2)
-    assert join_rows([fields[:, None], b",", tags, b"\n"], (2, 2)) == \
-        b"1.5,a\n1.5,bc\n-2e-07,a\n-2e-07,bc\n"
+def test_line_text_drops_padding():
+    # two lines of a buffer: a slot, then a word of "a" or "bc" and a newline
+    lines = np.zeros((2, SLOT_WORDS + 1), np.uint64)
+    lines[:, :SLOT_WORDS] = g15_words(np.array([1.5, -2e-7]))
+    lines[:, SLOT_WORDS] = np.frombuffer(b"a\0\0\0\0\0\0\nbc\0\0\0\0\0\n", np.uint64)
+    assert line_text(lines) == b"1.5,a\n-2e-07,bc\n"
 
 
 def test_render_memory_per_value():
-    # the text is gathered in chunks of rows: one (n, WIDTH) index of intp
-    # would add 176 bytes a value to the ~290 the render peaks at
+    # the words are built in place, a few arrays of 8 bytes a value at a
+    # time: ~146 bytes a value measured, where the per-byte layout gather
+    # they replace peaked at ~275
     values = np.random.default_rng(11).standard_normal(6144)
-    g15_fields(values)  # builds the tables
+    g15_words(values)  # builds the tables
     tracemalloc.start()
     try:
-        g15_fields(values)
+        g15_words(values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -936,7 +936,7 @@ class TestPrediction:
         weights = np.exp(-2.0 * spec.sigma ** 2 * (ks - k0) ** 2)
         t2, r2 = [], []
         for k in ks:
-            t, r_left, r_right, _ = amplitude_arrays(*approx_bilayer(
+            t, r_left, r_right, _, _ = amplitude_arrays(*approx_bilayer(
                 params, HBAR * k * k / (2.0 * effective_mass(params))))
             t2.append(abs(complex(t)) ** 2)
             r2.append(abs(complex(r_left if sign > 0 else r_right)) ** 2)
@@ -964,10 +964,10 @@ class TestPrediction:
         # a spectral singularity inside the packet spectrum has no stationary
         # prediction: the flagged point raises instead of averaging nan
         def flag_middle(k_outer, layers):
-            t, r_left, r_right, singular = amplitude_arrays(k_outer, layers)
+            t, r_left, r_right, singular, t_mirrored = amplitude_arrays(k_outer, layers)
             singular = singular.copy()
             singular[singular.size // 2] = True
-            return t, r_left, r_right, singular
+            return t, r_left, r_right, singular, t_mirrored
 
         monkeypatch.setattr(tp, "amplitude_arrays", flag_middle)
         spec = WavepacketSpec(-40e-6, 3e-6, carrier_for_energy(params, 0.2))
