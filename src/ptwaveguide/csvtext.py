@@ -123,39 +123,24 @@ def _tables():
 
 def _split(a):
     high = _SPLITTER * a
-    high -= high - a
+    high = high - (high - a)
     return high, a - high
 
 
 def _scale(a, p, pow_hi, pow_lo):
     """(whole, frac): a * 10^(14-p) split into its floor and a fraction in
     [0, 1], to an absolute error below 1e-15."""
-    k = 14 - _K_MIN - p
-    hi, lo = pow_hi.take(k), pow_lo.take(k)
+    k = 14 - p - _K_MIN
+    hi, lo = pow_hi[k], pow_lo[k]
     product = a * hi
     a_hi, a_lo = _split(a)
     h_hi, h_lo = _split(hi)
-    # Dekker: product + error == a * hi exactly, the error being
-    # a_lo * h_lo - (((product - a_hi * h_hi) - a_lo * h_hi) - a_hi * h_lo);
-    # evaluated in place, as are the sums below
-    error = a_hi * h_hi
-    np.subtract(product, error, out=error)
-    term = a_lo * h_hi
-    error -= term
-    np.multiply(a_hi, h_lo, out=term)
-    error -= term
-    np.multiply(a_lo, h_lo, out=term)
-    np.subtract(term, error, out=error)
-    np.multiply(a, lo, out=term)
-    error += term
+    # Dekker: product + error == a * hi exactly
+    error = a_lo * h_lo - (((product - a_hi * h_hi) - a_lo * h_hi) - a_hi * h_lo)
     whole = np.floor(product)
-    frac = product
-    frac -= whole
-    frac += error  # (product - whole) + (error + a * lo)
-    carry = np.floor(frac, out=term)  # the small terms can push frac just outside [0, 1)
-    whole += carry
-    frac -= carry
-    return whole, frac
+    frac = (product - whole) + (error + a * lo)
+    carry = np.floor(frac)  # the small terms can push frac just outside [0, 1)
+    return whole + carry, frac - carry
 
 
 def g15_words(x) -> np.ndarray:

@@ -127,8 +127,8 @@ def amplitude_arrays(k_outer, layers: Sequence[tuple]):
     non-finite where the matrix entries overflowed.  ``t_mirrored`` is t of
     the mirrored stack, from the kernel's m22 of it: bitwise equal to
     ``amplitude_arrays(k_outer, layers[::-1])[0]``, and equal to t where
-    reciprocity holds.  A 1-d ``k_outer`` is evaluated in
-    chunks of :data:`_CHUNK` frequencies, each k2 with it.
+    reciprocity holds.  A 1-d ``k_outer`` is evaluated in chunks of
+    :data:`_CHUNK` frequencies, each k2 with it.
     """
     k = np.asarray(k_outer, dtype=float)
     if k.ndim == 1 and k.size > _CHUNK:

@@ -61,8 +61,8 @@ def test_line_text_drops_padding():
 
 
 def test_render_memory_per_value():
-    # the words are built in place, a few arrays of 8 bytes a value at a
-    # time: ~146 bytes a value measured, where the per-byte layout gather
+    # the slots are built from arrays of 8 bytes a value, most of them in
+    # place: ~146 bytes a value measured, where the per-byte layout gather
     # they replace peaked at ~275
     values = np.random.default_rng(11).standard_normal(6144)
     g15_words(values)  # builds the tables
