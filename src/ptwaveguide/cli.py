@@ -20,11 +20,11 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .csvtext import SLOT_WORDS, g15_words, line_text
+from .csvtext import SLOT_WORDS, g15_words, line_text, text_slots
 from .medium import NEAR_CUTOFF_X_MAX, MediumParams, from_config
 from .helmholtz import SpectralSingularityError
-from .models import (STATUS_NONFINITE, STATUS_OK, ModelColumns, ModelKind,
-                     SweepTable, pt_defect, sweep)
+from .models import (STATUS_NONFINITE, STATUS_OK, STATUSES, ModelColumns, ModelKind,
+                     SweepTable, evaluate_row, pt_defect, sweep)
 from .quantities import (E_CHARGE, Config, ConfigError, angular_to_ev, ev_to_angular,
                          load_config)
 from .timeprop import (BoundaryContaminationError, IncompleteScatterError,
@@ -42,17 +42,15 @@ CSV_HEADER = ("omega_over_omegac,model,t_left_re,t_left_im,r_left_re,r_left_im,"
 _CSV_FIELDS = ("t_re", "t_im", "r_left_re", "r_left_im", "r_right_re", "r_right_im",
                "sum_left", "sum_right", "log10_sum_left", "log10_sum_right")
 
-# Values per renderer call.  g15_words takes ~155 ns a value in calls of
-# 1,024 values and ~85-93 ns from 3,072 to 8,192 (fastest of 40 rounds,
-# 2-core x86_64), and peaks at ~146 bytes a value.  The sweep renders a
-# block of frequencies in one call; the snapshot writer a block of points'
-# three fields (6,144 values), next to one grid's z slots (24 bytes a
-# point).  It runs at the end of a packet run, on top of its peak RSS:
-# writing 11 states of 22,235 points, the CLI's own peak RSS is ~41.9 MB;
-# 1,024 points per block lower it by ~0.1 MB, at a cost in time that 8
-# launches each did not resolve.
-_SWEEP_BLOCK = 8192
-_SNAPSHOT_BLOCK = 2048
+# Values per g15_words call in both writers: a block of frequencies' x and
+# columns, or of points' three snapshot fields next to one grid's z slots.
+# g15_words takes ~155 ns a value in calls of 1,024 values and ~85-93 ns
+# from 3,072 to 8,192 (fastest of 40 rounds, 2-core x86_64), and peaks at
+# ~146 bytes a value.  The snapshot writer runs at the end of a packet run,
+# on top of its peak RSS: writing 11 states of 22,235 points, the CLI's own
+# peak RSS is ~41.9 MB; 1,024 points per block lower it by ~0.1 MB, at a
+# cost in time that 8 launches each did not resolve.
+_BLOCK_VALUES = 6144
 
 # sweep --sweep: the default omega/omega_c grid (start, stop, points)
 SWEEP_WINDOW = (1.0005, NEAR_CUTOFF_X_MAX, 400)
@@ -78,21 +76,10 @@ def _model_values(col: ModelColumns, lo: int, hi: int, ok: np.ndarray) -> list[n
             s_left, s_right, *(np.log10(np.where(ok, s, 1.0)) for s in (s_left, s_right))]
 
 
-def _words(text: bytes, n: int) -> np.ndarray:
-    """``text`` NUL-padded to ``n`` 64-bit words."""
-    return np.frombuffer(text.ljust(8 * n, b"\0"), np.uint64)
-
-
-# A sweep line in 64-bit words: the slot of x, "model," in one word, the 12
-# numeric slots and the status, in two words that end with the newline.
-# Every slot ends with its comma (csvtext.g15_words).
-_NUMBERS = slice(SLOT_WORDS + 1, SLOT_WORDS + 1 + SLOT_WORDS * (len(_CSV_FIELDS) + 2))
-_STATUS = _NUMBERS.stop
-_LINE_WORDS = _STATUS + 2
-_EMPTY_FIELD = _words(b",".rjust(8 * SLOT_WORDS, b"\0"), SLOT_WORDS)
-_NEWLINE = _words(b"\n".rjust(16, b"\0"), 2)
-# turns the comma that ends a slot into a newline
-_COMMA_TO_NEWLINE = np.uint64((ord(",") ^ ord("\n")) << 56)
+# the slots of an empty numeric field and of each status, in sorted order
+_EMPTY_SLOT = text_slots([b""])
+_STATUS_NAMES = np.array(sorted(STATUSES))
+_STATUS_SLOTS = text_slots([status.encode() for status in _STATUS_NAMES.tolist()])
 
 
 def csv_chunks(table: SweepTable) -> Iterator[bytes]:
@@ -101,13 +88,14 @@ def csv_chunks(table: SweepTable) -> Iterator[bytes]:
     that are not ok keep empty numeric fields and their status."""
     yield (CSV_HEADER + "\n").encode()
     columns = list(table.models.values())
-    names = np.concatenate([_words(f"{model.value},".encode(), 1) for model in table.models])
+    names = text_slots([model.value.encode() for model in table.models])
     n = len(table.omega_over_omegac)
-    # a block is _SWEEP_BLOCK values: x and each model's distinct columns
+    # a block of rows renders x and each model's distinct columns in one call
     width = 1 + len(_CSV_FIELDS) * len(columns)
-    rows = _SWEEP_BLOCK // width
+    rows = _BLOCK_VALUES // width
     values = np.empty((min(rows, n), width))
-    buffer = np.empty((min(rows, n), len(columns), _LINE_WORDS), np.uint64)
+    # a line: the slots of x, the model, 12 numeric fields and the status
+    buffer = np.empty((min(rows, n), len(columns), 15, SLOT_WORDS), np.uint64)
 
     def render(lo: int) -> bytes:
         hi = min(lo + rows, n)
@@ -121,19 +109,18 @@ def csv_chunks(table: SweepTable) -> Iterator[bytes]:
         for j, col in enumerate(columns):
             np.stack(_model_values(col, lo, hi, ok[:, j]), axis=1,
                      out=block[:, 1 + j * len(_CSV_FIELDS):1 + (j + 1) * len(_CSV_FIELDS)])
-        words = g15_words(block.ravel()).reshape(hi - lo, width, SLOT_WORDS)
-        lines[:, :, :SLOT_WORDS] = words[:, None, 0]
-        lines[:, :, SLOT_WORDS] = names
-        fields = lines[:, :, _NUMBERS].reshape(hi - lo, len(columns), -1, SLOT_WORDS)
-        numbers = words[:, 1:].reshape(hi - lo, len(columns), -1, SLOT_WORDS)
-        fields[:, :, :4] = numbers[:, :, :4]  # t, r_left
-        fields[:, :, 4:6] = numbers[:, :, :2]  # t again, as t_right
-        fields[:, :, 6:] = numbers[:, :, 4:]  # r_right, sums, log10 sums
-        fields[~ok] = _EMPTY_FIELD
-        # the status's '<U9' code points are its ASCII bytes
-        lines[:, :, _STATUS:] = _NEWLINE
-        codes = status.view(np.uint32).reshape(hi - lo, len(columns), -1)
-        lines.view(np.uint8)[:, :, 8 * _STATUS:8 * _STATUS + codes.shape[-1]] = codes
+        slots = g15_words(block.ravel()).reshape(hi - lo, width, SLOT_WORDS)
+        numbers = slots[:, 1:].reshape(hi - lo, len(columns), len(_CSV_FIELDS), SLOT_WORDS)
+        lines[:, :, 0] = slots[:, None, 0]
+        lines[:, :, 1] = names
+        lines[:, :, 2:6] = numbers[:, :, :4]  # t, r_left
+        lines[:, :, 6:8] = numbers[:, :, :2]  # t again, as t_right
+        lines[:, :, 8:14] = numbers[:, :, 4:]  # r_right, sums, log10 sums
+        bad = ~ok
+        lines[bad, 2:14] = _EMPTY_SLOT
+        # the ok slot on every line, then the few others' own status
+        lines[:, :, 14] = _STATUS_SLOTS[np.searchsorted(_STATUS_NAMES, STATUS_OK)]
+        lines[bad, 14] = _STATUS_SLOTS[np.searchsorted(_STATUS_NAMES, status[bad])]
         return line_text(lines)
 
     # every block reuses the values and the line buffer; its other arrays go
@@ -147,22 +134,22 @@ def write_snapshots(path: str, grid, states) -> None:
     with open(path, "wb") as fh:
         fh.write(b"t,z,re_psi,im_psi,abs2_psi\n")
         z = grid.z
-        z_words = np.empty((z.size, SLOT_WORDS), np.uint64)
-        for lo in range(0, z.size, _SNAPSHOT_BLOCK):
-            z_words[lo:lo + _SNAPSHOT_BLOCK] = g15_words(z[lo:lo + _SNAPSHOT_BLOCK])
+        z_slots = np.empty((z.size, SLOT_WORDS), np.uint64)
+        for lo in range(0, z.size, _BLOCK_VALUES):
+            z_slots[lo:lo + _BLOCK_VALUES] = g15_words(z[lo:lo + _BLOCK_VALUES])
+        points = _BLOCK_VALUES // 3  # three fields a point
         # a line: the slots of t, z, re, im and abs2
-        buffer = np.empty((min(_SNAPSHOT_BLOCK, z.size), 5, SLOT_WORDS), np.uint64)
+        buffer = np.empty((min(points, z.size), 5, SLOT_WORDS), np.uint64)
         for t, psi in states:
-            t_words = _words(b"%.15g," % t, SLOT_WORDS)
-            for lo in range(0, psi.size, _SNAPSHOT_BLOCK):
-                block = psi[lo:lo + _SNAPSHOT_BLOCK]
+            t_slot = g15_words(np.array([t]))
+            for lo in range(0, psi.size, points):
+                block = psi[lo:lo + points]
                 lines = buffer[:block.size]
-                lines[:, 0] = t_words
-                lines[:, 1] = z_words[lo:lo + block.size]
-                words = g15_words(np.concatenate(
+                lines[:, 0] = t_slot
+                lines[:, 1] = z_slots[lo:lo + block.size]
+                slots = g15_words(np.concatenate(
                     [block.real, block.imag, block.real ** 2 + block.imag ** 2]))
-                lines[:, 2:] = words.reshape(3, block.size, SLOT_WORDS).transpose(1, 0, 2)
-                lines[:, -1, -1] ^= _COMMA_TO_NEWLINE
+                lines[:, 2:] = slots.reshape(3, block.size, SLOT_WORDS).transpose(1, 0, 2)
                 fh.write(line_text(lines))
 
 
@@ -259,8 +246,9 @@ def run_checks(table: SweepTable, params: MediumParams) -> list[str]:
     """Assertions that hold on every medium: finite rows, reciprocity (t
     against the table's ``t_mirrored``), the reduced model's generalized
     unitarity, unit flux sums with the medium off (a control sweep of the
-    table's range at up to 41 points) and at least one ok row.  Returns
-    failure messages, ordered by frequency, then model, then check."""
+    table's range at up to 41 points, or its one frequency) and at least
+    one ok row.  Returns failure messages, ordered by frequency, then
+    model, then check."""
     found: list[tuple[tuple[int, int, int, int], str]] = []
 
     def flag(part, j, check, mask, message):
@@ -281,7 +269,9 @@ def run_checks(table: SweepTable, params: MediumParams) -> list[str]:
             flag(0, j, 2, ok & (resid > 1e-8),
                  lambda i: f"generalized unitarity residual {resid[i]:.2e} at x={x[i]}")
     # Hermitian control: switching the resonant term off must give unit sums.
-    control = sweep(replace(params, omega_p=0.0), x[0], x[-1], min(41, len(x)))
+    off = replace(params, omega_p=0.0)
+    control = (sweep(off, x[0], x[-1], min(41, len(x))) if len(x) > 1
+               else evaluate_row(off, x, tuple(ModelKind)))
     x_off = control.omega_over_omegac.tolist()
     for j, (model, col) in enumerate(control.models.items()):
         ok, name, status = col.status == STATUS_OK, model.value, col.status.tolist()
@@ -382,13 +372,15 @@ def cmd_packet(args) -> int:
         logger.warning("packet bandwidth ratio Omega/delta = %.3g is not narrow-band", ratio)
     # the snapshot path is opened for appending before the first step, so one
     # that cannot be written fails before the run; a file this opening made
-    # goes with a run that fails, one that was there keeps its bytes
+    # goes with a run or a write that fails, and one that was there stays
     made = bool(args.snapshots) and not os.path.lexists(args.snapshots)
     if args.snapshots:
         open(args.snapshots, "ab").close()
     try:
         result = scatter_packet(params, plan.spec, plan.grid, plan.t_final,
                                 record_times=record)
+        if args.snapshots:
+            write_snapshots(args.snapshots, plan.grid, result.states)
     except BaseException:
         if made:
             with suppress(OSError):  # the run's error is the one to report
@@ -412,7 +404,6 @@ def cmd_packet(args) -> int:
               f"interior residual {result.interior_norm:.3g}; it is not settled",
               file=sys.stderr)
     if args.snapshots:
-        write_snapshots(args.snapshots, plan.grid, result.states)
         print(f"wrote {args.snapshots}")
     return 0
 

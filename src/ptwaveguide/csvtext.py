@@ -1,10 +1,10 @@
 """CSV text of float64 arrays: the bytes of ``'%.15g' % x`` for every element,
 computed with numpy instead of one Python format call per value.
 
-:func:`g15_words` renders an array into slots of three 64-bit words that
-hold each text's bytes in order with NUL bytes among them; the writers lay
-slots, separators and constant text out in one line buffer of 64-bit words,
-and :func:`line_text` keeps its non-NUL bytes.  The kernel decides almost
+Every field of both CSVs is a slot of three 64-bit words, its bytes in order
+with NUL bytes among them and its comma in the last byte: :func:`g15_words`
+renders an array into slots, :func:`text_slots` holds constant text, and
+:func:`line_text` ends and joins lines of slots.  The kernel decides almost
 every element itself:
 
 1. |x| is scaled by 10^(14-p), p = floor(log10 |x|), in double-double
@@ -228,14 +228,22 @@ def g15_words(x) -> np.ndarray:
 
     slow = np.flatnonzero(undecided)
     if slow.size:
-        text = b"".join((b"%.15g" % v).ljust(8 * SLOT_WORDS - 1, b"\0") + b","
-                        for v in x[slow].tolist())
-        words[slow] = np.frombuffer(text, np.uint64).reshape(-1, SLOT_WORDS)
+        words[slow] = text_slots([b"%.15g" % v for v in x[slow].tolist()])
     return words
 
 
+def text_slots(texts) -> np.ndarray:
+    """(len(texts), SLOT_WORDS) uint64 array: row i holds ``texts[i]``, at
+    most 23 bytes, then NUL bytes, and a comma in its last byte."""
+    text = b"".join(t.ljust(8 * SLOT_WORDS - 1, b"\0") + b"," for t in texts)
+    return np.frombuffer(text, np.uint64).reshape(-1, SLOT_WORDS)
+
+
 def line_text(lines: np.ndarray) -> bytes:
-    """The bytes of a C-contiguous buffer of 64-bit words without its NUL
-    bytes."""
-    text = lines.view(np.uint8).ravel()
+    """The text of a C-contiguous (..., fields, SLOT_WORDS) uint64 buffer of
+    lines of slots: the comma of each line's last slot becomes its newline,
+    in the buffer, and the NUL bytes are dropped."""
+    text = lines.view(np.uint8)
+    text[..., -1, -1] = ord("\n")
+    text = text.ravel()
     return text[text != 0].tobytes()

@@ -22,8 +22,8 @@ import ptwaveguide.models as models
 from ptwaveguide.cli import CSV_HEADER, main, render_plot_script
 from ptwaveguide.helmholtz import SpectralSingularityError, amplitude_arrays
 from ptwaveguide.medium import from_config
-from ptwaveguide.models import (ModelColumns, ModelKind, SweepTable, bilayer, sweep,
-                                sweep_grid)
+from ptwaveguide.models import (ModelColumns, ModelKind, SweepTable, bilayer, evaluate_row,
+                                sweep, sweep_grid)
 from ptwaveguide.quantities import CONFIG_KEYS, E_CHARGE, Config, load_config
 from ptwaveguide.timeprop import SpatialGrid, plan_packet_run, scatter_packet
 
@@ -86,6 +86,38 @@ class TestRowStatus:
         assert lines[1].endswith(",ok")
         assert lines[2] == "1.002,exact" + "," * 13 + "singular"
         assert lines[3] == "1.003,exact" + "," * 13 + "nonfinite"
+
+    def test_csv_of_models_differing_in_status(self):
+        # at each frequency the two models differ in status (ok/nonfinite,
+        # singular/ok, nonfinite/singular), then both are ok: each line keeps
+        # its own empty fields and status
+        def columns(t, r_left, r_right, singular):
+            t = np.array(t, complex)
+            return ModelColumns.from_amplitudes(t, np.array(r_left, complex),
+                                                np.array(r_right, complex),
+                                                np.array(singular), t)
+
+        exact = columns([0.5 + 0.5j, 0j, complex(np.inf, 0), 0.25 - 1e-300j],
+                        [0.1j, 0j, 0.3, -2e-7], [0.2, 0j, 0.1, 3e5],
+                        [False, True, False, False])
+        approx = columns([1e200, 0.75 + 0.1j, 0j, 1 / 3], [0j, 1e-5, 0j, 0.1],
+                         [0j, 0.2j, 0j, -0.0], [False, False, True, False])
+        table = SweepTable(np.array([1.001, 1.002, 1.003, 1.0045]),
+                           {ModelKind.EXACT: exact, ModelKind.APPROXIMATE: approx})
+        empty = "," * 13
+        assert b"".join(cli.csv_chunks(table)).decode().splitlines()[1:] == [
+            "1.001,exact,0.5,0.5,0,0.1,0.5,0.5,0.2,0,0.51,0.54,-0.292429823902064,"
+            "-0.267606240177031,ok",
+            f"1.001,approx{empty}nonfinite",
+            f"1.002,exact{empty}singular",
+            "1.002,approx,0.75,0.1,1e-05,0,0.75,0.1,0,0.2,0.5725000001,0.6125,"
+            "-0.242224508912215,-0.21289390696343,ok",
+            f"1.003,exact{empty}nonfinite",
+            f"1.003,approx{empty}singular",
+            "1.0045,exact,0.25,-1e-300,-2e-07,0,0.25,-1e-300,300000,0,0.06250000000004,"
+            "90000000000.0625,-1.20411998265565,10.9542425094396,ok",
+            "1.0045,approx,0.333333333333333,0,0.1,0,0.333333333333333,0,-0,0,"
+            "0.121111111111111,0.111111111111111,-0.916816011498701,-0.954242509439325,ok"]
 
     def test_manifest_counts(self, table, params, tmp_path):
         path = tmp_path / "m.json"
@@ -163,6 +195,23 @@ class TestCheckMessages:
         assert cli.run_checks(table, params) == [
             f"unit flux sums violated with the medium off at x={x} (approx)"]
 
+    def test_one_frequency_table(self, params, monkeypatch):
+        # a table of one frequency passes, and the medium-off control
+        # evaluates that frequency, once for each model
+        table = evaluate_row(params, 1.01, (ModelKind.EXACT, ModelKind.APPROXIMATE))
+        frequencies = []
+
+        def counted(k_outer, layers):
+            frequencies.append(np.size(k_outer))
+            return amplitude_arrays(k_outer, layers)
+
+        monkeypatch.setattr(models, "amplitude_arrays", counted)
+        assert cli.run_checks(table, params) == []
+        assert frequencies == [1, 1]
+        bad = _inject(table, ModelKind.EXACT, "t", 0, complex(table.models[ModelKind.EXACT].t[0])
+                      * (1 + 1e-9))
+        assert cli.run_checks(bad, params) == ["reciprocity violated at x=1.01 (exact)"]
+
     def test_all_singular_table(self, params):
         table = _singular_table((1.001, 1.01))
         assert cli.run_checks(table, params) == ["no row has status ok"]
@@ -225,8 +274,8 @@ class TestSweepCommand:
     def test_csv_text_does_not_depend_on_block_size(self, params, default_packet_run,
                                                     tmp_path, monkeypatch):
         # numpy gives an element the same bits wherever it falls in a block:
-        # one sweep row per block and 7 snapshot points per block write the
-        # bytes of the default blocks.  The snapshots are every 16th point of
+        # blocks of 21 values, one sweep row of two models and 7 snapshot
+        # points, write the bytes of the default blocks.  The snapshots are every 16th point of
         # the default run's two states, on a grid of as many points
         table = sweep(params, 1.0005, 1.10, 400)
         plan, result = default_packet_run
@@ -234,8 +283,7 @@ class TestSweepCommand:
         grid = replace(plan.grid, n_points=states[0][1].size)
         cli.write_snapshots(str(tmp_path / "default.csv"), grid, states)
         default = b"".join(cli.csv_chunks(table))
-        monkeypatch.setattr(cli, "_SWEEP_BLOCK", 37)
-        monkeypatch.setattr(cli, "_SNAPSHOT_BLOCK", 7)
+        monkeypatch.setattr(cli, "_BLOCK_VALUES", 21)
         chunks = list(cli.csv_chunks(table))
         assert len(chunks) == 1 + 400
         assert b"".join(chunks) == default
@@ -243,8 +291,8 @@ class TestSweepCommand:
         assert (tmp_path / "small.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
     def test_snapshot_writer_builds_z_once_per_grid(self, tmp_path, monkeypatch):
-        # two states of three blocks each: the grid's z is built once
-        grid = SpatialGrid(-1.0, 1.0, 3 * cli._SNAPSHOT_BLOCK, 1e-16)
+        # two states of three blocks of points each: the grid's z is built once
+        grid = SpatialGrid(-1.0, 1.0, cli._BLOCK_VALUES, 1e-16)
         psi = np.full(grid.n_points, 0.5 + 0.5j)
         built = []
         z = SpatialGrid.z.fget
@@ -256,7 +304,7 @@ class TestSweepCommand:
         # two states on a grid of no whole number of blocks, then on a grid
         # equal to it whose z ends at -0.0 instead of 0.0.  The fields
         # include values the renderer leaves to Python
-        n = cli._SNAPSHOT_BLOCK
+        n = cli._BLOCK_VALUES // 3  # points per block
         a = SpatialGrid(-1e-5, 0.0, 2 * n + 5, 1e-16)
         signed = replace(a, z_max=-0.0)
         assert signed == a
@@ -933,6 +981,22 @@ class TestPacketCommand:
         assert capsys.readouterr().out == ""
         assert snapshots.is_symlink() == (kind == "symlink")
         assert earlier.read_bytes() == b"t,z,re_psi,im_psi,abs2_psi\n0,0,1,0,1\n"
+
+    def test_failed_snapshot_write_leaves_no_snapshots(self, tmp_path, monkeypatch, capsys,
+                                                       default_packet_run):
+        # a write that fails part way, as on a full disk, fails the run with
+        # exit 3 before the summary, and the file the run made goes with it
+        def failing(path, grid, states):
+            with open(path, "wb") as fh:
+                fh.write(b"t,z,re_psi,im_psi,abs2_psi\n")
+                raise OSError(27, "File too large")
+
+        monkeypatch.setattr(cli, "scatter_packet", lambda *args, **kwargs: default_packet_run[1])
+        monkeypatch.setattr(cli, "write_snapshots", failing)
+        snapshots = tmp_path / "snaps.csv"
+        assert run_cli("packet", "--snapshots", str(snapshots)) == 3
+        assert capsys.readouterr() == ("", "i/o error: [Errno 27] File too large\n")
+        assert not snapshots.exists()
 
     def test_failed_removal_keeps_run_error(self, tmp_path, monkeypatch, capsys):
         # a snapshot file that cannot be removed does not hide the run's error

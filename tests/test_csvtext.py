@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptwaveguide.csvtext import SLOT_WORDS, g15_words, line_text
+from ptwaveguide.csvtext import SLOT_WORDS, g15_words, line_text, text_slots
 
 
 def rendered(values):
@@ -14,7 +14,7 @@ def rendered(values):
     words = g15_words(np.array(values, dtype=float))
     assert words.shape == (len(values), SLOT_WORDS)
     assert (words.view(np.uint8)[:, -1] == ord(",")).all()
-    return [line_text(row)[:-1] for row in words]
+    return [row.tobytes().replace(b"\0", b"")[:-1] for row in words]
 
 
 def expected(values):
@@ -52,12 +52,22 @@ def test_random_decades():
     assert rendered(values.tolist()) == expected(values.tolist())
 
 
+def test_text_slots():
+    # the text at the slot's start, NUL bytes after it and the comma last,
+    # as g15_words lays out the values Python renders
+    slots = text_slots([b"", b"ok", b"x" * 23])
+    assert slots.shape == (3, SLOT_WORDS)
+    assert slots.tobytes() == b"".join(t.ljust(23, b"\0") + b"," for t in (b"", b"ok", b"x" * 23))
+    assert g15_words(np.array([np.nan, 0.0])).tobytes() == text_slots([b"nan", b"0"]).tobytes()
+
+
 def test_line_text_drops_padding():
-    # two lines of a buffer: a slot, then a word of "a" or "bc" and a newline
-    lines = np.zeros((2, SLOT_WORDS + 1), np.uint64)
-    lines[:, :SLOT_WORDS] = g15_words(np.array([1.5, -2e-7]))
-    lines[:, SLOT_WORDS] = np.frombuffer(b"a\0\0\0\0\0\0\nbc\0\0\0\0\0\n", np.uint64)
-    assert line_text(lines) == b"1.5,a\n-2e-07,bc\n"
+    # two lines of three slots each: a value, a constant text and an empty
+    # field; the comma of each line's last slot becomes its newline
+    lines = np.stack([g15_words(np.array([1.5, -2e-7])), text_slots([b"a", b"bc"]),
+                      text_slots([b"", b""])], axis=1)
+    assert line_text(lines) == b"1.5,a,\n-2e-07,bc,\n"
+    assert line_text(lines[:, :2].copy()) == b"1.5,a\n-2e-07,bc\n"
 
 
 def test_render_memory_per_value():
