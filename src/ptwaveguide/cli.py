@@ -10,12 +10,13 @@ import argparse
 import json
 import logging
 import os
+import stat
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from time import perf_counter
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -76,10 +77,9 @@ def _model_values(col: ModelColumns, lo: int, hi: int, ok: np.ndarray) -> list[n
             s_left, s_right, *(np.log10(np.where(ok, s, 1.0)) for s in (s_left, s_right))]
 
 
-# the slots of an empty numeric field and of each status, in sorted order
+# the slots of an empty numeric field and of each status, by status code
 _EMPTY_SLOT = text_slots([b""])
-_STATUS_NAMES = np.array(sorted(STATUSES))
-_STATUS_SLOTS = text_slots([status.encode() for status in _STATUS_NAMES.tolist()])
+_STATUS_SLOTS = text_slots([status.encode() for status in STATUSES])
 
 
 def csv_chunks(table: SweepTable) -> Iterator[bytes]:
@@ -116,11 +116,8 @@ def csv_chunks(table: SweepTable) -> Iterator[bytes]:
         lines[:, :, 2:6] = numbers[:, :, :4]  # t, r_left
         lines[:, :, 6:8] = numbers[:, :, :2]  # t again, as t_right
         lines[:, :, 8:14] = numbers[:, :, 4:]  # r_right, sums, log10 sums
-        bad = ~ok
-        lines[bad, 2:14] = _EMPTY_SLOT
-        # the ok slot on every line, then the few others' own status
-        lines[:, :, 14] = _STATUS_SLOTS[np.searchsorted(_STATUS_NAMES, STATUS_OK)]
-        lines[bad, 14] = _STATUS_SLOTS[np.searchsorted(_STATUS_NAMES, status[bad])]
+        lines[~ok, 2:14] = _EMPTY_SLOT
+        lines[:, :, 14] = _STATUS_SLOTS[status]
         return line_text(lines)
 
     # every block reuses the values and the line buffer; its other arrays go
@@ -128,10 +125,34 @@ def csv_chunks(table: SweepTable) -> Iterator[bytes]:
     yield from map(render, range(0, n, rows))
 
 
+@contextmanager
+def _replacing(path: str) -> Iterator[BinaryIO]:
+    """A new file beside the path's target, open for writing, that replaces
+    the target when the block ends and is removed when it fails: a failed
+    write leaves what was at the path.  The file gets the permission bits
+    that opening the path for writing would have left."""
+    target = os.path.realpath(path)
+    folder, name = os.path.split(target)
+    temporary = os.path.join(folder, f".{name}.{os.urandom(6).hex()}.tmp")
+    # "x" gives a new file the bits "w" would; a target keeps its own
+    fh = open(temporary, "xb")
+    try:
+        with fh:
+            with suppress(FileNotFoundError):
+                os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+            yield fh
+        os.replace(temporary, target)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(temporary)
+        raise
+
+
 def write_snapshots(path: str, grid, states) -> None:
     """Snapshot CSV of a run's (t, psi) states on its grid: one line per
-    state and grid point, each field as '%.15g'; z is rendered once."""
-    with open(path, "wb") as fh:
+    state and grid point, each field as '%.15g'; z is rendered once.  The
+    path's target is replaced once the last block is written."""
+    with _replacing(path) as fh:
         fh.write(b"t,z,re_psi,im_psi,abs2_psi\n")
         z = grid.z
         z_slots = np.empty((z.size, SLOT_WORDS), np.uint64)
@@ -246,9 +267,9 @@ def run_checks(table: SweepTable, params: MediumParams) -> list[str]:
     """Assertions that hold on every medium: finite rows, reciprocity (t
     against the table's ``t_mirrored``), the reduced model's generalized
     unitarity, unit flux sums with the medium off (a control sweep of the
-    table's range at up to 41 points, or its one frequency) and at least
-    one ok row.  Returns failure messages, ordered by frequency, then
-    model, then check."""
+    table's models over its range at up to 41 points, or at its one
+    frequency) and at least one ok row.  Returns failure messages, ordered
+    by frequency, then model, then check."""
     found: list[tuple[tuple[int, int, int, int], str]] = []
 
     def flag(part, j, check, mask, message):
@@ -269,14 +290,14 @@ def run_checks(table: SweepTable, params: MediumParams) -> list[str]:
             flag(0, j, 2, ok & (resid > 1e-8),
                  lambda i: f"generalized unitarity residual {resid[i]:.2e} at x={x[i]}")
     # Hermitian control: switching the resonant term off must give unit sums.
-    off = replace(params, omega_p=0.0)
-    control = (sweep(off, x[0], x[-1], min(41, len(x))) if len(x) > 1
-               else evaluate_row(off, x, tuple(ModelKind)))
+    off, kinds = replace(params, omega_p=0.0), tuple(table.models)
+    control = (sweep(off, x[0], x[-1], min(41, len(x)), kinds) if len(x) > 1
+               else evaluate_row(off, x, kinds))
     x_off = control.omega_over_omegac.tolist()
     for j, (model, col) in enumerate(control.models.items()):
-        ok, name, status = col.status == STATUS_OK, model.value, col.status.tolist()
-        flag(1, j, 0, ~ok,
-             lambda i: f"{status[i]} row with the medium off at x={x_off[i]} ({name})")
+        ok, name = col.status == STATUS_OK, model.value
+        flag(1, j, 0, ~ok, lambda i: f"{STATUSES[col.status[i]]} row with the medium off "
+                                     f"at x={x_off[i]} ({name})")
         not_unit = (np.abs(col.s_left - 1.0) > 1e-10) | (np.abs(col.s_right - 1.0) > 1e-10)
         flag(1, j, 1, ok & not_unit, lambda i: "unit flux sums violated with the medium "
                                                f"off at x={x_off[i]} ({name})")

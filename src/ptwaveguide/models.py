@@ -21,14 +21,13 @@ from .helmholtz import amplitude_arrays, flux_sums
 from .medium import MediumParams, RegionKind, k_squared_approx, k_squared_exact
 from .quantities import C
 
-STATUS_OK = "ok"
-STATUS_SINGULAR = "singular"
-STATUS_NONFINITE = "nonfinite"
-STATUSES = (STATUS_OK, STATUS_SINGULAR, STATUS_NONFINITE)
+# A row's status is a uint8 code, its index in STATUSES.
+STATUSES = ("ok", "singular", "nonfinite")
+STATUS_OK, STATUS_SINGULAR, STATUS_NONFINITE = np.arange(len(STATUSES), dtype=np.uint8)
 
-# Largest sweep grid.  `sweep --check` of both models peaks at ~365 bytes
-# of RSS a point (45.2-45.3 MiB at 40,000 points, 170.5 MiB at 400,000),
-# so the cap is ~1.5 GB; a grid over it is rejected before any array is
+# Largest sweep grid.  `sweep --check` of both models peaks at ~277 bytes
+# of RSS a point (42.4 MiB at 40,000 points, 137.4-137.6 MiB at 400,000),
+# so the cap is ~1.1 GB; a grid over it is rejected before any array is
 # allocated.
 MAX_SWEEP_POINTS = 4_000_000
 
@@ -110,10 +109,10 @@ class ModelColumns:
     """One model's scattering over a frequency grid, one entry per frequency.
 
     ``t`` is t_left = t_right = 1/m22, and ``t_mirrored`` is t of the
-    mirrored stack, which reciprocity makes equal to it.  ``status`` is
-    ``singular`` where m22 = 0, ``nonfinite`` where any of t, r_left,
-    r_right, s_left or s_right is not finite, else ``ok``; the numbers of
-    other rows are meaningless.
+    mirrored stack, which reciprocity makes equal to it.  ``status`` holds
+    uint8 codes, ``STATUSES[code]`` their names: ``singular`` where m22 = 0,
+    ``nonfinite`` where any of t, r_left, r_right, s_left or s_right is not
+    finite, else ``ok``; the numbers of other rows are meaningless.
     """
 
     t: np.ndarray
@@ -128,8 +127,8 @@ class ModelColumns:
     def from_amplitudes(cls, t, r_left, r_right, singular, t_mirrored) -> "ModelColumns":
         """Columns of :func:`helmholtz.amplitude_arrays`' output."""
         s_left, s_right = flux_sums(t, r_left, r_right)
-        finite = (np.isfinite(t) & np.isfinite(r_left) & np.isfinite(r_right)
-                  & np.isfinite(s_left) & np.isfinite(s_right))
+        # a non-finite t or r makes its flux sum non-finite, and vice versa
+        finite = np.isfinite(s_left) & np.isfinite(s_right)
         status = np.where(singular, STATUS_SINGULAR,
                           np.where(finite, STATUS_OK, STATUS_NONFINITE))
         return cls(t, r_left, r_right, s_left, s_right, status, t_mirrored)
@@ -144,8 +143,9 @@ class SweepTable:
 
     def status_counts(self) -> dict[str, int]:
         """Rows of each status, counted over frequencies and models."""
-        return {status: sum(int(np.count_nonzero(col.status == status))
-                            for col in self.models.values()) for status in STATUSES}
+        counts = sum((np.bincount(col.status, minlength=len(STATUSES))
+                      for col in self.models.values()), np.zeros(len(STATUSES), int))
+        return dict(zip(STATUSES, counts.tolist()))
 
 
 def sweep_grid(start: float, stop: float, n: int) -> np.ndarray:

@@ -20,10 +20,11 @@ import ptwaveguide.cli as cli
 import ptwaveguide.helmholtz as hh
 import ptwaveguide.models as models
 from ptwaveguide.cli import CSV_HEADER, main, render_plot_script
+from ptwaveguide.csvtext import line_text
 from ptwaveguide.helmholtz import SpectralSingularityError, amplitude_arrays
 from ptwaveguide.medium import from_config
-from ptwaveguide.models import (ModelColumns, ModelKind, SweepTable, bilayer, evaluate_row,
-                                sweep, sweep_grid)
+from ptwaveguide.models import (STATUSES, ModelColumns, ModelKind, SweepTable, bilayer,
+                                evaluate_row, sweep, sweep_grid)
 from ptwaveguide.quantities import CONFIG_KEYS, E_CHARGE, Config, load_config
 from ptwaveguide.timeprop import SpatialGrid, plan_packet_run, scatter_packet
 
@@ -75,8 +76,9 @@ class TestRowStatus:
         return SweepTable(np.array(self.XS), {ModelKind.EXACT: columns})
 
     def test_statuses(self, table):
-        assert table.models[ModelKind.EXACT].status.tolist() == \
-            ["ok", "singular", "nonfinite"]
+        status = table.models[ModelKind.EXACT].status
+        assert status.dtype == np.uint8
+        assert [STATUSES[c] for c in status.tolist()] == ["ok", "singular", "nonfinite"]
         assert table.status_counts() == {"ok": 1, "singular": 1, "nonfinite": 1}
 
     def test_csv_keeps_empty_fields(self, table):
@@ -144,7 +146,8 @@ class TestRowStatus:
             t = np.array([1e200 + 0j, 0.5 + 0.5j])
             columns = ModelColumns.from_amplitudes(
                 t, np.array([0j, 0.1j]), np.array([0j, 0.2 + 0j]), np.array([False, False]), t)
-        assert columns.status.tolist() == ["nonfinite", "ok"]
+        assert columns.status.dtype == np.uint8
+        assert [STATUSES[c] for c in columns.status.tolist()] == ["nonfinite", "ok"]
 
     def test_check_fails_on_nonfinite(self, table, params):
         failures = cli.run_checks(table, params)
@@ -194,6 +197,24 @@ class TestCheckMessages:
         x = sweep_grid(xs[0], xs[-1], 9).tolist()[7]
         assert cli.run_checks(table, params) == [
             f"unit flux sums violated with the medium off at x={x} (approx)"]
+
+    @pytest.mark.parametrize("present, absent", [(ModelKind.EXACT, ModelKind.APPROXIMATE),
+                                                 (ModelKind.APPROXIMATE, ModelKind.EXACT)],
+                             ids=["exact", "approx"])
+    def test_medium_off_control_of_an_absent_model(self, params, monkeypatch, present,
+                                                   absent):
+        # a control of the model the table lacks is not run, so its failure
+        # prints nothing
+        real_sweep = cli.sweep
+
+        def control_sweep(*args, **kwargs):
+            control = real_sweep(*args, **kwargs)
+            if absent in control.models:
+                control = _inject(control, absent, "s_left", 3, 1.0 + 1e-9)
+            return control
+
+        monkeypatch.setattr(cli, "sweep", control_sweep)
+        assert cli.run_checks(sweep(params, 1.001, 1.05, 9, models=(present,)), params) == []
 
     def test_one_frequency_table(self, params, monkeypatch):
         # a table of one frequency passes, and the medium-off control
@@ -680,7 +701,7 @@ class TestSweepMemory:
         return (peak - base) / cls.POINTS
 
     def test_sweep(self, params):
-        # both models, as the CLI runs them, each with its mirrored t: ~286
+        # both models, as the CLI runs them, each with its mirrored t: ~241
         # bytes measured
         assert self.peak_per_point(sweep, params, 1.0005, 1.10, self.POINTS) <= 320
 
@@ -705,6 +726,20 @@ class TestSweepMemory:
                 monkeypatch.setattr(module, "amplitude_arrays", counted)
         assert cli.run_checks(table, params) == []
         assert frequencies == [41, 41]
+
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda model: model.value)
+    def test_run_checks_controls_only_the_tables_model(self, params, monkeypatch, model):
+        # a table of one model runs the control of that model alone
+        table = sweep(params, 1.0005, 1.10, self.POINTS, models=(model,))
+        frequencies = []
+
+        def counted(k_outer, layers):
+            frequencies.append(np.size(k_outer))
+            return amplitude_arrays(k_outer, layers)
+
+        monkeypatch.setattr(models, "amplitude_arrays", counted)
+        assert cli.run_checks(table, params) == []
+        assert frequencies == [41]
 
 
 class TestPacketCommand:
@@ -997,6 +1032,50 @@ class TestPacketCommand:
         assert run_cli("packet", "--snapshots", str(snapshots)) == 3
         assert capsys.readouterr() == ("", "i/o error: [Errno 27] File too large\n")
         assert not snapshots.exists()
+
+    def test_failed_snapshot_write_keeps_what_was_at_snapshot_path(
+            self, tmp_path, monkeypatch, capsys, default_packet_run):
+        # a write that fails after its first block, as on a full disk, leaves
+        # the file that was at the path as it was, and no temporary file
+        written = []
+
+        def failing(lines):
+            if written:
+                raise OSError(27, "File too large")
+            written.append(lines.shape)
+            return line_text(lines)
+
+        monkeypatch.setattr(cli, "scatter_packet", lambda *args, **kwargs: default_packet_run[1])
+        monkeypatch.setattr(cli, "line_text", failing)
+        earlier = tmp_path / "earlier.csv"
+        earlier.write_bytes(b"t,z\n")
+        assert run_cli("packet", "--snapshots", str(earlier)) == 3
+        assert capsys.readouterr() == ("", "i/o error: [Errno 27] File too large\n")
+        assert len(written) == 1
+        assert earlier.read_bytes() == b"t,z\n"
+        assert os.listdir(tmp_path) == ["earlier.csv"]
+
+    @pytest.mark.parametrize("kind", ["new", "file", "symlink"])
+    def test_snapshot_file_permissions(self, tmp_path, kind):
+        # the written file has the bits that opening the path for writing
+        # would have left: the umask's on a new file, a file's own on one
+        # that was there; a symlink stays, and its target is written
+        target, path = tmp_path / "snaps.csv", tmp_path / "snaps.csv"
+        if kind != "new":
+            target.write_bytes(b"old")
+            target.chmod(0o640)
+        if kind == "symlink":
+            path = tmp_path / "link.csv"
+            path.symlink_to(target)
+        with open(tmp_path / "w.csv", "wb"):
+            pass
+        grid = SpatialGrid(-1.0, 1.0, 5, 1e-16)
+        cli.write_snapshots(str(path), grid, [(0.0, np.ones(grid.n_points, complex))])
+        expected = 0o640 if kind != "new" else (tmp_path / "w.csv").stat().st_mode & 0o777
+        assert target.stat().st_mode & 0o777 == expected
+        assert path.is_symlink() == (kind == "symlink")
+        assert target.read_bytes().startswith(b"t,z,re_psi,im_psi,abs2_psi\n0,-1,1,0,1\n")
+        assert sorted(os.listdir(tmp_path)) == sorted({target.name, path.name, "w.csv"})
 
     def test_failed_removal_keeps_run_error(self, tmp_path, monkeypatch, capsys):
         # a snapshot file that cannot be removed does not hide the run's error
