@@ -12,11 +12,11 @@ import logging
 import os
 import stat
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from time import perf_counter
-from typing import BinaryIO, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -126,21 +126,38 @@ def csv_chunks(table: SweepTable) -> Iterator[bytes]:
 
 
 @contextmanager
-def _replacing(path: str) -> Iterator[BinaryIO]:
-    """A new file beside the path's target, open for writing, that replaces
-    the target when the block ends and is removed when it fails: a failed
-    write leaves what was at the path.  The file gets the permission bits
-    that opening the path for writing would have left."""
+def _replacing(path: str) -> Iterator[str]:
+    """The path to write the file at ``path`` through: a new file beside the
+    path's target, made now, that replaces the target when the block ends
+    and is removed when the block fails, so a failed run or write leaves
+    what was at the path.  The new file gets an existing target's
+    permission bits.  A target that a rename would change in more than its
+    bytes is written in place: a device, a pipe, a hard-linked file or
+    another user's file."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    else:
+        # a target the write could not open fails here; opening a pipe
+        # would wait for its reader
+        if not stat.S_ISFIFO(st.st_mode):
+            open(path, "ab").close()
+        if not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                and st.st_uid == os.geteuid()):
+            yield path
+            return
     target = os.path.realpath(path)
     folder, name = os.path.split(target)
     temporary = os.path.join(folder, f".{name}.{os.urandom(6).hex()}.tmp")
-    # "x" gives a new file the bits "w" would; a target keeps its own
-    fh = open(temporary, "xb")
     try:
-        with fh:
-            with suppress(FileNotFoundError):
-                os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
-            yield fh
+        open(temporary, "xb").close()  # "x" gives it the bits "w" would
+    except OSError as exc:  # the error names the path asked for
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        if st is not None:
+            os.chmod(temporary, stat.S_IMODE(st.st_mode))
+        yield temporary
         os.replace(temporary, target)
     except BaseException:
         with suppress(OSError):
@@ -150,9 +167,8 @@ def _replacing(path: str) -> Iterator[BinaryIO]:
 
 def write_snapshots(path: str, grid, states) -> None:
     """Snapshot CSV of a run's (t, psi) states on its grid: one line per
-    state and grid point, each field as '%.15g'; z is rendered once.  The
-    path's target is replaced once the last block is written."""
-    with _replacing(path) as fh:
+    state and grid point, each field as '%.15g'; z is rendered once."""
+    with open(path, "wb") as fh:
         fh.write(b"t,z,re_psi,im_psi,abs2_psi\n")
         z = grid.z
         z_slots = np.empty((z.size, SLOT_WORDS), np.uint64)
@@ -391,22 +407,14 @@ def cmd_packet(args) -> int:
     ratio = plan.spec.bandwidth_ratio(params)
     if ratio > 0.1:
         logger.warning("packet bandwidth ratio Omega/delta = %.3g is not narrow-band", ratio)
-    # the snapshot path is opened for appending before the first step, so one
-    # that cannot be written fails before the run; a file this opening made
-    # goes with a run or a write that fails, and one that was there stays
-    made = bool(args.snapshots) and not os.path.lexists(args.snapshots)
-    if args.snapshots:
-        open(args.snapshots, "ab").close()
-    try:
+    # the snapshot path is made ready before the first step, so one that
+    # cannot be written fails before the run, and a run that fails leaves
+    # what was at the path
+    with _replacing(args.snapshots) if args.snapshots else nullcontext() as snapshots:
         result = scatter_packet(params, plan.spec, plan.grid, plan.t_final,
                                 record_times=record)
-        if args.snapshots:
-            write_snapshots(args.snapshots, plan.grid, result.states)
-    except BaseException:
-        if made:
-            with suppress(OSError):  # the run's error is the one to report
-                os.remove(args.snapshots)
-        raise
+        if snapshots:
+            write_snapshots(snapshots, plan.grid, result.states)
     x_carrier = 1.0 + ev_to_angular(args.energy_ev) / params.omega_c
     print(f"carrier: {args.energy_ev:g} eV (omega/omega_c = {x_carrier:.4f}), "
           f"sigma = {args.sigma_um:g} um, incidence {args.incidence}")

@@ -4,8 +4,10 @@ import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -1070,12 +1072,76 @@ class TestPacketCommand:
         with open(tmp_path / "w.csv", "wb"):
             pass
         grid = SpatialGrid(-1.0, 1.0, 5, 1e-16)
-        cli.write_snapshots(str(path), grid, [(0.0, np.ones(grid.n_points, complex))])
+        with cli._replacing(str(path)) as out:
+            cli.write_snapshots(out, grid, [(0.0, np.ones(grid.n_points, complex))])
         expected = 0o640 if kind != "new" else (tmp_path / "w.csv").stat().st_mode & 0o777
         assert target.stat().st_mode & 0o777 == expected
         assert path.is_symlink() == (kind == "symlink")
         assert target.read_bytes().startswith(b"t,z,re_psi,im_psi,abs2_psi\n0,-1,1,0,1\n")
         assert sorted(os.listdir(tmp_path)) == sorted({target.name, path.name, "w.csv"})
+
+    def test_refused_snapshot_file_exits_3_before_stepping(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # the new file beside the target is made before the first step, so a
+        # folder that refuses it fails the run before it steps, naming the path
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        def refusing(file, *args, **kwargs):
+            if file.endswith(".tmp"):
+                raise PermissionError(13, "Permission denied", file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr("ptwaveguide.timeprop._march", no_steps)
+        monkeypatch.setattr(cli, "open", refusing, raising=False)
+        earlier = tmp_path / "earlier.csv"
+        earlier.write_bytes(b"t,z\n")
+        assert run_cli("packet", "--snapshots", str(earlier)) == 3
+        assert capsys.readouterr() == (
+            "", f"i/o error: [Errno 13] Permission denied: '{earlier}'\n")
+        assert earlier.read_bytes() == b"t,z\n"
+        assert os.listdir(tmp_path) == ["earlier.csv"]
+
+    def test_snapshots_to_a_pipe(self, tmp_path, monkeypatch, default_packet_run):
+        # a target that is not a regular file, here a named pipe, is written
+        # in place and stays what it was
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+
+        def read():
+            while not received or not received[-1]:  # an empty read is a writer that wrote nothing
+                received.append(pipe.read_bytes())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        monkeypatch.setattr(cli, "scatter_packet", lambda *args, **kwargs: default_packet_run[1])
+        assert run_cli("packet", "--snapshots", str(pipe)) == 0
+        reader.join(60)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+        plan, result = default_packet_run
+        cli.write_snapshots(str(tmp_path / "file.csv"), plan.grid, result.states)
+        assert received[-1] == (tmp_path / "file.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["hard link", "other user"])
+    def test_snapshots_written_in_place(self, tmp_path, monkeypatch, default_packet_run,
+                                        kind):
+        # a rename would split a hard-linked file, or hand another user's file
+        # to this one: such a file is written in place and keeps its inode
+        earlier = tmp_path / "earlier.csv"
+        earlier.write_bytes(b"t,z\n")
+        inode = earlier.stat().st_ino
+        if kind == "hard link":
+            os.link(earlier, tmp_path / "link.csv")
+        else:
+            monkeypatch.setattr(cli.os, "geteuid", lambda: earlier.stat().st_uid + 1)
+        monkeypatch.setattr(cli, "scatter_packet", lambda *args, **kwargs: default_packet_run[1])
+        assert run_cli("packet", "--snapshots", str(earlier)) == 0
+        assert earlier.stat().st_ino == inode
+        assert earlier.read_bytes().startswith(b"t,z,re_psi,im_psi,abs2_psi\n")
+        assert len(os.listdir(tmp_path)) == 1 + (kind == "hard link")
 
     def test_failed_removal_keeps_run_error(self, tmp_path, monkeypatch, capsys):
         # a snapshot file that cannot be removed does not hide the run's error
